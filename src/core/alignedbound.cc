@@ -22,10 +22,12 @@ AlignedBound::AlignedBound(const Ess* ess, Options options)
 
 const AlignedBound::ContourChoice& AlignedBound::GetChoice(
     int contour, const std::vector<int>& fixed) const {
-  const auto key = std::make_pair(contour, fixed);
-  auto it = choice_cache_.find(key);
-  if (it != choice_cache_.end()) return it->second;
+  return choice_cache_.GetOrCompute(
+      {contour, fixed}, [&] { return ComputeChoice(contour, fixed); });
+}
 
+AlignedBound::ContourChoice AlignedBound::ComputeChoice(
+    int contour, const std::vector<int>& fixed) const {
   const int dims = ess_->dims();
   std::vector<bool> unlearned(static_cast<size_t>(dims));
   std::vector<int> udims;
@@ -38,9 +40,7 @@ const AlignedBound::ContourChoice& AlignedBound::GetChoice(
 
   ContourChoice choice;
   const std::vector<int64_t> frontier = ess_->SliceFrontier(contour, fixed);
-  if (frontier.empty()) {
-    return choice_cache_.emplace(key, std::move(choice)).first->second;
-  }
+  if (frontier.empty()) return choice;
 
   // Cache per-location data.
   const size_t n = frontier.size();
@@ -174,7 +174,7 @@ const AlignedBound::ContourChoice& AlignedBound::GetChoice(
   for (uint64_t mask = full; mask != 0; mask ^= pick[mask]) {
     choice.parts.push_back(part_best[pick[mask]]);
   }
-  return choice_cache_.emplace(key, std::move(choice)).first->second;
+  return choice;
 }
 
 DiscoveryResult AlignedBound::RunImpl(ExecutionOracle* oracle) const {

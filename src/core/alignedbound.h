@@ -10,10 +10,10 @@
 #ifndef ROBUSTQP_CORE_ALIGNEDBOUND_H_
 #define ROBUSTQP_CORE_ALIGNEDBOUND_H_
 
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "common/shared_memo.h"
 #include "core/alignment.h"
 #include "core/discovery.h"
 #include "core/oracle.h"
@@ -22,10 +22,10 @@
 
 namespace robustqp {
 
-/// The AlignedBound algorithm (Algorithm 2). Reusable across runs;
-/// per-(contour, learnt-slice) partition choices and constrained-plan
-/// searches are memoized, which makes Run logically-const-only — see the
-/// DiscoveryAlgorithm concurrency contract (parallel sweeps Clone()).
+/// The AlignedBound algorithm (Algorithm 2). One instance serves any
+/// number of oracle runs, concurrently; per-(contour, learnt-slice)
+/// partition choices and constrained-plan searches are memoized in shared
+/// memos.
 class AlignedBound : public DiscoveryAlgorithm {
  public:
   struct Options {
@@ -56,10 +56,6 @@ class AlignedBound : public DiscoveryAlgorithm {
                                             ess_->config().contour_cost_ratio);
   }
 
-  std::unique_ptr<DiscoveryAlgorithm> Clone() const override {
-    return std::make_unique<AlignedBound>(ess_, options_);
-  }
-
   /// The guarantee range [2D+2, D^2+3D] (Theorems 5.1 / 4.5).
   static std::pair<double, double> MsoGuaranteeRange(int num_epps) {
     const double d = num_epps;
@@ -83,16 +79,16 @@ class AlignedBound : public DiscoveryAlgorithm {
     double total_penalty = 0.0;
   };
 
+  /// The minimum-penalty partition for (contour, learnt-slice); memoized.
   const ContourChoice& GetChoice(int contour,
                                  const std::vector<int>& fixed) const;
+  ContourChoice ComputeChoice(int contour, const std::vector<int>& fixed) const;
 
   const Ess* ess_;
   Options options_;
   SpillBound fallback_;  // supplies the terminal 1D phase
-  // Memo caches (logical constness; not synchronized — see the
-  // DiscoveryAlgorithm concurrency contract).
-  mutable ConstrainedPlanCache constrained_;
-  mutable std::map<std::pair<int, std::vector<int>>, ContourChoice> choice_cache_;
+  ConstrainedPlanCache constrained_;
+  SharedMemo<std::pair<int, std::vector<int>>, ContourChoice> choice_cache_;
 };
 
 }  // namespace robustqp

@@ -1,6 +1,7 @@
 #include "core/alignment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
 
 #include "common/status.h"
@@ -15,26 +16,48 @@ uint64_t MaskOf(const std::vector<bool>& unlearned) {
   }
   return m;
 }
+
+/// "R" + 8 hex digits of the signature's 32-bit FNV-1a hash.
+std::string ReplacementName(const std::string& signature) {
+  uint32_t h = 2166136261u;
+  for (char c : signature) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 16777619u;
+  }
+  char name[10];
+  std::snprintf(name, sizeof(name), "R%08x", h);
+  return name;
+}
 }  // namespace
 
 const ConstrainedPlanCache::Entry& ConstrainedPlanCache::Get(
-    int64_t lin, int dim, const std::vector<bool>& unlearned) {
-  const auto key = std::make_tuple(lin, dim, MaskOf(unlearned));
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+    int64_t lin, int dim, const std::vector<bool>& unlearned) const {
+  return cache_.GetOrCompute(
+      std::make_tuple(lin, dim, MaskOf(unlearned)), [&] {
+        Entry entry;
+        const EssPoint q = ess_->SelAt(ess_->FromLinear(lin));
+        std::unique_ptr<Plan> plan =
+            ess_->optimizer().OptimizeConstrainedSpill(q, dim, unlearned);
+        if (plan == nullptr) {
+          entry.cost = std::numeric_limits<double>::infinity();
+        } else {
+          entry.cost = ess_->optimizer().PlanCost(*plan, q);
+          entry.plan = Canonical(std::move(plan));
+        }
+        return entry;
+      });
+}
 
-  Entry entry;
-  const EssPoint q = ess_->SelAt(ess_->FromLinear(lin));
-  std::unique_ptr<Plan> plan =
-      ess_->optimizer().OptimizeConstrainedSpill(q, dim, unlearned);
-  if (plan == nullptr) {
-    entry.cost = std::numeric_limits<double>::infinity();
-    entry.plan = nullptr;
-  } else {
-    entry.cost = ess_->optimizer().PlanCost(*plan, q);
-    entry.plan = pool_.Intern(std::move(plan));
-  }
-  return cache_.emplace(key, entry).first->second;
+const Plan* ConstrainedPlanCache::Canonical(std::unique_ptr<Plan> plan) const {
+  const std::string signature = plan->signature();
+  if (const Plan* posp = ess_->pool().Find(signature)) return posp;
+  return plans_
+      .GetOrCompute(signature,
+                    [&] {
+                      plan->set_display_name(ReplacementName(signature));
+                      return std::unique_ptr<const Plan>(std::move(plan));
+                    })
+      .get();
 }
 
 std::vector<ContourAlignmentInfo> AnalyzeContourAlignment(

@@ -6,18 +6,23 @@
 #define ROBUSTQP_CORE_ALIGNMENT_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/shared_memo.h"
 #include "ess/ess.h"
-#include "plan/plan_pool.h"
+#include "plan/plan.h"
 
 namespace robustqp {
 
 /// Memoizing wrapper over Optimizer::OptimizeConstrainedSpill, keyed by
-/// (grid location, spill dimension, unlearned-set). Owns the replacement
-/// plans it discovers.
+/// (grid location, spill dimension, unlearned-set). Get is thread-safe:
+/// entries are pure functions of (Ess, key), kept in a SharedMemo. A
+/// replacement plan already in the ESS's POSP pool *is* that POSP plan;
+/// any other is owned here and named "R" + the 8-hex FNV-1a hash of its
+/// signature, so names never depend on lookup order or thread schedule.
 class ConstrainedPlanCache {
  public:
   explicit ConstrainedPlanCache(const Ess* ess) : ess_(ess) {}
@@ -31,14 +36,19 @@ class ConstrainedPlanCache {
 
   /// Cheapest plan at grid location `lin` whose spill dimension (w.r.t.
   /// `unlearned`) is `dim`.
-  const Entry& Get(int64_t lin, int dim, const std::vector<bool>& unlearned);
+  const Entry& Get(int64_t lin, int dim,
+                   const std::vector<bool>& unlearned) const;
 
-  int num_plans() const { return pool_.size(); }
+  /// Replacement plans owned here (those outside the POSP pool).
+  int num_plans() const { return static_cast<int>(plans_.size()); }
 
  private:
+  /// The POSP plan with `plan`'s signature, else the owned replacement.
+  const Plan* Canonical(std::unique_ptr<Plan> plan) const;
+
   const Ess* ess_;
-  PlanPool pool_;
-  std::map<std::tuple<int64_t, int, uint64_t>, Entry> cache_;
+  SharedMemo<std::string, std::unique_ptr<const Plan>> plans_;  // by signature
+  SharedMemo<std::tuple<int64_t, int, uint64_t>, Entry> cache_;
 };
 
 /// Alignment diagnostics for one contour over the full (nothing-learnt)

@@ -100,12 +100,12 @@ struct DiscoveryResult {
 /// discovery run against an execution oracle, plus the metadata the
 /// harness and reproduction surface need.
 ///
-/// Concurrency contract. Run is const but *logically* const only: the
-/// contour-wise algorithms memoize per-(contour, learnt-slice) choices in
-/// mutable caches, so one instance must not run on two threads at once.
-/// Parallel harnesses give every worker its own instance via Clone(),
-/// which is cheap — clones share the (immutable) Ess and start with cold
-/// caches that warm up over the worker's share of locations.
+/// Concurrency contract. Run is const and thread-safe: one instance may
+/// serve any number of concurrent runs. The contour-wise algorithms
+/// memoize per-(contour, learnt-slice) choices in internally synchronized
+/// memos (common/shared_memo.h) shared by every run; each memo value is a
+/// pure function of the Ess and its key, and no memo fill reaches a fault
+/// site, so a run's result never depends on which runs came before it.
 class DiscoveryAlgorithm {
  public:
   virtual ~DiscoveryAlgorithm() = default;
@@ -128,10 +128,6 @@ class DiscoveryAlgorithm {
   /// platform-independent bound for SpillBound and AlignedBound, the
   /// behavioural 4(1+lambda)rho bound for PlanBouquet.
   virtual double MsoGuarantee() const = 0;
-
-  /// Fresh instance over the same Ess with the same options and cold
-  /// memo caches; used once per worker by parallel evaluation.
-  virtual std::unique_ptr<DiscoveryAlgorithm> Clone() const = 0;
 
  protected:
   /// The algorithm body Run() wraps.

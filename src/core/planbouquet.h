@@ -19,9 +19,7 @@ namespace robustqp {
 class PlanDiagram;
 
 /// The PlanBouquet algorithm. Contour plan sets (optionally anorexically
-/// reduced) are computed once at construction; Run is stateless, so a
-/// built instance is fully thread-safe (Clone still hands out copies to
-/// keep the DiscoveryAlgorithm contract uniform).
+/// reduced) are computed once at construction and never change after.
 class PlanBouquet : public DiscoveryAlgorithm {
  public:
   struct Options {
@@ -47,10 +45,6 @@ class PlanBouquet : public DiscoveryAlgorithm {
   DiscoveryResult RunImpl(ExecutionOracle* oracle) const override;
 
   std::string name() const override { return "PlanBouquet"; }
-
-  std::unique_ptr<DiscoveryAlgorithm> Clone() const override {
-    return std::make_unique<PlanBouquet>(*this);
-  }
 
   /// Maximum contour plan-set cardinality after reduction — the rho that
   /// enters the MSO guarantee.

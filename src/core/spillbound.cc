@@ -9,60 +9,56 @@ namespace robustqp {
 
 const std::vector<SpillBound::SpillChoice>& SpillBound::GetSpillChoices(
     int contour, const std::vector<int>& fixed) const {
-  const auto key = std::make_pair(contour, fixed);
-  auto it = choice_cache_.find(key);
-  if (it != choice_cache_.end()) return it->second;
-
-  const int dims = ess_->dims();
-  std::vector<bool> unlearned(static_cast<size_t>(dims));
-  for (int d = 0; d < dims; ++d) {
-    unlearned[static_cast<size_t>(d)] = fixed[static_cast<size_t>(d)] < 0;
-  }
-
-  std::vector<SpillChoice> choices(static_cast<size_t>(dims));
-  for (int64_t lin : ess_->SliceFrontier(contour, fixed)) {
-    const Plan* plan = ess_->OptimalPlan(lin);
-    const int sdim = plan->SpillDimension(unlearned);
-    if (sdim < 0) continue;
-    const GridLoc loc = ess_->FromLinear(lin);
-    SpillChoice& c = choices[static_cast<size_t>(sdim)];
-    if (!c.valid || loc[static_cast<size_t>(sdim)] > c.coord) {
-      c.valid = true;
-      c.loc = lin;
-      c.coord = loc[static_cast<size_t>(sdim)];
-      c.plan = plan;
+  return choice_cache_.GetOrCompute({contour, fixed}, [&] {
+    const int dims = ess_->dims();
+    std::vector<bool> unlearned(static_cast<size_t>(dims));
+    for (int d = 0; d < dims; ++d) {
+      unlearned[static_cast<size_t>(d)] = fixed[static_cast<size_t>(d)] < 0;
     }
-  }
-  return choice_cache_.emplace(key, std::move(choices)).first->second;
+
+    std::vector<SpillChoice> choices(static_cast<size_t>(dims));
+    for (int64_t lin : ess_->SliceFrontier(contour, fixed)) {
+      const Plan* plan = ess_->OptimalPlan(lin);
+      const int sdim = plan->SpillDimension(unlearned);
+      if (sdim < 0) continue;
+      const GridLoc loc = ess_->FromLinear(lin);
+      SpillChoice& c = choices[static_cast<size_t>(sdim)];
+      if (!c.valid || loc[static_cast<size_t>(sdim)] > c.coord) {
+        c.valid = true;
+        c.loc = lin;
+        c.coord = loc[static_cast<size_t>(sdim)];
+        c.plan = plan;
+      }
+    }
+    return choices;
+  });
 }
 
 const SpillBound::SpillChoice& SpillBound::Get1DChoice(
     int contour, const std::vector<int>& fixed) const {
-  const auto key = std::make_pair(contour, fixed);
-  auto it = choice1d_cache_.find(key);
-  if (it != choice1d_cache_.end()) return it->second;
-
-  int free_dim = -1;
-  for (int d = 0; d < ess_->dims(); ++d) {
-    if (fixed[static_cast<size_t>(d)] < 0) {
-      RQP_CHECK(free_dim < 0);
-      free_dim = d;
+  return choice1d_cache_.GetOrCompute({contour, fixed}, [&] {
+    int free_dim = -1;
+    for (int d = 0; d < ess_->dims(); ++d) {
+      if (fixed[static_cast<size_t>(d)] < 0) {
+        RQP_CHECK(free_dim < 0);
+        free_dim = d;
+      }
     }
-  }
-  RQP_CHECK(free_dim >= 0);
+    RQP_CHECK(free_dim >= 0);
 
-  SpillChoice choice;
-  for (int64_t lin : ess_->SliceFrontier(contour, fixed)) {
-    const GridLoc loc = ess_->FromLinear(lin);
-    const int coord = loc[static_cast<size_t>(free_dim)];
-    if (!choice.valid || coord > choice.coord) {
-      choice.valid = true;
-      choice.loc = lin;
-      choice.coord = coord;
-      choice.plan = ess_->OptimalPlan(lin);
+    SpillChoice choice;
+    for (int64_t lin : ess_->SliceFrontier(contour, fixed)) {
+      const GridLoc loc = ess_->FromLinear(lin);
+      const int coord = loc[static_cast<size_t>(free_dim)];
+      if (!choice.valid || coord > choice.coord) {
+        choice.valid = true;
+        choice.loc = lin;
+        choice.coord = coord;
+        choice.plan = ess_->OptimalPlan(lin);
+      }
     }
-  }
-  return choice1d_cache_.emplace(key, choice).first->second;
+    return choice;
+  });
 }
 
 std::vector<double> SpillBound::QrunSnapshot(const std::vector<double>& learned,

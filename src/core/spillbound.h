@@ -7,10 +7,10 @@
 #ifndef ROBUSTQP_CORE_SPILLBOUND_H_
 #define ROBUSTQP_CORE_SPILLBOUND_H_
 
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "common/shared_memo.h"
 #include "core/discovery.h"
 #include "core/oracle.h"
 #include "ess/ess.h"
@@ -19,10 +19,9 @@ namespace robustqp {
 
 /// The SpillBound algorithm (Algorithm 1 of the paper), including the
 /// 2D special case and the terminal 1D PlanBouquet phase. One instance
-/// can be reused across many oracle runs; per-(contour, learnt-slice)
-/// plan choices are memoized, which makes exhaustive MSO sweeps cheap.
-/// The memo caches make Run logically-const-only — see the
-/// DiscoveryAlgorithm concurrency contract (parallel sweeps Clone()).
+/// serves any number of oracle runs, concurrently; per-(contour,
+/// learnt-slice) plan choices are memoized in shared memos, which makes
+/// exhaustive MSO sweeps and repeated service requests cheap.
 class SpillBound : public DiscoveryAlgorithm {
  public:
   struct Options {
@@ -46,10 +45,6 @@ class SpillBound : public DiscoveryAlgorithm {
   /// cost ratio — D^2 + 3D for the paper's default doubling.
   double MsoGuarantee() const override {
     return MsoGuaranteeForRatio(ess_->dims(), ess_->config().contour_cost_ratio);
-  }
-
-  std::unique_ptr<DiscoveryAlgorithm> Clone() const override {
-    return std::make_unique<SpillBound>(ess_, options_);
   }
 
   /// The platform-independent MSO guarantee (Theorem 4.5); D = 1 queries
@@ -103,12 +98,12 @@ class SpillBound : public DiscoveryAlgorithm {
   std::vector<double> QrunSnapshot(const std::vector<double>& learned,
                                    const std::vector<int>& floor) const;
 
+  using SliceKey = std::pair<int, std::vector<int>>;  // (contour, fixed)
+
   const Ess* ess_;
   Options options_;
-  // Memo caches (logical constness; not synchronized — see the
-  // DiscoveryAlgorithm concurrency contract).
-  mutable std::map<std::pair<int, std::vector<int>>, std::vector<SpillChoice>> choice_cache_;
-  mutable std::map<std::pair<int, std::vector<int>>, SpillChoice> choice1d_cache_;
+  SharedMemo<SliceKey, std::vector<SpillChoice>> choice_cache_;
+  SharedMemo<SliceKey, SpillChoice> choice1d_cache_;
 };
 
 }  // namespace robustqp

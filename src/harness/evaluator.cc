@@ -84,14 +84,13 @@ SuboptimalityStats Evaluate(const DiscoveryAlgorithm& algo, const Ess& ess,
   std::vector<double> worker_penalty(static_cast<size_t>(threads), 1.0);
   std::vector<RobustnessReport> worker_report(static_cast<size_t>(threads));
   std::vector<double> worker_clean(static_cast<size_t>(threads), 1.0);
-  // One contiguous block of locations per worker; each worker clones the
-  // algorithm once (cold memo caches that warm over its block) and builds
-  // its own oracle per q_a. Per-location results are independent of the
-  // partitioning — fault draws included, being keyed to the location —
-  // so any thread count produces the same subopt vector.
+  // One contiguous block of locations per worker; the workers share the
+  // algorithm (its memos are synchronized) and build their own oracle per
+  // q_a. Per-location results are independent of the partitioning — fault
+  // draws included, being keyed to the location — so any thread count
+  // produces the same subopt vector.
   const Status run_status =
       ParallelFor(&pool, total, [&](int worker, int64_t begin, int64_t end) {
-        const std::unique_ptr<DiscoveryAlgorithm> local = algo.Clone();
         double max_penalty = 1.0;
         RobustnessReport report;
         double max_clean = 1.0;
@@ -101,9 +100,9 @@ SuboptimalityStats Evaluate(const DiscoveryAlgorithm& algo, const Ess& ess,
           DiscoveryResult result;
           if (armed) {
             FaultStreamScope scope(static_cast<uint64_t>(lin));
-            result = local->Run(&oracle);
+            result = algo.Run(&oracle);
           } else {
-            result = local->Run(&oracle);
+            result = algo.Run(&oracle);
           }
           RQP_CHECK(result.completed);
           double subopt = result.total_cost / ess.OptimalCost(lin);

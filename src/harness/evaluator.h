@@ -6,9 +6,10 @@
 // provides the traditional-optimizer baselines of Eq. (1).
 //
 // The per-q_a runs are independent, so the sweep fans out across a
-// ThreadPool: each worker owns a Clone() of the algorithm and its own
-// SimulatedOracle per location, and the reduction to SuboptimalityStats
-// is deterministic — results are bit-identical at any thread count.
+// ThreadPool: the workers share the (thread-safe) algorithm, each builds
+// its own SimulatedOracle per location, and the reduction to
+// SuboptimalityStats is deterministic — results are bit-identical at any
+// thread count.
 
 #ifndef ROBUSTQP_HARNESS_EVALUATOR_H_
 #define ROBUSTQP_HARNESS_EVALUATOR_H_

@@ -1,7 +1,6 @@
 // Plan pool: the registry of distinct plans discovered while exploring the
 // ESS. The set of optimal plans over all ESS locations is the Parametric
-// Optimal Set of Plans (POSP); the pool also holds replacement candidates
-// produced by AlignedBound's constrained-optimizer searches.
+// Optimal Set of Plans (POSP).
 
 #ifndef ROBUSTQP_PLAN_PLAN_POOL_H_
 #define ROBUSTQP_PLAN_PLAN_POOL_H_

@@ -10,6 +10,9 @@
 #include <utility>
 
 #include "common/status.h"
+#include "core/alignedbound.h"
+#include "core/planbouquet.h"
+#include "core/spillbound.h"
 #include "storage/table.h"
 #include "workloads/job.h"
 #include "workloads/queries.h"
@@ -18,6 +21,28 @@
 namespace robustqp {
 
 ContextCache::ContextCache(Options options) : options_(options) {}
+
+const DiscoveryAlgorithm* ContextCache::Entry::Algorithm(
+    RobustnessMode mode) const {
+  const size_t slot = static_cast<size_t>(mode);
+  RQP_CHECK(slot < kModes);
+  std::call_once(prepared_[slot], [&] {
+    switch (mode) {
+      case RobustnessMode::kPlanBouquet:
+        algorithms_[slot] = std::make_unique<PlanBouquet>(ess.get());
+        break;
+      case RobustnessMode::kSpillBound:
+        algorithms_[slot] = std::make_unique<SpillBound>(ess.get());
+        break;
+      case RobustnessMode::kAlignedBound:
+        algorithms_[slot] = std::make_unique<AlignedBound>(ess.get());
+        break;
+      case RobustnessMode::kNative:
+        break;
+    }
+  });
+  return algorithms_[slot].get();
+}
 
 std::string ContextCache::Key(const std::string& id, const Ess::Config& c,
                               Encoding encoding, bool use_compression,

@@ -15,10 +15,11 @@
 // in-flight work.
 //
 // Builds always run with the FaultInjector disarmed from the service
-// layer's perspective (QueryService resolves contexts before arming a
-// request's chaos spec), so a cached surface is bit-identical no matter
-// which request triggered the build. Failed builds (possible when an
-// embedding program arms injection around Get()) are not cached.
+// layer's perspective (QueryService resolves contexts, and prepares their
+// discovery algorithms, before arming a request's chaos spec), so a
+// cached surface is bit-identical no matter which request triggered the
+// build. Failed builds (possible when an embedding program arms injection
+// around Get()) are not cached.
 
 #ifndef ROBUSTQP_SERVER_CONTEXT_CACHE_H_
 #define ROBUSTQP_SERVER_CONTEXT_CACHE_H_
@@ -30,8 +31,10 @@
 #include <mutex>
 #include <string>
 
+#include "core/discovery.h"
 #include "ess/ess.h"
 #include "query/query.h"
+#include "server/request_options.h"
 #include "storage/column_file.h"
 #include "storage/encoding.h"
 
@@ -46,13 +49,26 @@ class ContextCache {
     size_t capacity = 16;
   };
 
-  /// One built context. Immutable once constructed.
+  /// One built context. Catalog, query and ESS are immutable once built;
+  /// the discovery algorithms are prepared once per mode, then read-only.
   struct Entry {
     std::shared_ptr<Catalog> catalog;
     std::unique_ptr<Query> query;
     std::unique_ptr<Ess> ess;
     /// The cache key this entry was built under.
     std::string key;
+
+    /// The discovery algorithm for `mode` over `ess`, with default
+    /// options; null for kNative. Built on the first call for the mode
+    /// (never at context-build time) and shared, thread-safely, by every
+    /// request that later runs on this context. The caller must hold the
+    /// injector disarmed for that first call, as for builds.
+    const DiscoveryAlgorithm* Algorithm(RobustnessMode mode) const;
+
+   private:
+    static constexpr size_t kModes = 4;  // RobustnessMode values
+    mutable std::once_flag prepared_[kModes];
+    mutable std::unique_ptr<const DiscoveryAlgorithm> algorithms_[kModes];
   };
 
   /// Cumulative counters since construction.

@@ -4,10 +4,7 @@
 
 #include "common/fault.h"
 #include "common/thread_pool.h"
-#include "core/alignedbound.h"
 #include "core/oracle.h"
-#include "core/planbouquet.h"
-#include "core/spillbound.h"
 #include "feedback/warm_start.h"
 
 namespace robustqp {
@@ -19,19 +16,9 @@ double MsSince(std::chrono::steady_clock::time_point t0,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-std::unique_ptr<DiscoveryAlgorithm> MakeAlgorithm(RobustnessMode mode,
-                                                  const Ess* ess) {
-  switch (mode) {
-    case RobustnessMode::kPlanBouquet:
-      return std::make_unique<PlanBouquet>(ess);
-    case RobustnessMode::kSpillBound:
-      return std::make_unique<SpillBound>(ess);
-    case RobustnessMode::kAlignedBound:
-      return std::make_unique<AlignedBound>(ess);
-    case RobustnessMode::kNative:
-      break;
-  }
-  return nullptr;
+Status RequestNotFound(int64_t session_id, int64_t request_id) {
+  return Status::NotFound("unknown request " + std::to_string(request_id) +
+                          " in session " + std::to_string(session_id));
 }
 
 }  // namespace
@@ -171,13 +158,12 @@ Result<std::optional<ServiceResponse>> QueryService::Poll(
     std::lock_guard<std::mutex> lock(mu_);
     auto it = requests_.find(request_id);
     if (it == requests_.end() || it->second->session != session_id) {
-      return Status::NotFound("unknown request " +
-                              std::to_string(request_id) + " in session " +
-                              std::to_string(session_id));
+      return RequestNotFound(session_id, request_id);
     }
     state = it->second;
   }
   std::lock_guard<std::mutex> lock(state->mu);
+  if (state->retired) return RequestNotFound(session_id, request_id);
   if (!state->done) return std::optional<ServiceResponse>{};
   return std::optional<ServiceResponse>{state->response};
 }
@@ -189,15 +175,26 @@ Result<ServiceResponse> QueryService::Wait(int64_t session_id,
     std::lock_guard<std::mutex> lock(mu_);
     auto it = requests_.find(request_id);
     if (it == requests_.end() || it->second->session != session_id) {
-      return Status::NotFound("unknown request " +
-                              std::to_string(request_id) + " in session " +
-                              std::to_string(session_id));
+      return RequestNotFound(session_id, request_id);
     }
     state = it->second;
   }
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->done; });
-  return state->response;
+  ServiceResponse response;
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->cv.wait(lock, [&] { return state->done; });
+    // A concurrent Wait on the same id may have retired it meanwhile.
+    if (state->retired) return RequestNotFound(session_id, request_id);
+    state->retired = true;
+    response = std::move(state->response);
+  }
+  // Retire: the response is handed over, so the service keeps nothing of
+  // the request — a long-lived session's memory stays flat.
+  std::lock_guard<std::mutex> lock(mu_);
+  requests_.erase(request_id);
+  auto sit = sessions_.find(session_id);
+  if (sit != sessions_.end()) sit->second.erase(request_id);
+  return response;
 }
 
 QueryService::ServiceStats QueryService::stats() const {
@@ -224,10 +221,12 @@ void QueryService::Execute(const ServiceRequest& request, ContextCache* cache,
                            feedback::FeedbackStore* store,
                            std::shared_mutex* fault_mu,
                            ServiceResponse* resp) {
-  // Phase 1 — resolve the context under the shared lock: no chaos request
-  // holds the injector armed, so cache builds are always clean and the
-  // cached surface is independent of request interleaving.
+  // Phase 1 — resolve the context and its prepared algorithm under the
+  // shared lock: no chaos request holds the injector armed, so cache
+  // builds and algorithm preparation are always clean and independent of
+  // request interleaving.
   std::shared_ptr<const ContextCache::Entry> ctx;
+  const DiscoveryAlgorithm* algo = nullptr;
   {
     std::shared_lock<std::shared_mutex> lock(*fault_mu);
     Result<std::shared_ptr<const ContextCache::Entry>> ctx_or =
@@ -239,13 +238,14 @@ void QueryService::Execute(const ServiceRequest& request, ContextCache* cache,
       return;
     }
     ctx = ctx_or.MoveValue();
+    algo = ctx->Algorithm(request.mode);
   }
 
   // Phase 2 — run. Clean requests share the lock; chaos requests own it
   // exclusively, arm the injector, and disarm before releasing.
   if (request.options.fault_spec.empty()) {
     std::shared_lock<std::shared_mutex> lock(*fault_mu);
-    resp->status = RunResolved(request, *ctx, store, resp);
+    resp->status = RunResolved(request, *ctx, algo, store, resp);
   } else {
     std::unique_lock<std::shared_mutex> lock(*fault_mu);
     const Status st = FaultInjector::Global().Configure(
@@ -258,7 +258,7 @@ void QueryService::Execute(const ServiceRequest& request, ContextCache* cache,
       // Stream keyed by the request's seed: the draw sequence depends only
       // on (spec, seed), never on scheduling or request order.
       FaultStreamScope scope(request.options.fault_seed);
-      resp->status = RunResolved(request, *ctx, store, resp);
+      resp->status = RunResolved(request, *ctx, algo, store, resp);
     }
     FaultInjector::Global().Disarm();
   }
@@ -274,6 +274,7 @@ void QueryService::Execute(const ServiceRequest& request, ContextCache* cache,
 
 Status QueryService::RunResolved(const ServiceRequest& request,
                                  const ContextCache::Entry& ctx,
+                                 const DiscoveryAlgorithm* algo,
                                  feedback::FeedbackStore* store,
                                  ServiceResponse* resp) {
   const Ess& ess = *ctx.ess;
@@ -359,8 +360,6 @@ Status QueryService::RunResolved(const ServiceRequest& request,
       observed = qa_sel;
     }
   } else {
-    const std::unique_ptr<DiscoveryAlgorithm> algo =
-        MakeAlgorithm(request.mode, &ess);
     resp->algorithm = algo->name();
     resp->guarantee = algo->MsoGuarantee();
     std::unique_ptr<ExecutionOracle> oracle;

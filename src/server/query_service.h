@@ -31,8 +31,12 @@
 //  * contexts are immutable after build and built only while the fault
 //    injector is disarmed (resolution happens before a request's chaos
 //    spec is armed), so cache state cannot leak into results;
-//  * discovery algorithms are instantiated per request (their memo caches
-//    never cross requests);
+//  * each context's discovery algorithms are prepared once per mode,
+//    lazily, at resolution time (so also disarmed), and shared by every
+//    request on the context. Their memos are synchronized and hold pure
+//    functions of (Ess, key) filled on paths without fault sites, so a
+//    memo filled by an earlier request — chaos or clean — returns what a
+//    cold instance would compute;
 //  * chaos requests (non-empty fault_spec) take an exclusive lock on the
 //    process-wide FaultInjector, configure it, and run inside a
 //    FaultStreamScope keyed by the request's fault_seed — clean requests
@@ -198,7 +202,8 @@ class QueryService {
   Result<int64_t> OpenSession();
 
   /// Closes `session_id`: waits for its in-flight requests to reach a
-  /// terminal state, then drops the session and its stored responses.
+  /// terminal state, then drops the session and its stored responses
+  /// (those not yet retired by Wait).
   /// Fails with kNotFound for unknown ids.
   Status CloseSession(int64_t session_id);
 
@@ -208,13 +213,17 @@ class QueryService {
   Result<int64_t> Submit(int64_t session_id, ServiceRequest request);
 
   /// Non-blocking probe: empty optional while the request is still
-  /// running, the response once terminal. kNotFound for unknown ids or a
-  /// session mismatch.
+  /// running, a copy of the response once terminal. kNotFound for unknown
+  /// ids, a session mismatch, or a request already retired by Wait.
   Result<std::optional<ServiceResponse>> Poll(int64_t session_id,
                                               int64_t request_id);
 
   /// Blocks until the request is terminal and returns its response.
-  /// kNotFound for unknown ids or a session mismatch.
+  /// kNotFound for unknown ids or a session mismatch. Wait retires the
+  /// request: the response is handed over and the service forgets the id,
+  /// so a second Wait (or a later Poll) on it returns kNotFound. This
+  /// keeps a long-lived session's memory flat however many requests it
+  /// serves.
   Result<ServiceResponse> Wait(int64_t session_id, int64_t request_id);
 
   ContextCache::Stats cache_stats() const { return cache_.stats(); }
@@ -247,6 +256,7 @@ class QueryService {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
+    bool retired = false;  // a Wait took the response
     ServiceResponse response;
   };
 
@@ -261,10 +271,12 @@ class QueryService {
                       feedback::FeedbackStore* store,
                       std::shared_mutex* fault_mu, ServiceResponse* resp);
 
-  /// Runs against a resolved context (no locking, injector state already
-  /// arranged by Execute). `store` may be null (feedback off).
+  /// Runs against a resolved context with its prepared algorithm (null
+  /// for kNative); no locking, injector state already arranged by
+  /// Execute. `store` may be null (feedback off).
   static Status RunResolved(const ServiceRequest& request,
                             const ContextCache::Entry& ctx,
+                            const DiscoveryAlgorithm* algo,
                             feedback::FeedbackStore* store,
                             ServiceResponse* resp);
 

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -291,16 +292,82 @@ TEST(QueryServiceTest, EveryRequestFailureMapsToItsCode) {
   EXPECT_TRUE(service.CloseSession(session).ok());
 }
 
+TEST(QueryServiceTest, WaitRetiresTheRequest) {
+  QueryService service;
+  const int64_t session = *service.OpenSession();
+  ServiceRequest req;
+  req.query_id = "2D_Q91";
+  req.options = SmallOptions();
+
+  // Poll before Wait still sees the response, as often as asked.
+  const int64_t id = *service.Submit(session, req);
+  std::optional<ServiceResponse> polled;
+  while (!polled.has_value()) {
+    std::this_thread::yield();
+    polled = *service.Poll(session, id);
+  }
+  ASSERT_TRUE(polled->status.ok());
+  ASSERT_TRUE(service.Poll(session, id)->has_value());
+
+  // Wait hands the response over and forgets the id.
+  const ServiceResponse waited = *service.Wait(session, id);
+  EXPECT_EQ(waited.cost_used, polled->cost_used);
+  EXPECT_EQ(waited.discovery.steps.size(), polled->discovery.steps.size());
+  EXPECT_EQ(service.Wait(session, id).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.Poll(session, id).status().code(), StatusCode::kNotFound);
+
+  // A request never waited on is dropped by CloseSession.
+  const int64_t unwaited = *service.Submit(session, req);
+  EXPECT_TRUE(service.CloseSession(session).ok());
+  EXPECT_EQ(service.Poll(session, unwaited).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(service.stats().completed, 2);
+}
+
 // ---------------------------------------------------------------------------
 // The determinism contract: N concurrent sessions, mixed requests (chaos
 // included), every payload bit-identical to a serial RunOneShot of the
 // same request on a fresh cache.
 // ---------------------------------------------------------------------------
 
+/// Bit-exact payload comparison: no tolerance anywhere.
+void ExpectSamePayload(const ServiceResponse& resp,
+                       const ServiceResponse& want) {
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.algorithm, want.algorithm);
+  EXPECT_EQ(resp.completed, want.completed);
+  EXPECT_EQ(resp.cost_used, want.cost_used);
+  EXPECT_EQ(resp.opt_cost, want.opt_cost);
+  EXPECT_EQ(resp.suboptimality, want.suboptimality);
+  EXPECT_EQ(resp.guarantee, want.guarantee);
+  EXPECT_EQ(resp.discovery.total_cost, want.discovery.total_cost);
+  EXPECT_EQ(resp.discovery.final_contour, want.discovery.final_contour);
+  ASSERT_EQ(resp.discovery.num_executions(), want.discovery.num_executions());
+  for (size_t i = 0; i < resp.discovery.steps.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    const ExecutionStep& g = resp.discovery.steps[i];
+    const ExecutionStep& w = want.discovery.steps[i];
+    EXPECT_EQ(g.contour, w.contour);
+    EXPECT_EQ(g.plan_name, w.plan_name);
+    EXPECT_EQ(g.spill_dim, w.spill_dim);
+    EXPECT_EQ(g.budget, w.budget);
+    EXPECT_EQ(g.cost_charged, w.cost_charged);
+    EXPECT_EQ(g.completed, w.completed);
+    EXPECT_EQ(g.learned_sel, w.learned_sel);
+    EXPECT_EQ(g.qrun, w.qrun);
+  }
+  EXPECT_EQ(resp.robustness.transient_retries,
+            want.robustness.transient_retries);
+  EXPECT_EQ(resp.robustness.cost_spikes, want.robustness.cost_spikes);
+  EXPECT_EQ(resp.robustness.corruptions, want.robustness.corruptions);
+  EXPECT_EQ(resp.robustness.retried_cost, want.robustness.retried_cost);
+}
+
 TEST(QueryServiceTest, SixteenConcurrentClientsBitIdenticalToSerial) {
   // A mixed workload covering both catalogs' cost models is unnecessary —
   // what matters is mode coverage, parameter coverage, and a chaos spec.
   std::vector<ServiceRequest> mix;
+  ServiceRequest chaos_ab;
   {
     ServiceRequest r;
     r.query_id = "2D_Q91";
@@ -312,6 +379,11 @@ TEST(QueryServiceTest, SixteenConcurrentClientsBitIdenticalToSerial) {
     r.mode = RobustnessMode::kAlignedBound;
     r.qa = {0.04, 0.1};
     mix.push_back(r);
+    // The same AB request armed: it runs first, so the clean AB requests
+    // read memos its chaos run filled.
+    chaos_ab = r;
+    chaos_ab.options.fault_spec = "*:p=0.05";
+    chaos_ab.options.fault_seed = 11;
     r.mode = RobustnessMode::kNative;
     mix.push_back(r);
     // A chaos request: deterministic injected faults keyed by (spec, seed).
@@ -337,12 +409,25 @@ TEST(QueryServiceTest, SixteenConcurrentClientsBitIdenticalToSerial) {
     expected.push_back(QueryService::RunOneShot(req, &fresh));
     ASSERT_TRUE(expected.back().status.ok()) << expected.back().status.ToString();
   }
+  ServiceResponse chaos_expected;
+  {
+    ContextCache fresh;
+    chaos_expected = QueryService::RunOneShot(chaos_ab, &fresh);
+  }
 
   constexpr int kClients = 16;
   QueryService::Options opts;
   opts.num_threads = 8;
   opts.queue_limit = 2 * kClients;
   QueryService service(opts);
+
+  {
+    SCOPED_TRACE("chaos AlignedBound, run first");
+    const int64_t session = *service.OpenSession();
+    ExpectSamePayload(*service.Wait(session, *service.Submit(session, chaos_ab)),
+                      chaos_expected);
+    ASSERT_TRUE(service.CloseSession(session).ok());
+  }
 
   std::vector<ServiceResponse> got(kClients);
   std::vector<std::thread> clients;
@@ -359,30 +444,15 @@ TEST(QueryServiceTest, SixteenConcurrentClientsBitIdenticalToSerial) {
 
   for (int c = 0; c < kClients; ++c) {
     const ServiceResponse& want = expected[static_cast<size_t>(c) % mix.size()];
-    const ServiceResponse& resp = got[static_cast<size_t>(c)];
     SCOPED_TRACE("client " + std::to_string(c) + " (" + want.query_id + " " +
                  want.algorithm + ")");
-    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-    EXPECT_EQ(resp.algorithm, want.algorithm);
-    EXPECT_EQ(resp.completed, want.completed);
-    // Bit-exact payload comparisons: no tolerance anywhere.
-    EXPECT_EQ(resp.cost_used, want.cost_used);
-    EXPECT_EQ(resp.opt_cost, want.opt_cost);
-    EXPECT_EQ(resp.suboptimality, want.suboptimality);
-    EXPECT_EQ(resp.guarantee, want.guarantee);
-    EXPECT_EQ(resp.discovery.total_cost, want.discovery.total_cost);
-    EXPECT_EQ(resp.discovery.num_executions(), want.discovery.num_executions());
-    EXPECT_EQ(resp.discovery.final_contour, want.discovery.final_contour);
-    EXPECT_EQ(resp.robustness.transient_retries,
-              want.robustness.transient_retries);
-    EXPECT_EQ(resp.robustness.cost_spikes, want.robustness.cost_spikes);
-    EXPECT_EQ(resp.robustness.corruptions, want.robustness.corruptions);
-    EXPECT_EQ(resp.robustness.retried_cost, want.robustness.retried_cost);
+    ExpectSamePayload(got[static_cast<size_t>(c)], want);
   }
 
-  // The chaos variant actually injected faults (the test would otherwise
+  // The chaos variants actually injected faults (the test would otherwise
   // not exercise the exclusive-lock path).
   EXPECT_TRUE(expected[4].robustness.Any());
+  EXPECT_TRUE(chaos_expected.robustness.Any());
   // The injector is disarmed once the storm has passed.
   EXPECT_FALSE(FaultInjector::Armed());
 }
