@@ -1,15 +1,15 @@
-// Sharded scatter-gather benchmarks: whole-chunk zone pruning vs the
-// unsharded per-block zone-map scan on a selective clustered filter, and
-// scatter-gather throughput of a full star join at 1/2/4 shards. The
-// committed bench/BENCH_shard.json baseline is held by CI's perf-smoke
-// gate; regenerate with bench/record_baseline.sh.
+// Chunk-driver benchmarks: whole-chunk zone pruning on a selective
+// clustered filter at 1/2/4 shards, and chunk-parallel throughput of a
+// full star join at 1/2/4 shards. The committed bench/BENCH_shard.json
+// baseline is held by CI's perf-smoke gate; regenerate with
+// bench/record_baseline.sh.
 //
 // The pruning benchmark's shape: the fact table spans 8 chunks and the
-// filter selects only the first, so the unsharded zone-map scan still
-// walks ~256 batch iterations of block classification and count charging
-// over the pruned region while the sharded driver retires each empty
-// chunk with one whole-chunk charge — identical results and counters,
-// strictly less physical work.
+// filter selects only the first, so the chunk driver retires each empty
+// chunk with one whole-chunk charge instead of ~32 batch iterations of
+// block classification and count charging — identical results and
+// counters, strictly less physical work. Every unbudgeted scan runs
+// through that driver, so the unsharded variant prunes too.
 
 #include <benchmark/benchmark.h>
 
@@ -88,8 +88,7 @@ const ShardBenchInstance& Instance() {
 
     // Single-table scan selecting one zone block of chunk 0: chunks 1..7
     // prove kNone whole, so the measurement is dominated by how cheaply
-    // the pruned region retires — per-block classification and count
-    // charging unsharded, one whole-chunk charge sharded.
+    // the pruned region retires — one whole-chunk charge per chunk.
     std::vector<FilterPredicate> scan_filters = {
         {"f", "k", CompareOp::kLe, static_cast<double>(kZoneBlockRows)}};
     out.scan_query = std::make_unique<Query>(
@@ -124,9 +123,8 @@ std::unique_ptr<Plan> MakePlan(const Query& q) {
   return opt.Optimize(p);
 }
 
-/// Selective clustered scan: 7 of 8 fact chunks are provably empty.
-/// shards=1 is the unsharded per-block zone-map scan baseline the
-/// chunk-pruned variants must beat.
+/// Selective clustered scan: 7 of 8 fact chunks are provably empty, and
+/// every variant prunes them (shards only label the chunks).
 void BM_ChunkPrunedScan(benchmark::State& state, int shards, int threads) {
   const Executor exec = MakeShardedEngine(shards, threads);
   const std::unique_ptr<Plan> plan = MakePlan(*Instance().scan_query);
@@ -134,9 +132,7 @@ void BM_ChunkPrunedScan(benchmark::State& state, int shards, int threads) {
     const auto res = exec.Execute(*plan, -1.0);
     RQP_CHECK(res.ok() && res->completed);
     benchmark::DoNotOptimize(res->cost_used);
-    if (shards > 1) {
-      RQP_CHECK(res->shard.chunks_pruned >= (kFactChunks - 1));
-    }
+    RQP_CHECK(res->shard.chunks_pruned >= (kFactChunks - 1));
   }
   state.SetItemsProcessed(state.iterations() * kFactRows);
 }

@@ -3,7 +3,7 @@
 // emits both timing output and the paper-style table it regenerates, and
 // two flags every binary understands:
 //   --threads <n>      worker threads for evaluation sweeps and for the
-//                      batch engine's morsel-parallel scans (0 = all cores)
+//                      batch engine's chunk-parallel scans (0 = all cores)
 //   --exec-engine <e>  tuple | batch — which execution engine the
 //                      engine-backed benchmarks construct (default batch)
 

@@ -20,7 +20,7 @@
 // counters, making each unit's draw sequence self-contained.
 //
 // Degradation ladder (implemented by the consumers, reported here):
-// batch engine -> tuple engine, morsel-parallel -> single-thread, ESS
+// batch engine -> tuple engine, chunk-parallel -> single-thread, ESS
 // refinement -> exhaustive sweep, spill binary search -> clamped linear
 // scan. Transient faults are retried with the faulted attempt's lost work
 // charged to cost_used, keeping the doubling-sequence MSO accounting of
@@ -119,7 +119,7 @@ struct RobustnessReport {
   int64_t corruptions = 0;
   /// Batch-engine pipelines degraded to the tuple engine.
   int64_t engine_degradations = 0;
-  /// Morsel-parallel scans degraded to single-thread.
+  /// Chunk-parallel scans degraded to single-thread.
   int64_t serial_degradations = 0;
   /// ESS refinement builds degraded to the exhaustive sweep.
   int64_t sweep_degradations = 0;
@@ -252,7 +252,7 @@ struct FaultAttempt {
 /// attempt callback routes execution accordingly.
 struct FaultRunState {
   bool degrade_engine = false;  // batch -> tuple
-  bool degrade_serial = false;  // morsel-parallel -> single-thread
+  bool degrade_serial = false;  // chunk-parallel -> single-thread
   int attempt = 0;
 };
 

@@ -31,14 +31,8 @@
 // rows) are deferred until the morsel's budget check passes, so rollback
 // never has to undo a data structure.
 //
-// Morsel parallelism: full runs (budget < 0, not spill) fan scan
-// pipelines out on a ThreadPool. Each worker counts into its own ledger
-// and NodeStats and buffers its sink rows; partials are merged in worker
-// order (blocks are contiguous and ascending), so the global row order —
-// and with it every count, every hash-chain order, and the final result —
-// is bit-identical at any thread count. Budgeted and spill executions
-// stay single-threaded: an abort must land on one well-defined tuple,
-// and the paper's learning primitive depends on that.
+// Unbudgeted scan pipelines run through the chunk driver described above
+// RunPipelineChunked.
 
 #include "exec/batch_engine.h"
 
@@ -62,8 +56,6 @@ namespace robustqp {
 namespace {
 
 constexpr int64_t kBatchRows = 1024;
-/// Scan pipelines over at least this many rows go morsel-parallel.
-constexpr int64_t kMinParallelRows = 4 * kBatchRows;
 
 // ---------------------------------------------------------------------------
 // Column references and resolved predicates
@@ -624,7 +616,7 @@ class Compiler {
 // ---------------------------------------------------------------------------
 
 /// Counting context a bulk step writes into — the main execution state,
-/// or a morsel-parallel worker's private partial.
+/// or one chunk's private partial.
 struct WorkCtx {
   CostLedger* ledger = nullptr;
   std::vector<NodeStats>* stats = nullptr;
@@ -661,7 +653,7 @@ struct WorkCtx {
   }
 };
 
-/// Per-pipeline-run scratch (one per worker in parallel mode).
+/// Per-pipeline-run scratch (one per worker in chunk-parallel mode).
 struct Scratch {
   std::vector<int64_t> sel;
   Batch a, b;
@@ -1479,8 +1471,8 @@ bool StagesBulk(const Pipeline& p, Batch* src, WorkCtx* ctx, Scratch* sc,
   return true;
 }
 
-/// Sequential driver handling both budgeted (snapshot/rollback/replay)
-/// and unbudgeted modes.
+/// Sequential driver for budgeted scan pipelines (snapshot / rollback /
+/// replay) and for every merge pipeline, budgeted or not.
 Status RunPipelineSequential(const Pipeline& p, const CostModel& cm,
                              WorkCtx* ctx, Scratch* sc) {
   RunPreOps(p, ctx);
@@ -1488,13 +1480,6 @@ Status RunPipelineSequential(const Pipeline& p, const CostModel& cm,
     const int64_t n = p.scan.table->num_rows();
     for (int64_t r0 = 0; r0 < n; r0 += kBatchRows) {
       const int64_t r1 = std::min<int64_t>(n, r0 + kBatchRows);
-      if (!ctx->budgeted) {
-        ScanBulk(p.scan, r0, r1, ctx, sc, &sc->a);
-        Batch* out = nullptr;
-        StagesBulk(p, &sc->a, ctx, sc, &out);
-        SinkApply(p.sink, *out, ctx, sc);
-        continue;
-      }
       const MorselSnapshot snap = TakeSnapshot(p, *ctx);
       ScanBulk(p.scan, r0, r1, ctx, sc, &sc->a);
       Batch* out = nullptr;
@@ -1531,123 +1516,94 @@ Status RunPipelineSequential(const Pipeline& p, const CostModel& cm,
   return FinishSink(p.sink, cm, ctx);
 }
 
-/// Morsel-parallel driver for full (unbudgeted) scan pipelines: workers
-/// count into private ledgers/stats and buffer sink rows; partials merge
-/// in worker order, preserving the global row order bit-for-bit.
-Status RunPipelineParallel(const Pipeline& p, const CostModel& cm,
-                           WorkCtx* ctx, Scratch* sc, ThreadPool* pool,
-                           int num_nodes) {
-  RunPreOps(p, ctx);
-  const int64_t n = p.scan.table->num_rows();
-
-  struct WorkerOut {
-    CostLedger ledger;
-    std::vector<NodeStats> stats;
-    int64_t output_rows = 0;
-    Batch sink;
-    bool used = false;
-  };
-  std::vector<WorkerOut> workers(static_cast<size_t>(pool->num_threads()));
-
-  ParallelFor(pool, n, [&](int w, int64_t begin, int64_t end) {
-    WorkerOut& wo = workers[static_cast<size_t>(w)];
-    wo.used = true;
-    wo.stats.assign(static_cast<size_t>(num_nodes), NodeStats{});
-    // Scan filter stat vectors must exist before bulk bumps.
-    NodeStats& sst = wo.stats[static_cast<size_t>(p.scan.node_id)];
-    sst.filter_in.assign(p.scan.filters.size(), 0);
-    sst.filter_pass.assign(p.scan.filters.size(), 0);
-    WorkCtx wctx;
-    wctx.ledger = &wo.ledger;
-    wctx.stats = &wo.stats;
-    wctx.output_rows = &wo.output_rows;
-    wctx.use_zone_maps = ctx->use_zone_maps;
-    wctx.use_compression = ctx->use_compression;
-    wctx.pf_blocks = ctx->pf_blocks;
-    Scratch wsc;
-    size_t width = 0;
-    for (int64_t r0 = begin; r0 < end; r0 += kBatchRows) {
-      const int64_t r1 = std::min<int64_t>(end, r0 + kBatchRows);
-      ScanBulk(p.scan, r0, r1, &wctx, &wsc, &wsc.a);
-      Batch* out = nullptr;
-      StagesBulk(p, &wsc.a, &wctx, &wsc, &out);
-      if (p.sink.kind == Sink::Kind::kRoot) {
-        wo.output_rows += out->n;
-        continue;
-      }
-      width = out->cols.size();
-      if (wo.sink.cols.empty()) wo.sink.Reset(width);
-      for (size_t c = 0; c < width; ++c) {
-        wo.sink.cols[c].insert(wo.sink.cols[c].end(), out->cols[c].begin(),
-                               out->cols[c].end());
-      }
-      wo.sink.n += out->n;
-    }
-  });
-
-  // Merge in worker order: blocks are contiguous and ascending, so this
-  // reproduces the sequential row order exactly.
-  for (WorkerOut& wo : workers) {
-    if (!wo.used) continue;
-    ctx->ledger->Merge(wo.ledger);
-    *ctx->output_rows += wo.output_rows;
-    for (int id : p.touched) {
-      NodeStats& dst = ctx->St(id);
-      const NodeStats& src = wo.stats[static_cast<size_t>(id)];
-      dst.left_in += src.left_in;
-      dst.right_in += src.right_in;
-      dst.out += src.out;
-      for (size_t k = 0; k < src.filter_in.size(); ++k) {
-        dst.filter_in[k] += src.filter_in[k];
-        dst.filter_pass[k] += src.filter_pass[k];
-      }
-    }
-    if (p.sink.kind != Sink::Kind::kRoot && wo.sink.n > 0) {
-      SinkApply(p.sink, wo.sink, ctx, sc);
-    }
-  }
-  return FinishSink(p.sink, cm, ctx);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Sharded scatter-gather driver (full scan pipelines only).
+// Chunk driver: every unbudgeted scan pipeline — full runs, spill runs
+// with budget < 0, and serial-degraded runs. Budgeted executions and
+// merge pipelines stay on RunPipelineSequential, single-threaded: an
+// abort must land on one well-defined tuple, and the paper's learning
+// primitive depends on that.
 //
-// The table's chunks (kShardChunkRows rows, block-aligned) scatter
-// round-robin across `num_shards` simulated workers; each worker runs
-// the compiled pipeline over its chunks into private per-chunk partials
-// (ledger, NodeStats, buffered sink rows). The gather merges partials in
-// ascending chunk order — the PR-3 worker-order merge discipline at
-// chunk granularity — so the global row order, every integer count, and
-// therefore cost_used are bit-identical to the unsharded run at any
-// (shard count x thread count).
+// The table's chunks (kShardChunkRows rows, block-aligned) run in three
+// steps:
 //
-// Whole-chunk pruning: before scattering, the coordinator classifies
-// each chunk against the scan's filter cascade using the chunk zone
-// summaries. A chunk is pruned only when filters 0..j-1 classify kAll
-// and filter j classifies kNone over the entire chunk; the gather then
-// charges exactly what per-batch evaluation charges for that shape (one
-// scan_tuple per row, filters 0..j reached, 0..j-1 passed, nothing
-// downstream), so pruning stays cost-invisible while skipping all ~32
-// per-batch classifications and the batch machinery.
+//  1. Classify. The coordinator classifies each chunk against the scan's
+//     filter cascade from the chunk zone summaries. A chunk is pruned only
+//     when filters 0..j-1 classify kAll and filter j classifies kNone over
+//     the entire chunk; the gather then charges exactly what per-batch
+//     evaluation charges for that shape (one scan_tuple per row, filters
+//     0..j reached, 0..j-1 passed, nothing downstream), so pruning stays
+//     cost-invisible while skipping the rows and the batch machinery.
+//  2. Run. Every other chunk counts into a private partial (ledger,
+//     NodeStats). With a pool the chunk is the unit of parallelism and
+//     its sink rows are buffered in the partial; without one a plain loop
+//     runs the chunks and applies sink rows as they arrive, so a serial
+//     run's memory does not grow with the table.
+//  3. Gather. Partials merge in ascending chunk order (== row order), so
+//     the global row order, every integer count, and therefore cost_used
+//     are bit-identical at any (thread count x shard count), and to the
+//     tuple engine.
 //
-// Shard faults: when the injector is armed, the coordinator draws
+// A shard is only the label ShardOfChunk(c, num_shards). When
+// num_shards > 1 and the injector is armed, the coordinator draws
 // shard.straggler once per shard and shard.lost_chunk once per chunk, in
-// fixed index order *before* the scatter — never inside workers — so the
-// draw sequence is schedule-independent. Recovery always succeeds and is
-// charged into cost_used, keeping MSO accounting valid: a lost chunk's
+// fixed index order *before* any chunk runs — never inside workers — so
+// the draw sequence is schedule-independent. Recovery always succeeds and
+// is charged into cost_used, keeping MSO accounting valid: a lost chunk's
 // doomed primary is physically executed and discarded, the chunk
 // re-executed on a "replica" (fraction u of the primary's cost charged
 // for transients, all of it for permanents); a straggling shard is
 // speculatively re-dispatched, charging the duplicate fraction of the
-// shard's cost. Cost-spike draws surcharge without re-execution;
-// corrupt draws are no-ops (these sites produce no statistics).
+// shard's cost. Cost-spike draws surcharge without re-execution; corrupt
+// draws are no-ops (these sites produce no statistics).
 // ---------------------------------------------------------------------------
 
-namespace {
+/// One chunk's private partial.
+struct ChunkOut {
+  CostLedger ledger;
+  std::vector<NodeStats> stats;
+  int64_t output_rows = 0;
+  Batch sink;               // buffered sink rows (pool mode only)
+  double fault_cost = 0.0;  // charged for lost / spiked work
+  bool lost = false;
+  bool spiked = false;
+};
 
-Status RunPipelineSharded(const Pipeline& p, const CostModel& cm, WorkCtx* ctx,
+/// Runs chunk `c` through the pipeline, counting into `co`. With `buffer`
+/// the sink rows are appended to co->sink (a worker must not touch the
+/// shared sink); otherwise they are applied as each batch arrives.
+void RunChunk(const Pipeline& p, const WorkCtx& parent, int num_nodes,
+              int64_t c, bool buffer, ChunkOut* co, Scratch* sc) {
+  co->ledger = CostLedger{};
+  co->output_rows = 0;
+  co->sink = Batch{};
+  co->stats.assign(static_cast<size_t>(num_nodes), NodeStats{});
+  NodeStats& sst = co->stats[static_cast<size_t>(p.scan.node_id)];
+  sst.filter_in.assign(p.scan.filters.size(), 0);
+  sst.filter_pass.assign(p.scan.filters.size(), 0);
+  WorkCtx cctx = parent;
+  cctx.ledger = &co->ledger;
+  cctx.stats = &co->stats;
+  cctx.output_rows = &co->output_rows;
+  const int64_t e = shard::ChunkEnd(c, p.scan.table->num_rows());
+  for (int64_t r0 = shard::ChunkBegin(c); r0 < e; r0 += kBatchRows) {
+    const int64_t r1 = std::min<int64_t>(e, r0 + kBatchRows);
+    ScanBulk(p.scan, r0, r1, &cctx, sc, &sc->a);
+    Batch* out = nullptr;
+    StagesBulk(p, &sc->a, &cctx, sc, &out);
+    if (!buffer || p.sink.kind == Sink::Kind::kRoot) {
+      SinkApply(p.sink, *out, &cctx, sc);
+      continue;
+    }
+    if (co->sink.cols.empty()) co->sink.Reset(out->cols.size());
+    for (size_t k = 0; k < out->cols.size(); ++k) {
+      co->sink.cols[k].insert(co->sink.cols[k].end(), out->cols[k].begin(),
+                              out->cols[k].end());
+    }
+    co->sink.n += out->n;
+  }
+}
+
+Status RunPipelineChunked(const Pipeline& p, const CostModel& cm, WorkCtx* ctx,
                           Scratch* sc, ThreadPool* pool, int num_shards,
                           int num_nodes, shard::ShardReport* srep,
                           RobustnessReport* rob) {
@@ -1655,10 +1611,11 @@ Status RunPipelineSharded(const Pipeline& p, const CostModel& cm, WorkCtx* ctx,
   const int64_t n = p.scan.table->num_rows();
   const int64_t chunks = shard::ChunkCount(n);
   const CostParams& params = *ctx->params;
+  const bool sharded = num_shards > 1 && chunks > 0;
 
-  // Coordinator-side whole-chunk classification: prune_j[c] is the first
-  // filter the chunk summary proves rejects every row, with all earlier
-  // filters proven to pass every row; -1 means scan the chunk.
+  // Step 1: prune_j[c] is the first filter the chunk summary proves
+  // rejects every row, with all earlier filters proven to pass every
+  // row; -1 means run the chunk.
   std::vector<int> prune_j(static_cast<size_t>(chunks), -1);
   if (ctx->use_zone_maps) {
     for (int64_t c = 0; c < chunks; ++c) {
@@ -1675,178 +1632,149 @@ Status RunPipelineSharded(const Pipeline& p, const CostModel& cm, WorkCtx* ctx,
     }
   }
 
-  // Fault draws in fixed (site, index) order on the coordinator thread.
+  // Shard fault draws in fixed (site, index) order on the coordinator.
   // Drawn for every chunk — pruned or not — so the sequence is invariant
   // across zone-map settings; a fired draw charges off the chunk's
   // ledger total, which pruning does not change (cost invisibility).
-  std::vector<FaultAction> straggle(static_cast<size_t>(num_shards));
+  const size_t shard_slots = sharded ? static_cast<size_t>(num_shards) : 0;
+  std::vector<FaultAction> straggle(shard_slots);
   std::vector<FaultAction> lost(static_cast<size_t>(chunks));
-  if (FaultInjector::Armed()) {
+  if (sharded && FaultInjector::Armed()) {
     FaultInjector& inj = FaultInjector::Global();
-    for (int s = 0; s < num_shards; ++s) {
-      straggle[static_cast<size_t>(s)] =
-          inj.Evaluate(fault_site::kShardStraggler);
+    for (FaultAction& a : straggle) {
+      a = inj.Evaluate(fault_site::kShardStraggler);
     }
-    for (int64_t c = 0; c < chunks; ++c) {
-      lost[static_cast<size_t>(c)] = inj.Evaluate(fault_site::kShardLostChunk);
-    }
+    for (FaultAction& a : lost) a = inj.Evaluate(fault_site::kShardLostChunk);
   }
 
-  struct ChunkOut {
-    CostLedger ledger;
-    std::vector<NodeStats> stats;
-    int64_t output_rows = 0;
-    Batch sink;
-    double fault_cost = 0.0;  // charged for lost / spiked work
-    bool lost = false;
-    bool spiked = false;
-  };
-  std::vector<ChunkOut> outs(static_cast<size_t>(chunks));
-
-  auto run_chunk_into = [&](int64_t c, ChunkOut* co, Scratch* wsc) {
-    co->ledger = CostLedger{};
-    co->output_rows = 0;
-    co->sink = Batch{};
-    co->stats.assign(static_cast<size_t>(num_nodes), NodeStats{});
-    NodeStats& sst = co->stats[static_cast<size_t>(p.scan.node_id)];
-    sst.filter_in.assign(p.scan.filters.size(), 0);
-    sst.filter_pass.assign(p.scan.filters.size(), 0);
-    WorkCtx cctx;
-    cctx.ledger = &co->ledger;
-    cctx.stats = &co->stats;
-    cctx.output_rows = &co->output_rows;
-    cctx.params = ctx->params;
-    cctx.use_zone_maps = ctx->use_zone_maps;
-    cctx.use_compression = ctx->use_compression;
-    cctx.pf_blocks = ctx->pf_blocks;
-    const int64_t e = shard::ChunkEnd(c, n);
-    for (int64_t r0 = shard::ChunkBegin(c); r0 < e; r0 += kBatchRows) {
-      const int64_t r1 = std::min<int64_t>(e, r0 + kBatchRows);
-      ScanBulk(p.scan, r0, r1, &cctx, wsc, &wsc->a);
-      Batch* out = nullptr;
-      StagesBulk(p, &wsc->a, &cctx, wsc, &out);
-      if (p.sink.kind == Sink::Kind::kRoot) {
-        co->output_rows += out->n;
-        continue;
-      }
-      if (co->sink.cols.empty()) co->sink.Reset(out->cols.size());
-      for (size_t cc = 0; cc < out->cols.size(); ++cc) {
-        co->sink.cols[cc].insert(co->sink.cols[cc].end(),
-                                 out->cols[cc].begin(), out->cols[cc].end());
-      }
-      co->sink.n += out->n;
+  // Step 2 for one chunk, lost-chunk recovery included.
+  const auto execute = [&](int64_t c, bool buffer, ChunkOut* co,
+                           Scratch* wsc) {
+    const FaultAction la = lost[static_cast<size_t>(c)];
+    co->fault_cost = 0.0;
+    co->lost = la.kind == FaultKind::kTransient ||
+               la.kind == FaultKind::kPermanent;
+    co->spiked = la.kind == FaultKind::kCostSpike;
+    if (co->lost) {
+      // Doomed primary: execute (buffered, so the shared sink never sees
+      // it), charge the lost fraction, discard. The committed partial
+      // below is the replica's re-execution.
+      RunChunk(p, *ctx, num_nodes, c, /*buffer=*/true, co, wsc);
+      co->fault_cost = (la.kind == FaultKind::kTransient ? la.u : 1.0) *
+                       co->ledger.Total(params);
+    }
+    RunChunk(p, *ctx, num_nodes, c, buffer, co, wsc);
+    if (co->spiked) {
+      co->fault_cost = (la.magnitude - 1.0) * co->ledger.Total(params);
     }
   };
 
-  auto run_shard = [&](int s, Scratch* wsc) {
-    for (int64_t c = s; c < chunks; c += num_shards) {
-      if (prune_j[static_cast<size_t>(c)] >= 0) continue;
-      ChunkOut& co = outs[static_cast<size_t>(c)];
-      const FaultAction la = lost[static_cast<size_t>(c)];
-      if (la.kind == FaultKind::kTransient ||
-          la.kind == FaultKind::kPermanent) {
-        // Doomed primary: execute, charge the lost fraction, discard.
-        // The committed partial below is the replica's re-execution.
-        run_chunk_into(c, &co, wsc);
-        const double chunk_cost = co.ledger.Total(params);
-        co.fault_cost =
-            (la.kind == FaultKind::kTransient ? la.u : 1.0) * chunk_cost;
-        co.lost = true;
-      }
-      run_chunk_into(c, &co, wsc);
-      if (la.kind == FaultKind::kCostSpike) {
-        co.fault_cost = (la.magnitude - 1.0) * co.ledger.Total(params);
-        co.spiked = true;
-      }
-    }
-  };
-
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // One contiguous shard range per pool worker; chunk partials are
-    // private, so no synchronization beyond the ParallelFor barrier.
-    ParallelFor(pool, num_shards, [&](int w, int64_t s0, int64_t s1) {
-      (void)w;
-      Scratch wsc;
-      for (int64_t s = s0; s < s1; ++s) run_shard(static_cast<int>(s), &wsc);
-    });
-  } else {
-    Scratch wsc;
-    for (int s = 0; s < num_shards; ++s) run_shard(s, &wsc);
-  }
-
-  // Gather: merge partials in ascending chunk order (== row order).
-  srep->chunks_total += chunks;
-  if (srep->shard_cost.size() < static_cast<size_t>(num_shards)) {
-    srep->shard_cost.resize(static_cast<size_t>(num_shards), 0.0);
-  }
-  std::vector<double> pipe_shard_cost(static_cast<size_t>(num_shards), 0.0);
-  for (int64_t c = 0; c < chunks; ++c) {
-    const int s = shard::ShardOfChunk(c, num_shards);
-    if (prune_j[static_cast<size_t>(c)] >= 0) {
-      // Whole-chunk prune: per-batch evaluation of this chunk would see
-      // filters 0..j-1 classify kAll and filter j kNone for every batch,
-      // charging one scan_tuple per row, filters 0..j reached, 0..j-1
-      // passed, and nothing downstream. Charge exactly that.
+  // Step 3 for one chunk: merge its partial (or charge its prune).
+  std::vector<double> shard_cost(shard_slots, 0.0);
+  const auto gather = [&](int64_t c, const ChunkOut& co) {
+    const int j = prune_j[static_cast<size_t>(c)];
+    double chunk_cost = 0.0;
+    if (j >= 0) {
       const int64_t rows = shard::ChunkEnd(c, n) - shard::ChunkBegin(c);
-      const size_t j = static_cast<size_t>(prune_j[static_cast<size_t>(c)]);
       NodeStats& st = ctx->St(p.scan.node_id);
       st.left_in += rows;
       ctx->ledger->scan_tuple += rows;
-      for (size_t k = 0; k <= j; ++k) st.filter_in[k] += rows;
-      for (size_t k = 0; k < j; ++k) st.filter_pass[k] += rows;
+      for (size_t k = 0; k <= static_cast<size_t>(j); ++k) {
+        st.filter_in[k] += rows;
+        if (k < static_cast<size_t>(j)) st.filter_pass[k] += rows;
+      }
       ++srep->chunks_pruned;
       CostLedger probe;
       probe.scan_tuple += rows;
-      pipe_shard_cost[static_cast<size_t>(s)] += probe.Total(params);
-      continue;
-    }
-    ChunkOut& co = outs[static_cast<size_t>(c)];
-    ctx->ledger->Merge(co.ledger);
-    *ctx->output_rows += co.output_rows;
-    for (int id : p.touched) {
-      NodeStats& dst = ctx->St(id);
-      const NodeStats& src = co.stats[static_cast<size_t>(id)];
-      dst.left_in += src.left_in;
-      dst.right_in += src.right_in;
-      dst.out += src.out;
-      for (size_t k = 0; k < src.filter_in.size(); ++k) {
-        dst.filter_in[k] += src.filter_in[k];
-        dst.filter_pass[k] += src.filter_pass[k];
+      chunk_cost = probe.Total(params);
+    } else {
+      ctx->ledger->Merge(co.ledger);
+      *ctx->output_rows += co.output_rows;
+      for (int id : p.touched) {
+        NodeStats& dst = ctx->St(id);
+        const NodeStats& src = co.stats[static_cast<size_t>(id)];
+        dst.left_in += src.left_in;
+        dst.right_in += src.right_in;
+        dst.out += src.out;
+        for (size_t k = 0; k < src.filter_in.size(); ++k) {
+          dst.filter_in[k] += src.filter_in[k];
+          dst.filter_pass[k] += src.filter_pass[k];
+        }
+      }
+      if (co.sink.n > 0) SinkApply(p.sink, co.sink, ctx, sc);
+      ++srep->chunks_scanned;
+      chunk_cost = co.ledger.Total(params);
+      if (co.lost) {
+        ++srep->lost_chunks;
+        ++rob->shard_lost_chunks;
+        srep->retried_cost += co.fault_cost;
+        rob->retried_cost += co.fault_cost;
+      } else if (co.spiked) {
+        ++rob->cost_spikes;
+        rob->spike_cost += co.fault_cost;
       }
     }
-    if (p.sink.kind != Sink::Kind::kRoot && co.sink.n > 0) {
-      SinkApply(p.sink, co.sink, ctx, sc);
+    if (sharded) {
+      shard_cost[static_cast<size_t>(shard::ShardOfChunk(c, num_shards))] +=
+          chunk_cost;
     }
-    ++srep->chunks_scanned;
-    pipe_shard_cost[static_cast<size_t>(s)] += co.ledger.Total(params);
-    if (co.lost) {
-      ++srep->lost_chunks;
-      ++rob->shard_lost_chunks;
-      srep->retried_cost += co.fault_cost;
-      rob->retried_cost += co.fault_cost;
-    } else if (co.spiked) {
-      ++rob->cost_spikes;
-      rob->spike_cost += co.fault_cost;
+  };
+
+  srep->chunks_total += chunks;
+  std::vector<int64_t> live;
+  for (int64_t c = 0; c < chunks; ++c) {
+    if (prune_j[static_cast<size_t>(c)] < 0) live.push_back(c);
+  }
+  if (pool != nullptr && pool->num_threads() > 1 && live.size() > 1) {
+    // Partials are private to their chunk, so the ParallelFor barrier is
+    // the only synchronization.
+    std::vector<ChunkOut> outs(static_cast<size_t>(chunks));
+    const Status st = ParallelFor(
+        pool, static_cast<int64_t>(live.size()),
+        [&](int /*worker*/, int64_t begin, int64_t end) {
+          Scratch wsc;
+          for (int64_t i = begin; i < end; ++i) {
+            const int64_t c = live[static_cast<size_t>(i)];
+            execute(c, /*buffer=*/true, &outs[static_cast<size_t>(c)], &wsc);
+          }
+        });
+    if (!st.ok()) return st;
+    for (int64_t c = 0; c < chunks; ++c) {
+      gather(c, outs[static_cast<size_t>(c)]);
+    }
+  } else {
+    ChunkOut co;
+    for (int64_t c = 0; c < chunks; ++c) {
+      if (prune_j[static_cast<size_t>(c)] < 0) {
+        execute(c, /*buffer=*/false, &co, sc);
+      }
+      gather(c, co);
     }
   }
 
   // Straggler recovery: a straggling shard's work is speculatively
   // re-dispatched; the duplicate fraction of its (clean) cost is charged.
-  for (int s = 0; s < num_shards; ++s) {
-    const FaultAction sa = straggle[static_cast<size_t>(s)];
-    const double scost = pipe_shard_cost[static_cast<size_t>(s)];
-    if (sa.kind == FaultKind::kTransient || sa.kind == FaultKind::kPermanent) {
-      const double dup =
-          (sa.kind == FaultKind::kTransient ? sa.u : 1.0) * scost;
-      ++srep->straggler_retries;
-      ++rob->shard_stragglers;
-      srep->retried_cost += dup;
-      rob->retried_cost += dup;
-    } else if (sa.kind == FaultKind::kCostSpike) {
-      ++rob->cost_spikes;
-      rob->spike_cost += (sa.magnitude - 1.0) * scost;
+  if (sharded) {
+    if (srep->shard_cost.size() < static_cast<size_t>(num_shards)) {
+      srep->shard_cost.resize(static_cast<size_t>(num_shards), 0.0);
     }
-    srep->shard_cost[static_cast<size_t>(s)] += scost;
+    for (int s = 0; s < num_shards; ++s) {
+      const FaultAction sa = straggle[static_cast<size_t>(s)];
+      const double scost = shard_cost[static_cast<size_t>(s)];
+      if (sa.kind == FaultKind::kTransient ||
+          sa.kind == FaultKind::kPermanent) {
+        const double dup =
+            (sa.kind == FaultKind::kTransient ? sa.u : 1.0) * scost;
+        ++srep->straggler_retries;
+        ++rob->shard_stragglers;
+        srep->retried_cost += dup;
+        rob->retried_cost += dup;
+      } else if (sa.kind == FaultKind::kCostSpike) {
+        ++rob->cost_spikes;
+        rob->spike_cost += (sa.magnitude - 1.0) * scost;
+      }
+      srep->shard_cost[static_cast<size_t>(s)] += scost;
+    }
   }
   return FinishSink(p.sink, cm, ctx);
 }
@@ -1910,24 +1838,13 @@ Result<ExecutionResult> RunBatchEngine(const Catalog& catalog,
   for (size_t pi = 0; pi < compiler.pipelines.size(); ++pi) {
     const Pipeline& p = compiler.pipelines[pi];
     ctx.pf_blocks = pf[pi].empty() ? nullptr : &pf[pi];
-    // Scan pipelines of a full run scatter over the shards (with or
-    // without a pool — a serial shard loop gathers identically, which is
-    // what makes sharded results thread-count-invariant); merge-side
-    // pipelines run on the coordinator as before.
-    const bool sharded = !ctx.budgeted && num_shards > 1 && p.is_scan &&
-                         p.scan.table->num_rows() > 0;
-    if (sharded) {
-      st = RunPipelineSharded(p, cost_model, &ctx, &sc, pool, num_shards,
-                              plan.num_nodes(), &result.shard,
-                              &result.robustness);
-    } else {
-      const bool parallel = !ctx.budgeted && pool != nullptr &&
-                            pool->num_threads() > 1 && p.is_scan &&
-                            p.scan.table->num_rows() >= kMinParallelRows;
-      st = parallel ? RunPipelineParallel(p, cost_model, &ctx, &sc, pool,
-                                          plan.num_nodes())
-                    : RunPipelineSequential(p, cost_model, &ctx, &sc);
-    }
+    // Unbudgeted scan pipelines run through the chunk driver; budgeted
+    // ones and merge pipelines run on the coordinator.
+    st = !ctx.budgeted && p.is_scan
+             ? RunPipelineChunked(p, cost_model, &ctx, &sc, pool, num_shards,
+                                  plan.num_nodes(), &result.shard,
+                                  &result.robustness)
+             : RunPipelineSequential(p, cost_model, &ctx, &sc);
     if (!st.ok()) break;
   }
 

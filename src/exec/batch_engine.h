@@ -15,17 +15,18 @@ namespace robustqp {
 class ThreadPool;
 
 /// Executes the subtree rooted at `root` with the batch engine.
-/// `pool` (may be null) enables morsel-parallel scans; the caller only
-/// passes it for full runs (budget < 0, not spill). `use_zone_maps`
-/// enables physical-only scan-block pruning — including block-exact
-/// pruned replay of budgeted aborts — and `use_compression` enables the
-/// fused filter-on-compressed kernels on encoded columns (results and
-/// every count are identical either way; the flags exist for
-/// differential testing). `num_shards` > 1 scatters scan pipelines over
-/// that many simulated workers at chunk granularity (the caller only
-/// passes it for full runs, same contract as `pool`); the gather merges
-/// per-chunk partials in chunk order, so results and counts stay
-/// bit-identical, and ExecutionResult::shard carries the accounting.
+/// Unbudgeted scan pipelines run through the chunk driver (see
+/// batch_engine.cc); `pool` (may be null) runs their chunks in parallel,
+/// and the caller only passes it for full runs (budget < 0, not spill).
+/// `use_zone_maps` enables physical-only block and chunk pruning —
+/// including block-exact pruned replay of budgeted aborts — and
+/// `use_compression` enables the fused filter-on-compressed kernels on
+/// encoded columns (results and every count are identical either way;
+/// the flags exist for differential testing). `num_shards` > 1 labels
+/// chunks round-robin with simulated workers for shard fault draws and
+/// the per-shard cost split (the caller only passes it for full runs,
+/// same contract as `pool`); ExecutionResult::shard carries the
+/// accounting.
 Result<ExecutionResult> RunBatchEngine(const Catalog& catalog,
                                        const Plan& plan, const PlanNode& root,
                                        const CostModel& cost_model,

@@ -99,8 +99,8 @@ struct CostLedger {
     return s;
   }
 
-  /// Merges another ledger's counts into this one (morsel-parallel
-  /// workers count locally and are merged in worker order).
+  /// Merges another ledger's counts into this one (the chunk driver
+  /// counts each chunk locally and merges in chunk order).
   void Merge(const CostLedger& o) {
     scan_tuple += o.scan_tuple;
     hash_build_tuple += o.hash_build_tuple;

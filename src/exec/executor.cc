@@ -787,7 +787,7 @@ Result<ExecutionResult> Executor::RunOnce(const Plan& plan,
                                           bool spill, Engine engine,
                                           bool allow_parallel) const {
   if (engine == Engine::kBatch) {
-    // Morsel parallelism only for full runs: a budgeted abort must land on
+    // Chunk parallelism only for full runs: a budgeted abort must land on
     // one well-defined tuple, and a spill's whole point is to time-limit
     // learning, so both stay single-threaded.
     const bool full = budget < 0.0 && !spill && allow_parallel;
@@ -835,7 +835,7 @@ Result<ExecutionResult> Executor::RunFaulted(const Plan& plan,
                                              const PlanNode& root,
                                              double budget, bool spill) const {
   // All fault draws happen here, once per operator per attempt, *before*
-  // the attempt runs — never inside engine internals or morsel workers —
+  // the attempt runs — never inside engine internals or chunk workers —
   // so the sequence is identical for both engines at any thread count.
   std::vector<int> sites;
   CollectFaultSites(root, &sites);

@@ -20,8 +20,9 @@
 //  * the batch engine (default) — push-based pipelines over fixed-width
 //    batches of ~1024 row ids, with filters as tight column loops,
 //    hash-join probe split from output emission, per-batch amortized
-//    budget accounting, and (for full, non-budgeted, non-spill runs)
-//    morsel-parallel table scans on a thread pool.
+//    budget accounting, and unbudgeted table scans driven one
+//    zone-pruned chunk at a time (chunk-parallel on a thread pool for
+//    full runs).
 //
 // Both engines count cost events into the same integer ledger
 // (exec/cost_ledger.h) and reduce it through one canonical fixed-order
@@ -75,10 +76,10 @@ struct ExecutionResult {
   /// Fault accounting for this run: all zeros unless the process-wide
   /// FaultInjector is armed and a fault actually fired.
   RobustnessReport robustness;
-  /// Sharded scatter-gather accounting (shard/chunking.h): chunk counts,
-  /// whole-chunk prunes, shard-fault recoveries, and the per-shard cost
-  /// decomposition. Default-constructed (num_shards == 1, no chunks)
-  /// unless the run scattered.
+  /// Chunk and shard accounting (shard/chunking.h): chunk counts and
+  /// whole-chunk prunes of every unbudgeted batch scan, plus shard-fault
+  /// recoveries and the per-shard cost decomposition when the run
+  /// scattered (num_shards > 1).
   shard::ShardReport shard;
 
   /// Observed selectivity of the join at `node_id`:
@@ -111,17 +112,21 @@ class Executor {
   };
 
   struct Options {
+    /// kTuple is the Volcano reference model: the differential suites
+    /// compare the batch engine against it, and the exec.batch.pipeline
+    /// fault degrades to it.
     Engine engine = Engine::kBatch;
-    /// Worker threads for morsel-parallel scans. Only full executions
-    /// (budget < 0, not spilled) under the batch engine parallelize;
-    /// budgeted and spill executions always run single-threaded so the
-    /// learning primitive's abort semantics are untouched. 0 means
+    /// Worker threads for the batch engine's chunk-parallel scans. Only
+    /// full executions (budget < 0, not spilled) use them; budgeted and
+    /// spill executions run single-threaded so the learning primitive's
+    /// abort semantics are untouched. 0 means
     /// ThreadPool::DefaultThreads(); 1 disables parallelism.
     int num_threads = 1;
-    /// Batch engine only: let scans skip zone-map-pruned blocks — in full,
-    /// budgeted, and replayed runs alike. Purely physical — results,
-    /// cost_used, and every NodeStats counter are bit-identical either way
-    /// (differential tests run both settings).
+    /// Batch engine only: let scans skip zone-map-pruned blocks and
+    /// chunks — in full, budgeted, and replayed runs alike. Purely
+    /// physical — results, cost_used, and every NodeStats counter are
+    /// bit-identical either way (the differential suites run both
+    /// settings).
     bool use_zone_maps = true;
     /// Batch engine only: let scans over encoded columns
     /// (storage/encoding.h) filter on compressed data — unsigned compares
@@ -129,11 +134,11 @@ class Executor {
     /// — instead of decoding blocks first. Purely physical, same contract
     /// as use_zone_maps.
     bool use_compression = true;
-    /// Simulated scatter-gather workers (shard/shard_executor.h). Like
-    /// morsel parallelism, only full batch-engine executions (budget < 0,
-    /// not spilled) scatter; results, cost_used, and every NodeStats
-    /// counter are bit-identical to the unsharded run at any shard count
-    /// x thread count. <= 1 disables sharding.
+    /// Simulated scatter-gather workers: full batch executions label
+    /// their chunks round-robin with this many shards for shard fault
+    /// draws and the per-shard cost split (ExecutionResult::shard).
+    /// Results, cost_used, and every NodeStats counter are bit-identical
+    /// at any shard count x thread count. <= 1 disables sharding.
     int num_shards = 1;
   };
 
@@ -201,7 +206,7 @@ class Executor {
   const Catalog* catalog_;
   CostModel cost_model_;
   Options options_;
-  /// Owned pool for morsel-parallel scans (null when num_threads <= 1).
+  /// Owned pool for chunk-parallel scans (null when num_threads <= 1).
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -50,7 +50,7 @@ struct EvalOptions {
 
 /// The sweep view of the unified per-request knob struct: threads come
 /// from ess_threads (the sweep is surface-shaped work, not per-query
-/// morsel work), chaos fields map through unchanged.
+/// chunk work), chaos fields map through unchanged.
 EvalOptions MakeEvalOptions(const RequestOptions& request);
 
 /// Sub-optimality profile of one algorithm over the whole ESS.

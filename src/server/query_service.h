@@ -95,7 +95,7 @@ struct ServiceRequest {
   /// queued past its deadline is answered kDeadlineExceeded without
   /// running. < 0 means none.
   double deadline_ms = -1.0;
-  /// Everything else: engine choice, threads, ESS build knobs, chaos spec.
+  /// Everything else: threads, shards, storage, ESS build knobs, chaos spec.
   RequestOptions options;
 };
 

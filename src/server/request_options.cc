@@ -33,9 +33,7 @@ const char* RobustnessModeName(RobustnessMode mode) {
 
 Executor::Options RequestOptions::ToExecutorOptions() const {
   Executor::Options opts;
-  opts.engine = engine;
   opts.num_threads = num_threads;
-  opts.use_zone_maps = use_zone_maps;
   opts.use_compression = use_compression;
   opts.num_shards = num_shards;
   return opts;

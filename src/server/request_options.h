@@ -41,12 +41,12 @@ const char* RobustnessModeName(RobustnessMode mode);
 /// Unified per-request options. Field defaults reproduce the historical
 /// defaults of the structs they subsume.
 struct RequestOptions {
-  // --- execution engine (subsumes Executor::Options) ---
-  Executor::Engine engine = Executor::Engine::kBatch;
-  /// Worker threads for morsel-parallel scans inside one request's
+  // --- execution engine (Executor::Options; requests always run the
+  // batch engine with zone maps on — the tuple engine and the zone-maps-off
+  // arm are differential references, not serving choices) ---
+  /// Worker threads for chunk-parallel scans inside one request's
   /// executions (not the service pool's width); 1 disables, 0 = all cores.
   int num_threads = 1;
-  bool use_zone_maps = true;
   /// Fused filter-on-compressed execution over encoded columns (the
   /// Executor::Options::use_compression toggle). Physical only: results
   /// and cost accounting are bit-identical either way.

@@ -5,9 +5,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 namespace robustqp {
 
@@ -24,6 +27,20 @@ bool ParseDoubles(const std::string& csv, std::vector<double>* out) {
     out->push_back(v);
   }
   return !out->empty();
+}
+
+/// Parses `value` as a whole decimal integer in [lo, hi].
+bool ParseBoundedInt(const std::string& value, int64_t lo, int64_t hi,
+                     int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const int64_t v = std::strtoll(value.c_str(), &end, 10);
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE || v < lo ||
+      v > hi) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
 }
 
 }  // namespace
@@ -65,17 +82,22 @@ Status ParseSubmitLine(const std::string& line, ServiceRequest* out) {
       req.deadline_ms = std::atof(value.c_str());
     } else if (key == "use_engine") {
       req.use_engine = value != "0";
-    } else if (key == "engine") {
-      if (!Executor::ParseEngine(value, &req.options.engine)) {
-        return Status::InvalidArgument(
-            "unknown engine " + value + " (want tuple|batch)");
-      }
     } else if (key == "threads") {
-      req.options.num_threads = std::atoi(value.c_str());
+      if (!ParseBoundedInt(value, 0, kMaxSubmitThreads,
+                           &req.options.num_threads)) {
+        return Status::InvalidArgument(
+            "threads must be an integer in [0, " +
+            std::to_string(kMaxSubmitThreads) + "]: " + value);
+      }
     } else if (key == "shards") {
       // Scatter-gather workers for full engine executions; results are
       // bit-identical at any value, so this is a pure performance knob.
-      req.options.num_shards = std::atoi(value.c_str());
+      if (!ParseBoundedInt(value, 0, kMaxSubmitShards,
+                           &req.options.num_shards)) {
+        return Status::InvalidArgument(
+            "shards must be an integer in [0, " +
+            std::to_string(kMaxSubmitShards) + "]: " + value);
+      }
     } else if (key == "points") {
       req.options.points_per_dim = std::atoi(value.c_str());
     } else if (key == "ratio") {

@@ -23,10 +23,11 @@
 //
 // SUBMIT keys mirror ServiceRequest / RequestOptions: query, mode
 // (native|pb|sb|ab), qa (comma-separated selectivities), budget,
-// deadline_ms, use_engine (0|1), engine (tuple|batch), threads, shards
-// (scatter-gather workers for full engine runs — results bit-identical
-// at any value), points,
-// ratio, build (exhaustive|exact|recost:<l>), compression
+// deadline_ms, use_engine (0|1), threads (a whole integer in
+// [0, kMaxSubmitThreads]; 0 = all cores), shards (scatter-gather workers
+// for full engine runs, a whole integer in [0, kMaxSubmitShards]; <= 1
+// is unsharded; results are bit-identical at any value), points, ratio,
+// build (exhaustive|exact|recost:<l>), compression
 // (auto|raw|packed|vbyte|dict|on|off — the catalog's storage encoding;
 // raw also disables fused execution), fused (0|1 — decode-then-filter
 // override on encoded columns), storage (resident|mmap — catalog
@@ -56,8 +57,15 @@
 
 namespace robustqp {
 
+/// Upper bounds of the SUBMIT `threads` and `shards` keys: each request
+/// builds its own Executor, so an unbounded value would let one line
+/// spawn that many pool threads or size per-shard vectors by it.
+constexpr int kMaxSubmitThreads = 64;
+constexpr int kMaxSubmitShards = 1024;
+
 /// Parses one SUBMIT line ("SUBMIT key=value ...") into a ServiceRequest.
-/// Returns InvalidArgument on unknown keys or malformed values.
+/// Returns InvalidArgument on unknown keys, malformed values, or
+/// out-of-range threads / shards.
 Status ParseSubmitLine(const std::string& line, ServiceRequest* out);
 
 /// Renders the one-line wire answer for a response: "OK ..." when the

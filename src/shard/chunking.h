@@ -1,16 +1,16 @@
-// Chunked table partitioning for sharded scatter-gather execution.
+// Chunked table partitioning: the unit of the batch engine's chunk
+// driver (exec/batch_engine.cc) and of simulated shards.
 //
-// A fact table is partitioned into fixed row-range *chunks* of
+// A table is partitioned into fixed row-range *chunks* of
 // kShardChunkRows rows (storage/table.h), a whole multiple of the
 // 4096-row zone-map block so chunk boundaries never split a block:
 // per-chunk zone summaries are exact folds of the block zone maps, and
 // chunk-local scans reuse the batch engine's block-aligned morsel grid
-// unchanged. Chunks are assigned to the N simulated workers ("shards")
-// round-robin by chunk index, so the assignment is a pure function of
-// (chunk, num_shards) — no scheduler state, no races, and the gather
-// phase can merge per-chunk partials in ascending chunk order to
-// reproduce the unsharded sequential row order bit-for-bit (the PR-3
-// worker-order merge discipline at chunk granularity).
+// unchanged. A shard is only a label: chunks map to the N simulated
+// workers round-robin by chunk index, a pure function of
+// (chunk, num_shards) with no scheduler state. The driver merges
+// per-chunk partials in ascending chunk order, which reproduces the
+// sequential row order bit-for-bit at any shard or thread count.
 //
 // ClassifyChunk answers what a chunk's zone summary proves about
 // `col OP value` over the *whole* chunk, with the same conservative
@@ -62,9 +62,12 @@ enum class ChunkMatch {
 ChunkMatch ClassifyChunk(const ColumnData& col, CompareOp op, double value,
                          int64_t chunk);
 
-/// Per-run sharded-execution accounting, carried in ExecutionResult.
-/// `num_shards == 1` (the default) means the run never scattered.
-/// Counters are additive across the scan pipelines of one run.
+/// Per-run chunk and shard accounting, carried in ExecutionResult. The
+/// chunk counters describe every chunk-driven run (every unbudgeted scan
+/// pipeline of the batch engine); `num_shards == 1` (the default) means
+/// the chunks were not split over simulated workers, so the fault and
+/// per-shard fields stay zero/empty. Counters are additive across the
+/// scan pipelines of one run.
 ///
 /// Exactness note: the *binding* cost aggregation across shards is the
 /// integer event-count merge of the per-chunk cost ledgers — the merged
@@ -75,7 +78,7 @@ ChunkMatch ClassifyChunk(const ColumnData& col, CompareOp op, double value,
 /// its floating-point sum may differ from cost_used in the last ulp.
 struct ShardReport {
   int num_shards = 1;
-  /// Chunks across all scan pipelines of the run.
+  /// Chunks across all chunk-driven scan pipelines of the run.
   int64_t chunks_total = 0;
   /// Chunks whose rows were actually evaluated.
   int64_t chunks_scanned = 0;
@@ -93,8 +96,9 @@ struct ShardReport {
   std::vector<double> shard_cost;
 
   void Merge(const ShardReport& o);
-  /// True iff the run scattered at least one pipeline.
-  bool Any() const { return chunks_total > 0; }
+  /// True iff the run scattered at least one pipeline over more than
+  /// one shard.
+  bool Any() const { return num_shards > 1 && chunks_total > 0; }
 };
 
 }  // namespace shard

@@ -253,10 +253,10 @@ TEST_P(ExecBatchDifferentialTest, TupleAndBatchAgreeExactly) {
   }
 }
 
-// Full (non-budgeted, non-spill) batch runs with morsel-parallel scans
-// must be bit-identical at any thread count — and identical to the tuple
-// engine. The fact table exceeds the parallel threshold so morsels
-// actually fan out.
+// Full (non-budgeted, non-spill) batch runs must be bit-identical at any
+// thread count — and identical to the tuple engine. These fact tables fit
+// in one chunk; shard_test's driver matrix covers multi-chunk tables,
+// where chunks actually fan out.
 TEST_P(ExecBatchDifferentialTest, MorselParallelScansAreDeterministic) {
   const uint64_t seed = GetParam() + 5000;
   ExecInstance inst = MakeExecInstance(seed, /*min_fact_rows=*/6000);

@@ -465,7 +465,7 @@ TEST(TcpProtocolTest, ParseSubmitLineRoundTrip) {
   ServiceRequest req;
   ASSERT_TRUE(ParseSubmitLine(
                   "SUBMIT query=3D_Q15 mode=ab qa=0.1,0.2,0.3 budget=500 "
-                  "deadline_ms=2000 engine=tuple threads=2 points=6 "
+                  "deadline_ms=2000 threads=2 shards=4 points=6 "
                   "ratio=1.5 build=recost:2.5 faults=exec.*:p=0.01 seed=9",
                   &req)
                   .ok());
@@ -474,8 +474,8 @@ TEST(TcpProtocolTest, ParseSubmitLineRoundTrip) {
   EXPECT_EQ(req.qa, (std::vector<double>{0.1, 0.2, 0.3}));
   EXPECT_EQ(req.budget, 500.0);
   EXPECT_EQ(req.deadline_ms, 2000.0);
-  EXPECT_EQ(req.options.engine, Executor::Engine::kTuple);
   EXPECT_EQ(req.options.num_threads, 2);
+  EXPECT_EQ(req.options.num_shards, 4);
   EXPECT_EQ(req.options.points_per_dim, 6);
   EXPECT_EQ(req.options.contour_cost_ratio, 1.5);
   EXPECT_EQ(req.options.ess_build_mode, EssBuildMode::kRecost);
@@ -500,6 +500,38 @@ TEST(TcpProtocolTest, ParseSubmitLineRejectsMalformedInput) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseSubmitLine("SUBMIT query=", &req).code(),
             StatusCode::kInvalidArgument);
+  // Batch is the only serving engine: engine= is an unknown key.
+  EXPECT_EQ(ParseSubmitLine("SUBMIT engine=tuple", &req).code(),
+            StatusCode::kInvalidArgument);
+}
+
+// threads= and shards= size per-request pools and per-shard vectors, so
+// both must be whole integers inside their documented ranges.
+TEST(TcpProtocolTest, ParseSubmitLineBoundsThreadsAndShards) {
+  const auto parse = [](const std::string& kv, ServiceRequest* req) {
+    return ParseSubmitLine("SUBMIT query=2D_Q91 " + kv, req).code();
+  };
+  for (const std::string bad :
+       {"threads=100000", "threads=65", "threads=-1", "threads=abc",
+        "threads=2x", "threads=1.5", "threads=99999999999999999999",
+        "shards=2000000000", "shards=1025", "shards=-4", "shards=four",
+        "shards=4abc"}) {
+    ServiceRequest req;
+    EXPECT_EQ(parse(bad, &req), StatusCode::kInvalidArgument) << bad;
+  }
+
+  ServiceRequest req;
+  ASSERT_EQ(parse("threads=0 shards=0", &req), StatusCode::kOk);
+  EXPECT_EQ(req.options.num_threads, 0);  // all cores
+  EXPECT_EQ(req.options.num_shards, 0);   // unsharded
+  ASSERT_EQ(parse("threads=1 shards=1", &req), StatusCode::kOk);
+  EXPECT_EQ(req.options.num_shards, 1);
+  ASSERT_EQ(parse("threads=" + std::to_string(kMaxSubmitThreads) +
+                      " shards=" + std::to_string(kMaxSubmitShards),
+                  &req),
+            StatusCode::kOk);
+  EXPECT_EQ(req.options.num_threads, kMaxSubmitThreads);
+  EXPECT_EQ(req.options.num_shards, kMaxSubmitShards);
 }
 
 TEST(TcpProtocolTest, FormatResponseLineShapes) {

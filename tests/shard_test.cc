@@ -1,9 +1,10 @@
-// Tests for the sharded scatter-gather execution layer (src/shard/):
-// chunk geometry and round-robin layout, whole-chunk zone classification,
-// the composed per-shard MSO bound, the core differential property
-// (sharded runs bit-identical to unsharded at any shard count x thread
-// count, with and without zone maps), count-exact whole-chunk pruning,
-// and the shard.straggler / shard.lost_chunk fault goldens with
+// Tests for chunked and sharded execution (src/shard/ and the batch
+// engine's chunk driver): chunk geometry and round-robin shard labels,
+// whole-chunk zone classification, the composed per-shard MSO bound, the
+// core differential property (chunk-driven runs bit-identical to the
+// tuple engine at any thread count x shard count, with and without zone
+// maps, over every sink kind and table shape), count-exact whole-chunk
+// pruning, and the shard.straggler / shard.lost_chunk fault goldens with
 // retry-on-replica recovery charged into cost_used.
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -20,9 +22,9 @@
 #include "core/spillbound.h"
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
+#include "plan/plan.h"
 #include "shard/chunking.h"
 #include "shard/mso.h"
-#include "shard/shard_executor.h"
 #include "storage/stats_builder.h"
 #include "storage/table.h"
 #include "test_util.h"
@@ -32,7 +34,6 @@ namespace {
 
 using shard::ChunkMatch;
 using shard::ComposedMso;
-using shard::ShardLayout;
 using testing_util::MakeStarQuery;
 using testing_util::MakeTinyCatalog;
 
@@ -63,21 +64,16 @@ TEST(ShardChunkingTest, GeometryEdgeCases) {
 }
 
 TEST(ShardChunkingTest, LayoutRoundRobin) {
-  const ShardLayout lay = shard::MakeShardLayout(3 * kShardChunkRows + 7, 3);
-  EXPECT_EQ(lay.num_shards, 3);
-  EXPECT_EQ(lay.num_chunks, 4);
-  ASSERT_EQ(lay.worker_chunks.size(), 3u);
-  EXPECT_EQ(lay.worker_chunks[0], (std::vector<int64_t>{0, 3}));
-  EXPECT_EQ(lay.worker_chunks[1], (std::vector<int64_t>{1}));
-  EXPECT_EQ(lay.worker_chunks[2], (std::vector<int64_t>{2}));
-
-  // Worker counts below 1 clamp; an empty table has no chunks anywhere.
-  const ShardLayout clamped = shard::MakeShardLayout(100, 0);
-  EXPECT_EQ(clamped.num_shards, 1);
-  EXPECT_EQ(clamped.num_chunks, 1);
-  const ShardLayout empty = shard::MakeShardLayout(0, 4);
-  EXPECT_EQ(empty.num_chunks, 0);
-  for (const auto& w : empty.worker_chunks) EXPECT_TRUE(w.empty());
+  // Shard w owns the ascending chunk sequence {c : c mod num_shards == w}.
+  const int64_t chunks = shard::ChunkCount(3 * kShardChunkRows + 7);
+  EXPECT_EQ(chunks, 4);
+  std::vector<std::vector<int64_t>> owned(3);
+  for (int64_t c = 0; c < chunks; ++c) {
+    owned[static_cast<size_t>(shard::ShardOfChunk(c, 3))].push_back(c);
+  }
+  EXPECT_EQ(owned[0], (std::vector<int64_t>{0, 3}));
+  EXPECT_EQ(owned[1], (std::vector<int64_t>{1}));
+  EXPECT_EQ(owned[2], (std::vector<int64_t>{2}));
 }
 
 // --- Whole-chunk classification ------------------------------------------
@@ -328,9 +324,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));
 
 // Whole-chunk pruning is physical-only: with a selective filter on the
-// clustered key, sharded zone-mapped runs skip whole chunks yet charge
-// counts identical to per-batch evaluation — and to runs with zone maps
-// off entirely.
+// clustered key, zone-mapped runs — unsharded serial ones included —
+// skip whole chunks yet charge counts identical to per-batch evaluation,
+// to runs with zone maps off entirely, and to the tuple engine.
 TEST(ShardPruningTest, WholeChunkPruneIsCountExact) {
   // Filter covers chunk 0 fully (kAll), chunk 1 partially (kSome), and
   // proves chunks 2..3 empty (kNone -> pruned).
@@ -345,50 +341,154 @@ TEST(ShardPruningTest, WholeChunkPruneIsCountExact) {
   Executor base = MakeEngine(inst.catalog.get(), 1, 1);
   Executor no_zones = MakeEngine(inst.catalog.get(), 1, 2, false);
   Executor sharded = MakeEngine(inst.catalog.get(), 2, 2);
+  Executor::Options tuple_options;
+  tuple_options.engine = Executor::Engine::kTuple;
+  Executor tuple(inst.catalog.get(), CostModel::PostgresFlavour(),
+                 tuple_options);
 
   const Result<ExecutionResult> a = base.Execute(*plan, -1.0);
   const Result<ExecutionResult> b = no_zones.Execute(*plan, -1.0);
   const Result<ExecutionResult> c = sharded.Execute(*plan, -1.0);
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok()) << a.status().ToString() << " / " << b.status().ToString() << " / " << c.status().ToString();
+  const Result<ExecutionResult> t = tuple.Execute(*plan, -1.0);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok() && t.ok())
+      << a.status().ToString() << " / " << b.status().ToString() << " / "
+      << c.status().ToString() << " / " << t.status().ToString();
   ExpectSameResult(*a, *c, "pruned vs unsharded");
   ExpectSameResult(*b, *c, "pruned vs zone-maps-off");
+  ExpectSameResult(*b, *a, "unsharded serial pruned vs zone-maps-off");
+  ExpectSameResult(*t, *a, "unsharded serial pruned vs tuple engine");
+  EXPECT_GE(a->shard.chunks_pruned, 2);
   EXPECT_GE(c->shard.chunks_pruned, 2);
+  EXPECT_EQ(a->shard.chunks_pruned, c->shard.chunks_pruned);
   EXPECT_EQ(b->shard.chunks_pruned, 0);
   ExpectSameResult(*b, *c, "zone-maps-off sharded vs sharded");
 }
 
-// The ShardExecutor facade: clamping, pass-through execution, and the
-// composed-bound statement.
-TEST(ShardExecutorTest, FacadeMatchesPlainExecutor) {
+// Shard counts below 1 clamp to the unsharded run: same results and the
+// same chunk accounting, with no shard split.
+TEST(ShardDriverTest, ZeroOrNegativeShardsMeanUnsharded) {
   ShardInstance inst = MakeShardInstance(5, 2 * kShardChunkRows + 100);
   Rng rng(5);
   Optimizer opt(inst.catalog.get(), inst.query.get());
   const std::unique_ptr<Plan> plan =
       opt.Optimize(RandomPoint(&rng, inst.query->num_epps()));
 
-  Executor::Options options;
-  options.engine = Executor::Engine::kBatch;
-  options.num_threads = 2;
-  options.num_shards = 3;
-  shard::ShardExecutor se(inst.catalog.get(), CostModel::PostgresFlavour(),
-                          options);
-  EXPECT_EQ(se.num_shards(), 3);
-
   Executor base = MakeEngine(inst.catalog.get(), 1, 1);
   const Result<ExecutionResult> a = base.Execute(*plan, -1.0);
-  const Result<ExecutionResult> b = se.Execute(*plan);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectSameResult(*a, *b, "facade");
-  EXPECT_TRUE(b->shard.Any());
+  ASSERT_TRUE(a.ok());
+  for (const int shards : {0, -3}) {
+    const std::string tag = "shards=" + std::to_string(shards);
+    Executor clamped = MakeEngine(inst.catalog.get(), 2, shards);
+    const Result<ExecutionResult> b = clamped.Execute(*plan, -1.0);
+    ASSERT_TRUE(b.ok()) << tag;
+    ExpectSameResult(*a, *b, tag);
+    EXPECT_EQ(b->shard.num_shards, 1) << tag;
+    EXPECT_FALSE(b->shard.Any()) << tag;
+    EXPECT_TRUE(b->shard.shard_cost.empty()) << tag;
+    EXPECT_EQ(b->shard.chunks_total, a->shard.chunks_total) << tag;
+    EXPECT_EQ(b->shard.chunks_pruned, a->shard.chunks_pruned) << tag;
+  }
+}
 
-  const ComposedMso m = se.ComposeBound(12.0);
-  EXPECT_EQ(m.num_shards, 3);
-  EXPECT_DOUBLE_EQ(m.composed, 12.0);
+/// Scan node over query table `table` carrying every filter on it.
+std::unique_ptr<PlanNode> ScanNode(const Query& q, int table) {
+  auto n = std::make_unique<PlanNode>();
+  n->op = PlanOp::kSeqScan;
+  n->table_idx = table;
+  for (int i = 0; i < static_cast<int>(q.filters().size()); ++i) {
+    if (q.TableIndex(q.filters()[static_cast<size_t>(i)].table) == table) {
+      n->filter_indices.push_back(i);
+    }
+  }
+  return n;
+}
 
-  options.num_shards = 0;
-  shard::ShardExecutor clamped(inst.catalog.get(),
-                               CostModel::PostgresFlavour(), options);
-  EXPECT_EQ(clamped.num_shards(), 1);
+std::unique_ptr<PlanNode> JoinNode(PlanOp op, int join,
+                                   std::unique_ptr<PlanNode> left,
+                                   std::unique_ptr<PlanNode> right) {
+  auto n = std::make_unique<PlanNode>();
+  n->op = op;
+  n->join_indices = {join};
+  n->left = std::move(left);
+  n->right = std::move(right);
+  return n;
+}
+
+// The single chunk driver where it can break: every (threads x shards x
+// zone maps) setting against the tuple engine, over an empty fact table,
+// one partial chunk, exactly two chunks, and three chunks plus a tail,
+// with the fact scan feeding each blocking sink kind.
+TEST(ShardDriverTest, EverySinkAndTableShapeMatchesTupleEngine) {
+  // Tables are f (0), d1 (1), d2 (2); join 0 is f~d1, join 1 is f~d2.
+  using PlanMaker = std::unique_ptr<PlanNode> (*)(const Query&);
+  const std::vector<std::pair<std::string, PlanMaker>> shapes = {
+      {"hash-build",
+       [](const Query& q) {
+         return JoinNode(PlanOp::kHashJoin, 1,
+                         JoinNode(PlanOp::kHashJoin, 0, ScanNode(q, 0),
+                                  ScanNode(q, 1)),
+                         ScanNode(q, 2));
+       }},
+      {"nlj-materialize",
+       [](const Query& q) {
+         return JoinNode(PlanOp::kHashJoin, 1,
+                         JoinNode(PlanOp::kNLJoin, 0, ScanNode(q, 1),
+                                  ScanNode(q, 0)),
+                         ScanNode(q, 2));
+       }},
+      {"sort",
+       [](const Query& q) {
+         return JoinNode(PlanOp::kHashJoin, 1, ScanNode(q, 2),
+                         JoinNode(PlanOp::kSortMergeJoin, 0, ScanNode(q, 0),
+                                  ScanNode(q, 1)));
+       }},
+  };
+  for (const int64_t rows :
+       {int64_t{0}, int64_t{5000}, 2 * kShardChunkRows,
+        3 * kShardChunkRows + 1000}) {
+    // The fact filter passes chunk 0 whole, chunk 1 in part, and proves
+    // later chunks empty.
+    ShardInstance inst = MakeShardInstance(
+        23, rows, static_cast<double>(kShardChunkRows) + 7000.0);
+    Executor::Options tuple_options;
+    tuple_options.engine = Executor::Engine::kTuple;
+    Executor tuple(inst.catalog.get(), CostModel::PostgresFlavour(),
+                   tuple_options);
+    for (const auto& [name, make] : shapes) {
+      const Plan plan(inst.query.get(), make(*inst.query));
+      const std::string tag = name + " rows=" + std::to_string(rows);
+      const Result<ExecutionResult> ref = tuple.Execute(plan, -1.0);
+      ASSERT_TRUE(ref.ok() && ref->completed) << tag;
+      for (const int threads : {1, 2, 4}) {
+        for (const int shards : {0, 1, 2, 3}) {
+          for (const bool zones : {true, false}) {
+            const std::string run_tag =
+                tag + " threads=" + std::to_string(threads) +
+                " shards=" + std::to_string(shards) +
+                (zones ? " zones" : " no-zones");
+            Executor batch =
+                MakeEngine(inst.catalog.get(), threads, shards, zones);
+            const Result<ExecutionResult> r = batch.Execute(plan, -1.0);
+            ASSERT_TRUE(r.ok()) << run_tag;
+            ExpectSameResult(*ref, *r, run_tag);
+            // Every scan pipeline (fact, d1, d2) is chunk-driven.
+            const shard::ShardReport& sr = r->shard;
+            EXPECT_EQ(sr.chunks_total, shard::ChunkCount(rows) + 2)
+                << run_tag;
+            EXPECT_EQ(sr.chunks_scanned + sr.chunks_pruned, sr.chunks_total)
+                << run_tag;
+            if (!zones) {
+              EXPECT_EQ(sr.chunks_pruned, 0) << run_tag;
+            }
+            EXPECT_EQ(sr.Any(), shards > 1) << run_tag;
+            EXPECT_EQ(sr.shard_cost.size(),
+                      static_cast<size_t>(shards > 1 ? shards : 0))
+                << run_tag;
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Shard fault goldens -------------------------------------------------

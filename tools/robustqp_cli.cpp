@@ -69,22 +69,18 @@ void PrintUsage() {
       "  --qa s1,s2,...         true epp selectivities (simulated oracle);\n"
       "                         omitted: the data's measured truth\n"
       "  --engine               run on the execution engine over stored data\n"
-      "  --exec-engine <e>      tuple | batch (default batch): tuple is the\n"
-      "                         Volcano iterator, batch the vectorized engine\n"
-      "                         with morsel-parallel scans (see --threads)\n"
       "  --trace                print the full execution trace\n"
       "  --evaluate             exhaustive sweep: every grid location is the\n"
       "                         true location once; prints MSO/ASO per algo\n"
       "  --threads <n>          worker threads for the ESS build, the\n"
-      "                         --evaluate sweep, and batch-engine morsel\n"
+      "                         --evaluate sweep, and batch-engine chunk\n"
       "                         scans (default: all cores)\n"
-      "  --shards <n>           scatter-gather workers for full engine\n"
-      "                         executions (default 1). Results, cost_used\n"
-      "                         and all counters are bit-identical at any\n"
-      "                         shard count; chunk-level zone pruning and\n"
-      "                         per-chunk parallelism make selective scans\n"
-      "                         faster. SpillBound's MSO bound composes\n"
-      "                         exactly across shards\n"
+      "  --shards <n>           simulated scatter-gather workers for full\n"
+      "                         engine executions (default 1): shard fault\n"
+      "                         draws and the per-shard cost split. Results,\n"
+      "                         cost_used and all counters are bit-identical\n"
+      "                         at any shard count. SpillBound's MSO bound\n"
+      "                         composes exactly across shards\n"
       "  --points <n>           ESS grid points per dimension (default auto)\n"
       "  --ratio <r>            inter-contour cost ratio (default 2.0)\n"
       "  --ess-build-mode <m>   exhaustive | exact | recost:<lambda>\n"
@@ -149,13 +145,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       const char* v = next();
       if (v == nullptr) return false;
       out->algo = v;
-    } else if (arg == "--exec-engine") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!Executor::ParseEngine(v, &out->req.engine)) {
-        std::cerr << "unknown --exec-engine " << v << " (want tuple | batch)\n";
-        return false;
-      }
     } else if (arg == "--points") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -163,7 +152,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
     } else if (arg == "--threads") {
       const char* v = next();
       if (v == nullptr) return false;
-      // One flag, both thread knobs: surface work and per-query morsels.
+      // One flag, both thread knobs: surface work and per-query chunks.
       out->req.ess_threads = std::atoi(v);
       out->req.num_threads = out->req.ess_threads;
     } else if (arg == "--shards") {
