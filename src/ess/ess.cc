@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
-#include "common/fault.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "ess/ess_builder.h"
 
 namespace robustqp {
@@ -118,12 +116,6 @@ std::vector<int64_t> Ess::SliceFrontier(int i, const std::vector<int>& fixed) co
   return out;
 }
 
-int64_t Ess::TotalFrontierCells() const {
-  int64_t total = 0;
-  for (const auto& f : frontiers_) total += static_cast<int64_t>(f.size());
-  return total;
-}
-
 void Ess::InitStrides() {
   strides_.resize(static_cast<size_t>(dims_));
   int64_t stride = 1;
@@ -215,91 +207,47 @@ std::unique_ptr<Ess> Ess::Build(const Catalog& catalog, const Query& query,
 Result<std::unique_ptr<Ess>> Ess::TryBuild(const Catalog& catalog,
                                            const Query& query,
                                            const Config& config) {
+  const int dims = query.num_epps();
+  RQP_CHECK(dims >= 1);
+  const int points = config.points_per_dim > 0 ? config.points_per_dim
+                                               : DefaultPointsPerDim(dims);
+  // Reject what LogAxis and the contour ladder would abort on, and grids
+  // past kMaxEssLocations (points^D, multiplied out one step at a time so
+  // it cannot overflow).
+  if (points < 2) {
+    return Status::InvalidArgument("ESS needs >= 2 points per dimension, got " +
+                                   std::to_string(points));
+  }
+  int64_t locations = 1;
+  for (int d = 0; d < dims; ++d) {
+    locations *= points;
+    if (locations > kMaxEssLocations) {
+      return Status::InvalidArgument(
+          "ESS grid of " + std::to_string(points) + "^" + std::to_string(dims) +
+          " locations exceeds " + std::to_string(kMaxEssLocations));
+    }
+  }
+  const auto finite_above_one = [](double v) {
+    return std::isfinite(v) && v > 1.0;
+  };
+  if (!finite_above_one(config.contour_cost_ratio)) {
+    return Status::InvalidArgument("contour cost ratio must be finite and > 1");
+  }
+  if (!finite_above_one(config.recost_lambda)) {
+    return Status::InvalidArgument("recost lambda must be finite and > 1");
+  }
+
   auto ess = std::unique_ptr<Ess>(new Ess());
   ess->query_ = &query;
   ess->config_ = config;
-  ess->dims_ = query.num_epps();
-  RQP_CHECK(ess->dims_ >= 1);
-  const int points = config.points_per_dim > 0 ? config.points_per_dim
-                                               : DefaultPointsPerDim(ess->dims_);
+  ess->dims_ = dims;
   ess->axis_ = LogAxis(config.min_sel, points);
   ess->optimizer_ = std::make_unique<Optimizer>(&catalog, &query, config.cost_model);
-
   ess->InitStrides();
-  const int64_t total = ess->strides_[0] * points;
+  ess->cost_.assign(static_cast<size_t>(locations), 0.0);
+  ess->plan_.assign(static_cast<size_t>(locations), nullptr);
 
-  ess->cost_.assign(static_cast<size_t>(total), 0.0);
-  ess->plan_.assign(static_cast<size_t>(total), nullptr);
-
-  if (config.build_mode != EssBuildMode::kExhaustive) {
-    // Grid refinement: optimizer calls only where corner plans disagree.
-    RQP_RETURN_NOT_OK(EssBuilder(ess.get()).Run());
-    ess->ComputeContoursAndFrontiers();
-    return ess;
-  }
-
-  // Sweep the grid: optimize at every location. Optimizer calls are pure,
-  // so the sweep parallelizes over location ranges; plans are interned
-  // sequentially afterwards to keep the pool single-threaded.
-  const int threads = config.num_threads > 0
-                          ? std::min(config.num_threads, 16)
-                          : ThreadPool::DefaultThreads();
-
-  std::vector<std::unique_ptr<Plan>> raw_plans(static_cast<size_t>(total));
-  const bool armed = FaultInjector::Armed();
-  auto worker = [&](int64_t begin, int64_t end) {
-    for (int64_t lin = begin; lin < end; ++lin) {
-      const GridLoc loc = ess->FromLinear(lin);
-      const EssPoint q = ess->SelAt(loc);
-      if (!armed) {
-        raw_plans[static_cast<size_t>(lin)] = ess->optimizer_->Optimize(q);
-        continue;
-      }
-      // Under injection: scope the draws to this location (deterministic
-      // at any thread count) and retry transient optimizer faults.
-      FaultStreamScope scope(static_cast<uint64_t>(lin));
-      Status st;
-      for (int attempt = 0; attempt < kMaxFaultAttempts; ++attempt) {
-        Result<std::unique_ptr<Plan>> r = ess->optimizer_->TryOptimize(q);
-        if (r.ok()) {
-          raw_plans[static_cast<size_t>(lin)] = r.MoveValue();
-          break;
-        }
-        st = r.status();
-        if (!st.IsTransient()) break;
-      }
-      if (raw_plans[static_cast<size_t>(lin)] == nullptr) {
-        // ParallelFor converts this to the Status returned to the caller.
-        throw std::runtime_error(st.ok() ? "optimizer retries exhausted"
-                                         : st.ToString());
-      }
-    }
-  };
-  if (threads == 1 || total < 256) {
-    try {
-      worker(0, total);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("task failed: ") + e.what());
-    }
-  } else {
-    ThreadPool sweep_pool(threads);
-    RQP_RETURN_NOT_OK(ParallelFor(&sweep_pool, total,
-                                  [&](int /*worker*/, int64_t begin,
-                                      int64_t end) { worker(begin, end); }));
-  }
-
-  for (int64_t lin = 0; lin < total; ++lin) {
-    const GridLoc loc = ess->FromLinear(lin);
-    const EssPoint q = ess->SelAt(loc);
-    std::unique_ptr<Plan>& raw = raw_plans[static_cast<size_t>(lin)];
-    const double cost = ess->optimizer_->PlanCost(*raw, q);
-    ess->plan_[static_cast<size_t>(lin)] = ess->pool_.Intern(std::move(raw));
-    ess->cost_[static_cast<size_t>(lin)] = cost;
-  }
-  ess->build_stats_ = BuildStats{};
-  ess->build_stats_.optimizer_calls = ess->optimizer_->num_optimize_calls();
-  ess->build_stats_.exact_points = ess->num_locations();
-
+  RQP_RETURN_NOT_OK(EssBuilder(ess.get()).Run());
   ess->ComputeContoursAndFrontiers();
   return ess;
 }

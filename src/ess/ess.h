@@ -29,6 +29,10 @@ namespace robustqp {
 /// A grid location: one axis index per ESS dimension.
 using GridLoc = std::vector<int>;
 
+/// Largest grid (points_per_dim^D) Ess::TryBuild accepts; well above the
+/// suite's largest grid (32,768 locations).
+constexpr int64_t kMaxEssLocations = int64_t{1} << 20;
+
 /// How the optimal-cost / optimal-plan surfaces are constructed.
 enum class EssBuildMode {
   /// One optimizer call per grid location (the paper's Section 2.2 sweep).
@@ -65,9 +69,9 @@ class Ess {
     double contour_cost_ratio = 2.0;
     /// Cost model flavour for the underlying optimizer.
     CostModel cost_model = CostModel::PostgresFlavour();
-    /// Worker threads for the exhaustive grid sweep and for the
-    /// refinement builder's per-level corner batches; 0 = hardware
-    /// concurrency.
+    /// Worker threads for EssBuilder's optimizer batches (the exhaustive
+    /// sweep, refinement corner levels, the fallback sweep); 0 = hardware
+    /// concurrency. Surfaces are identical at any value.
     int num_threads = 0;
     /// Surface construction strategy; see EssBuildMode.
     EssBuildMode build_mode = EssBuildMode::kExhaustive;
@@ -111,14 +115,19 @@ class Ess {
     bool fell_back = false;
   };
 
-  /// Builds the surface per `config.build_mode` (exhaustive sweep by
-  /// default, grid refinement via EssBuilder otherwise). Aborts on build
-  /// failure — with a disarmed FaultInjector the build cannot fail.
+  /// Builds the surface per `config.build_mode` through EssBuilder (one
+  /// sweep over every location for kExhaustive, grid refinement
+  /// otherwise). Aborts on build failure: an invalid config, or a fault
+  /// from an armed FaultInjector.
   static std::unique_ptr<Ess> Build(const Catalog& catalog, const Query& query,
                                     const Config& config);
 
-  /// Build variant that surfaces failures (injected permanent optimizer
-  /// faults, exhausted transient retries) as a Status instead of aborting.
+  /// Build variant that surfaces failures as a Status instead of aborting:
+  /// InvalidArgument for fewer than 2 points per dimension, a grid past
+  /// kMaxEssLocations, or a contour_cost_ratio or recost_lambda that is
+  /// not finite and > 1 (checked before any allocation); injected
+  /// permanent optimizer faults and exhausted transient retries
+  /// otherwise.
   static Result<std::unique_ptr<Ess>> TryBuild(const Catalog& catalog,
                                                const Query& query,
                                                const Config& config);
@@ -170,9 +179,6 @@ class Ess {
   /// leaves the hypograph (or the grid). This is the "effective search
   /// space" of Section 4.2 used once some selectivities are fully learnt.
   std::vector<int64_t> SliceFrontier(int i, const std::vector<int>& fixed) const;
-
-  /// Sum over the grid of |{i : loc on frontier i}| — diagnostic only.
-  int64_t TotalFrontierCells() const;
 
   /// Serializes the built surface (grid costs + POSP plan structures) so
   /// canned queries can skip the optimizer sweep on later runs — the

@@ -13,17 +13,17 @@
 namespace robustqp {
 
 EssBuilder::EssBuilder(Ess* ess) : ess_(ess), dims_(ess->dims()) {
-  RQP_CHECK(ess_->config_.build_mode != EssBuildMode::kExhaustive);
   RQP_CHECK(ess_->config_.build_mode != EssBuildMode::kRecost ||
             ess_->config_.recost_lambda > 1.0);
 }
 
+EssBuilder::~EssBuilder() = default;
+
 Status EssBuilder::EnsureExactBatch(const std::vector<int64_t>& lins) {
   const int64_t n = static_cast<int64_t>(lins.size());
   if (n == 0) return Status::OK();
-  // Same parallel shape as the exhaustive sweep in Ess::Build: optimizer
-  // calls are pure and fan out; interning stays sequential and in
-  // ascending-lin order so the plan pool is deterministic.
+  // Optimizer calls are pure and fan out; interning stays sequential and
+  // in ascending-lin order so the plan pool is deterministic.
   const bool armed = FaultInjector::Armed();
   std::vector<std::unique_ptr<Plan>> raw(lins.size());
   std::vector<double> costs(lins.size());
@@ -45,7 +45,7 @@ Status EssBuilder::EnsureExactBatch(const std::vector<int64_t>& lins) {
           FaultInjector::Global().Evaluate(fault_site::kEssCornerOpt)) {
         // Refinement corner faulted: abandon refinement for the
         // exhaustive sweep instead of failing the build. The corner stays
-        // unassigned; FinishBySweep will cover it.
+        // unassigned; the sweep will cover it.
         degrade_to_sweep_.store(true, std::memory_order_relaxed);
         continue;
       }
@@ -64,8 +64,8 @@ Status EssBuilder::EnsureExactBatch(const std::vector<int64_t>& lins) {
         throw std::runtime_error(st.ok() ? "optimizer retries exhausted"
                                          : st.ToString());
       }
-      // Same convention as the exhaustive sweep: the stored cost is the
-      // plan's recosted total, computed before interning.
+      // The stored cost is the plan's recosted total, computed before
+      // interning.
       costs[static_cast<size_t>(i)] =
           ess_->optimizer_->PlanCost(*raw[static_cast<size_t>(i)], q);
     }
@@ -373,10 +373,10 @@ std::vector<int64_t> EssBuilder::JunctionSuspects() const {
   return suspects;
 }
 
-Status EssBuilder::FinishBySweep() {
-  stats_.fell_back = true;
-  // Suppress corner-opt fault draws during the sweep: the degradation
-  // already happened and must not re-trigger inside its own fallback.
+Status EssBuilder::Sweep() {
+  // Suppress corner-opt fault draws during the sweep: a fallback sweep
+  // must not re-trigger its own degradation, and a kExhaustive build has
+  // no refinement corners to degrade.
   in_sweep_ = true;
   std::vector<int64_t> rest;
   const int64_t total = ess_->num_locations();
@@ -388,21 +388,15 @@ Status EssBuilder::FinishBySweep() {
   return EnsureExactBatch(rest);
 }
 
-Status EssBuilder::Run() {
-  const int64_t total = ess_->num_locations();
-  state_.assign(static_cast<size_t>(total), 0);
-
-  const int threads = ess_->config_.num_threads > 0
-                          ? std::min(ess_->config_.num_threads, 16)
-                          : ThreadPool::DefaultThreads();
-  if (threads > 1 && total >= 256) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
+Status EssBuilder::Refine() {
   // Every EnsureExactBatch entry is one optimizer call; past this many,
   // refinement has lost against the (parallel) exhaustive sweep.
   const double call_budget = ess_->config_.refine_fallback_fraction *
-                             static_cast<double>(total);
-  bool fell_back = false;
+                             static_cast<double>(ess_->num_locations());
+  const auto must_sweep = [&]() {
+    return degrade_to_sweep_.load(std::memory_order_relaxed) ||
+           static_cast<double>(stats_.exact_points) > call_budget;
+  };
 
   // Breadth-first refinement: optimize all of a level's missing corners
   // in one parallel batch, then certify/split each cell sequentially
@@ -423,39 +417,47 @@ Status EssBuilder::Run() {
     std::sort(need.begin(), need.end());
     need.erase(std::unique(need.begin(), need.end()), need.end());
     RQP_RETURN_NOT_OK(EnsureExactBatch(need));
-    if (degrade_to_sweep_.load(std::memory_order_relaxed) ||
-        static_cast<double>(stats_.exact_points) > call_budget) {
-      fell_back = true;
-      break;
+    if (must_sweep()) {
+      stats_.fell_back = true;
+      return Sweep();
     }
     std::vector<Box> next;
     for (const Box& box : frontier) CertifyOrSplit(box, &next);
     frontier = std::move(next);
   }
 
-  if (fell_back) {
-    RQP_RETURN_NOT_OK(FinishBySweep());
-  } else {
-    for (const FillJob& job : fills_) Fill(job);
-    Relax();
-    if (ess_->config_.build_mode == EssBuildMode::kExact) {
-      // Junction repair (see the header): re-optimize recosted locations
-      // sitting where three or more plan regions meet, then re-flood.
-      // Terminates: each pass converts its suspects to exact locations,
-      // which are never suspects again.
-      while (true) {
-        const std::vector<int64_t> suspects = JunctionSuspects();
-        if (suspects.empty()) break;
-        RQP_RETURN_NOT_OK(EnsureExactBatch(suspects));
-        if (degrade_to_sweep_.load(std::memory_order_relaxed) ||
-            static_cast<double>(stats_.exact_points) > call_budget) {
-          RQP_RETURN_NOT_OK(FinishBySweep());
-          break;
-        }
-        Relax();
-      }
+  for (const FillJob& job : fills_) Fill(job);
+  Relax();
+  if (ess_->config_.build_mode != EssBuildMode::kExact) return Status::OK();
+  // Junction repair (see the header): re-optimize recosted locations
+  // sitting where three or more plan regions meet, then re-flood.
+  // Terminates: each pass converts its suspects to exact locations, which
+  // are never suspects again.
+  while (true) {
+    const std::vector<int64_t> suspects = JunctionSuspects();
+    if (suspects.empty()) return Status::OK();
+    RQP_RETURN_NOT_OK(EnsureExactBatch(suspects));
+    if (must_sweep()) {
+      stats_.fell_back = true;
+      return Sweep();
     }
+    Relax();
   }
+}
+
+Status EssBuilder::Run() {
+  const int64_t total = ess_->num_locations();
+  state_.assign(static_cast<size_t>(total), 0);
+
+  const int threads = ess_->config_.num_threads > 0
+                          ? std::min(ess_->config_.num_threads, 16)
+                          : ThreadPool::DefaultThreads();
+  if (threads > 1 && total >= 256) {
+    pool_ = std::make_unique<ThreadPool>(threads);
+  }
+  RQP_RETURN_NOT_OK(ess_->config_.build_mode == EssBuildMode::kExhaustive
+                        ? Sweep()
+                        : Refine());
 
   for (int64_t lin = 0; lin < total; ++lin) {
     RQP_CHECK(state_[static_cast<size_t>(lin)] != 0);

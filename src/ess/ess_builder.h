@@ -1,10 +1,15 @@
-// Recursive grid-refinement construction of the ESS surfaces (the
+// The one code path that fills an ESS's cost and plan surfaces, in every
+// build mode. kExhaustive is a single sweep: one optimizer call per grid
+// location (Section 2.2). kExact and kRecost refine the grid (the
 // compile-time path of Section 7): instead of one optimizer call per grid
 // location, optimize only at the corners of coarse cells, recost the
 // corner plans at interior locations, and recurse into a cell only when
 // its corner plans disagree (kExact) or the PCM certification bound fails
 // (kRecost). Exact optimizer results always take precedence over recosted
 // fills, so refinement never degrades a location that was optimized.
+// Every optimizer call of every mode goes through EnsureExactBatch, so the
+// exhaustive sweep, the refinement corners and the fallback sweep share
+// one parallel, fault-aware, deterministic driver.
 //
 // Certificates:
 //  * Corner agreement (kExact and kRecost): all 2^D corners of a cell are
@@ -51,12 +56,12 @@
 //    re-optimized exactly, and relaxation reruns to flood any newly
 //    discovered region; this repeats until no suspect remains. A
 //    certificate that the result is *provably* exact is not attainable at
-//    sub-exhaustive call counts: near-optimal plans are dense (on the
-//    seed suite even the 24th-best plan is often within 1% of optimal),
-//    so any sound plan-gap bound fails on a log-spaced grid where one
-//    step moves costs by ~25%. Exactness of kExact is instead validated
-//    bit-for-bit against the exhaustive sweep by golden and fuzz tests.
-
+//    sub-exhaustive call counts: near-optimal plans are dense (a k-best
+//    plan enumeration, run offline on the seed suite, found even the
+//    24th-best plan often within 1% of optimal), so any sound plan-gap
+//    bound fails on a log-spaced grid where one step moves costs by ~25%.
+//    Exactness of kExact is instead validated bit-for-bit against the
+//    exhaustive sweep by golden and fuzz tests.
 //  * Level-parallel corner optimization: refinement proceeds
 //    breadth-first — all cells of one refinement level batch their
 //    not-yet-optimized corners, the batch is optimized in parallel on a
@@ -65,9 +70,9 @@
 //    and every certification decision are identical at any thread count.
 //  * Exhaustive fallback: when the call count crosses
 //    Config::refine_fallback_fraction of the grid, the remaining
-//    locations are optimized by one parallel sweep (recorded in
-//    BuildStats::fell_back) — degenerate surfaces then cost no more than
-//    the plain exhaustive build.
+//    locations are optimized by the kExhaustive build's own sweep
+//    (recorded in BuildStats::fell_back) — degenerate surfaces then cost
+//    no more than the plain exhaustive build.
 
 #ifndef ROBUSTQP_ESS_ESS_BUILDER_H_
 #define ROBUSTQP_ESS_ESS_BUILDER_H_
@@ -83,19 +88,22 @@ namespace robustqp {
 
 class ThreadPool;
 
-/// One-shot builder that fills an Ess's cost_/plan_ surfaces by grid
-/// refinement. Used by Ess::Build for kExact / kRecost build modes.
+/// One-shot builder that fills an Ess's cost_/plan_ surfaces. Ess::TryBuild
+/// runs it for every build mode: a full sweep for kExhaustive, grid
+/// refinement for kExact / kRecost.
 class EssBuilder {
  public:
   /// `ess` must have query/config/axis/strides/optimizer set and the
   /// cost_/plan_ arrays allocated (zero / nullptr filled).
   explicit EssBuilder(Ess* ess);
+  ~EssBuilder();  // out of line: ThreadPool is incomplete here
 
-  /// Runs refinement; on OK return every grid location has a cost and
-  /// plan and ess->build_stats_ is populated. With an armed FaultInjector
-  /// a fault drawn at the ess.corner_opt site degrades refinement to the
-  /// exhaustive sweep (reusing the fell_back path), and an unrecoverable
-  /// optimizer fault surfaces as a non-OK Status.
+  /// Fills the surfaces per the build mode; on OK return every grid
+  /// location has a cost and plan and ess->build_stats_ is populated.
+  /// With an armed FaultInjector a fault drawn at the ess.corner_opt site
+  /// degrades refinement to the exhaustive sweep (reusing the fell_back
+  /// path), and an unrecoverable optimizer fault surfaces as a non-OK
+  /// Status.
   Status Run();
 
  private:
@@ -125,9 +133,14 @@ class EssBuilder {
   /// either accepts it (queueing a FillJob) or appends its children to
   /// `next` for the following refinement level. No optimizer calls.
   void CertifyOrSplit(const Box& box, std::vector<Box>* next);
-  /// Exhaustive-fallback finish: optimizes every location that is not yet
-  /// exact in one parallel batch and marks stats_.fell_back.
-  Status FinishBySweep();
+  /// Optimizes every location that is not yet exact in one parallel batch
+  /// with ess.corner_opt draws suppressed: the whole kExhaustive build,
+  /// and the finish of a refinement that fell back.
+  Status Sweep();
+  /// kExact / kRecost: breadth-first refinement, fills, relaxation and
+  /// (kExact) junction repair; sets stats_.fell_back and finishes by
+  /// Sweep() once the call budget is crossed or a corner faults.
+  Status Refine();
   /// Recosts the cell's not-yet-assigned locations.
   void Fill(const FillJob& job);
   /// Fixpoint sweep: recosted locations adopt any neighbouring plan (full
@@ -147,8 +160,8 @@ class EssBuilder {
 
   Ess* ess_;
   int dims_;
-  /// Pool for per-level corner batches and the fallback sweep (null when
-  /// single-threaded or the grid is tiny).
+  /// Pool for every EnsureExactBatch: sweeps and per-level corner batches
+  /// (null when single-threaded or the grid is tiny).
   std::unique_ptr<ThreadPool> pool_;
   /// Maximum per-dimension width of a leaf cell: a disagreeing cell at
   /// most this wide is recost-filled instead of refined further.
@@ -158,8 +171,8 @@ class EssBuilder {
   /// Certified cells, recosted only after refinement finishes so exact
   /// results always win on shared faces.
   std::vector<FillJob> fills_;
-  /// True while the fallback sweep runs: corner-opt fault draws are
-  /// suppressed there so a degradation cannot re-trigger itself.
+  /// True while a sweep runs: corner-opt fault draws are suppressed there
+  /// so a degradation cannot re-trigger itself.
   bool in_sweep_ = false;
   /// Set by any worker that draws an ess.corner_opt fault; checked after
   /// each corner batch to abandon refinement for the exhaustive sweep.

@@ -24,25 +24,11 @@ struct Optimizer::DpCell {
   int right_state = 0;
 };
 
-/// One entry of a k-best DP cell: the idx-th cheapest subtree covering a
-/// mask, with back-pointers into the child cells' entry lists.
-struct Optimizer::TopKEntry {
-  double cost = kInf;
-  PlanOp op = PlanOp::kSeqScan;
-  uint64_t left_mask = 0;
-  int32_t left_idx = 0;
-  uint64_t right_mask = 0;
-  int32_t right_idx = 0;
-};
-
 struct Optimizer::DpArena {
   std::vector<double> filtered_rows;  // per table index, at the current q
   std::vector<double> join_sel;       // per join index, at the current q
   std::vector<double> card;
   std::vector<DpCell> dp;
-  // k-best DP storage: k entries per mask (cost-ascending), entry counts.
-  std::vector<TopKEntry> topk;
-  std::vector<int32_t> topk_count;
 };
 
 Optimizer::DpArena& Optimizer::ThreadArena() {
@@ -379,183 +365,6 @@ Result<std::unique_ptr<Plan>> Optimizer::TryOptimize(const EssPoint& q) const {
     }
   }
   return Optimize(q);
-}
-
-std::unique_ptr<PlanNode> Optimizer::ReconstructTopK(const DpArena& arena,
-                                                     int k, uint64_t mask,
-                                                     int idx) const {
-  if ((mask & (mask - 1)) == 0) {
-    int t = 0;
-    while ((mask & (uint64_t{1} << t)) == 0) ++t;
-    auto node = std::make_unique<PlanNode>();
-    node->op = PlanOp::kSeqScan;
-    node->table_idx = t;
-    node->filter_indices = table_filters_[static_cast<size_t>(t)];
-    return node;
-  }
-  const TopKEntry& e =
-      arena.topk[mask * static_cast<uint64_t>(k) + static_cast<uint64_t>(idx)];
-  RQP_CHECK(e.cost != kInf);
-  auto node = std::make_unique<PlanNode>();
-  node->op = e.op;
-  node->left = ReconstructTopK(arena, k, e.left_mask, e.left_idx);
-  node->right = ReconstructTopK(arena, k, e.right_mask, e.right_idx);
-  for (int j = 0; j < query_->num_joins(); ++j) {
-    const uint64_t jm = join_masks_[static_cast<size_t>(j)];
-    if ((jm & mask) != jm) continue;
-    if ((jm & e.left_mask) != 0 && (jm & e.right_mask) != 0) {
-      node->join_indices.push_back(j);
-    }
-  }
-  return node;
-}
-
-std::vector<std::unique_ptr<Plan>> Optimizer::OptimizeTopK(const EssPoint& q,
-                                                           int k) const {
-  RQP_CHECK(static_cast<int>(q.size()) == query_->num_epps());
-  RQP_CHECK(k >= 1);
-  optimize_calls_.fetch_add(1, std::memory_order_relaxed);
-  const int n = num_tables_;
-  const uint64_t full = (uint64_t{1} << n) - 1;
-  DpArena& arena = ThreadArena();
-  ComputeCards(q, &arena);
-  const std::vector<double>& js = arena.join_sel;
-  const std::vector<double>& card = arena.card;
-
-  // k-best Selinger DP over connected masks: each cell keeps the k
-  // cheapest structurally distinct subtrees, cost-ascending. The k best
-  // plans of a mask compose child subplans that are each among the k best
-  // of their own mask (costs are additive in the child totals), so
-  // enumerating child entry pairs per physical alternative is exhaustive.
-  // Spill states are not tracked: k-best search is only used with no
-  // unlearned epps, where every subtree has state 0.
-  std::vector<TopKEntry>& topk = arena.topk;
-  std::vector<int32_t>& cnt = arena.topk_count;
-  topk.assign((full + 1) * static_cast<uint64_t>(k), TopKEntry{});
-  cnt.assign(full + 1, 0);
-
-  const auto insert_entry = [&](uint64_t mask, const TopKEntry& e) {
-    TopKEntry* list = &topk[mask * static_cast<uint64_t>(k)];
-    int32_t& c = cnt[mask];
-    int pos = c;
-    // Stable among equal costs: an equal-cost incumbent stays in front, so
-    // tie order follows enumeration order (mirrors RunDp's strict `<`).
-    while (pos > 0 && list[pos - 1].cost > e.cost) --pos;
-    if (pos >= k) return;
-    for (int i = std::min<int>(c, k - 1); i > pos; --i) list[i] = list[i - 1];
-    list[pos] = e;
-    if (c < k) ++c;
-  };
-
-  for (int t = 0; t < n; ++t) {
-    TopKEntry e;
-    e.cost = cost_model_.ScanCost(estimator_.RawRows(t));
-    e.op = PlanOp::kSeqScan;
-    insert_entry(uint64_t{1} << t, e);
-  }
-
-  for (uint64_t mask = 1; mask <= full; ++mask) {
-    if (!connected_[mask] || (mask & (mask - 1)) == 0) continue;
-    for (uint64_t s1 = (mask - 1) & mask; s1 != 0; s1 = (s1 - 1) & mask) {
-      const uint64_t s2 = mask ^ s1;
-      if (s1 > s2) continue;
-      if (!connected_[s1] || !connected_[s2]) continue;
-
-      int num_cross = 0;
-      int single_cross = -1;
-      for (int32_t ki = mask_join_offsets_[mask];
-           ki < mask_join_offsets_[mask + 1]; ++ki) {
-        const int j = mask_join_list_[static_cast<size_t>(ki)];
-        const uint64_t jm = join_masks_[static_cast<size_t>(j)];
-        if ((jm & s1) != 0 && (jm & s2) != 0) {
-          ++num_cross;
-          single_cross = j;
-        }
-      }
-      if (num_cross == 0) continue;
-      const double cross_sel =
-          num_cross == 1 ? js[static_cast<size_t>(single_cross)] : 1.0;
-      const auto inlj_ok = [&](uint64_t inner) {
-        return num_cross == 1 && (inner & (inner - 1)) == 0 &&
-               (inlj_inner_mask_[static_cast<size_t>(single_cross)] & inner) !=
-                   0;
-      };
-
-      // Physical alternatives, local cost each (depends only on the
-      // masks); same set and orientation conventions as RunDp.
-      struct AltK {
-        PlanOp op;
-        uint64_t lm;
-        uint64_t rm;
-        double local;
-        bool probe_inner;  // INLJ: the right child's cost does not accrue
-      };
-      AltK alts[7];
-      int num_alts = 0;
-      alts[num_alts++] = {PlanOp::kHashJoin, s1, s2,
-                          cost_model_.HashJoinCost(card[s1], card[s2],
-                                                   card[mask]),
-                          false};
-      alts[num_alts++] = {PlanOp::kHashJoin, s2, s1,
-                          cost_model_.HashJoinCost(card[s2], card[s1],
-                                                   card[mask]),
-                          false};
-      alts[num_alts++] = {PlanOp::kNLJoin, s1, s2,
-                          cost_model_.NLJoinCost(card[s1], card[s2],
-                                                 card[mask]),
-                          false};
-      alts[num_alts++] = {PlanOp::kNLJoin, s2, s1,
-                          cost_model_.NLJoinCost(card[s2], card[s1],
-                                                 card[mask]),
-                          false};
-      // Sort-merge cost is operand-symmetric; one orientation suffices.
-      alts[num_alts++] = {PlanOp::kSortMergeJoin, s1, s2,
-                          cost_model_.SortMergeJoinCost(card[s1], card[s2],
-                                                        card[mask]),
-                          false};
-      for (int side = 0; side < 2; ++side) {
-        const uint64_t outer = side == 0 ? s1 : s2;
-        const uint64_t inner = side == 0 ? s2 : s1;
-        if (!inlj_ok(inner)) continue;
-        int inner_table = 0;
-        while ((inner & (uint64_t{1} << inner_table)) == 0) ++inner_table;
-        const double fetched =
-            card[outer] * estimator_.RawRows(inner_table) * cross_sel;
-        alts[num_alts++] = {PlanOp::kIndexNLJoin, outer, inner,
-                            cost_model_.IndexNLJoinCost(card[outer], fetched,
-                                                        card[mask]),
-                            true};
-      }
-
-      for (int ai = 0; ai < num_alts; ++ai) {
-        const AltK& a = alts[ai];
-        const TopKEntry* ll = &topk[a.lm * static_cast<uint64_t>(k)];
-        const TopKEntry* rl = &topk[a.rm * static_cast<uint64_t>(k)];
-        for (int32_t li = 0; li < cnt[a.lm]; ++li) {
-          for (int32_t ri = 0; ri < cnt[a.rm]; ++ri) {
-            const double lc = ll[li].cost;
-            const double rc = a.probe_inner ? 0.0 : rl[ri].cost;
-            TopKEntry e;
-            e.cost = lc + rc + a.local;
-            e.op = a.op;
-            e.left_mask = a.lm;
-            e.left_idx = li;
-            e.right_mask = a.rm;
-            e.right_idx = ri;
-            insert_entry(mask, e);
-          }
-        }
-      }
-    }
-  }
-
-  std::vector<std::unique_ptr<Plan>> plans;
-  plans.reserve(static_cast<size_t>(cnt[full]));
-  for (int32_t i = 0; i < cnt[full]; ++i) {
-    plans.push_back(
-        std::make_unique<Plan>(query_, ReconstructTopK(arena, k, full, i)));
-  }
-  return plans;
 }
 
 std::unique_ptr<Plan> Optimizer::OptimizeConstrainedSpill(

@@ -67,14 +67,6 @@ class Optimizer {
   std::unique_ptr<Plan> OptimizeConstrainedSpill(
       const EssPoint& q, int dim, const std::vector<bool>& unlearned) const;
 
-  /// The k cheapest structurally distinct full plans at `q`, cheapest
-  /// first (fewer if the query admits fewer than k plans). One k-best DP
-  /// pass over masks (no spill states), counted as a single optimizer
-  /// call. The ESS refinement builder uses the list to lower-bound the
-  /// cost of the best plan outside a candidate plan set.
-  std::vector<std::unique_ptr<Plan>> OptimizeTopK(const EssPoint& q,
-                                                  int k) const;
-
   /// Costs an arbitrary plan of this query at `q`.
   PlanCosting CostPlan(const Plan& plan, const EssPoint& q) const;
 
@@ -91,9 +83,9 @@ class Optimizer {
   const CostModel& cost_model() const { return cost_model_; }
   const Query& query() const { return *query_; }
 
-  /// Number of full DP searches (Optimize, OptimizeConstrainedSpill,
-  /// OptimizeTopK) served by this instance so far. Cheap relaxed counter; used by the
-  /// ESS builders and benches to report how many optimizer invocations a
+  /// Number of full DP searches (Optimize, OptimizeConstrainedSpill)
+  /// served by this instance so far. Cheap relaxed counter; EssBuilder
+  /// and the benches read it to report how many optimizer invocations a
   /// surface construction needed.
   int64_t num_optimize_calls() const {
     return optimize_calls_.load(std::memory_order_relaxed);
@@ -101,18 +93,16 @@ class Optimizer {
 
  private:
   struct DpCell;
-  struct TopKEntry;
-  /// Per-thread scratch for RunDp / OptimizeTopK: the per-mask
-  /// cardinality table and the DP tables. Reused across calls (and across
-  /// Optimizer instances) so the hot ESS-construction loop never
-  /// allocates.
+  /// Per-thread scratch for RunDp: the per-mask cardinality table and the
+  /// DP table. Reused across calls (and across Optimizer instances) so the
+  /// hot ESS-construction loop never allocates.
   struct DpArena;
 
   static DpArena& ThreadArena();
 
   /// Fills the arena's per-table filtered rows, per-join selectivities
-  /// and per-mask cardinalities at `q` (the q-dependent quantities every
-  /// DP variant consumes).
+  /// and per-mask cardinalities at `q` (the q-dependent quantities the DP
+  /// consumes).
   void ComputeCards(const EssPoint& q, DpArena* arena) const;
 
   /// Runs the (mask, state) DP into `arena` (resized as needed). `states`
@@ -123,8 +113,6 @@ class Optimizer {
 
   std::unique_ptr<PlanNode> Reconstruct(const std::vector<DpCell>& dp,
                                         uint64_t mask, int state) const;
-  std::unique_ptr<PlanNode> ReconstructTopK(const DpArena& arena, int k,
-                                            uint64_t mask, int idx) const;
 
   double CostNode(const PlanNode& node, const EssPoint& q,
                   PlanCosting* out) const;

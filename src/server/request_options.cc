@@ -17,20 +17,6 @@ bool ParseRobustnessMode(const std::string& name, RobustnessMode* out) {
   return true;
 }
 
-const char* RobustnessModeName(RobustnessMode mode) {
-  switch (mode) {
-    case RobustnessMode::kNative:
-      return "native";
-    case RobustnessMode::kPlanBouquet:
-      return "pb";
-    case RobustnessMode::kSpillBound:
-      return "sb";
-    case RobustnessMode::kAlignedBound:
-      return "ab";
-  }
-  return "?";
-}
-
 Executor::Options RequestOptions::ToExecutorOptions() const {
   Executor::Options opts;
   opts.num_threads = num_threads;

@@ -35,9 +35,6 @@ enum class RobustnessMode {
 /// Parses "native" | "pb" | "sb" | "ab"; returns false on anything else.
 bool ParseRobustnessMode(const std::string& name, RobustnessMode* out);
 
-/// Display name ("sb") of a mode — the inverse of ParseRobustnessMode.
-const char* RobustnessModeName(RobustnessMode mode);
-
 /// Unified per-request options. Field defaults reproduce the historical
 /// defaults of the structs they subsume.
 struct RequestOptions {

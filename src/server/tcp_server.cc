@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -16,14 +17,23 @@ namespace robustqp {
 
 namespace {
 
-/// Splits "a,b,c" into doubles; returns false on any non-numeric token.
+/// Parses `value` as one whole, finite decimal number.
+bool ParseFiniteDouble(const std::string& value, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(value.c_str(), &end);
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+/// Splits "a,b,c" into doubles; returns false on any token that is not a
+/// whole, finite number.
 bool ParseDoubles(const std::string& csv, std::vector<double>* out) {
   std::stringstream ss(csv);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0') return false;
+    double v = 0.0;
+    if (!ParseFiniteDouble(tok, &v)) return false;
     out->push_back(v);
   }
   return !out->empty();
@@ -77,9 +87,13 @@ Status ParseSubmitLine(const std::string& line, ServiceRequest* out) {
         return Status::InvalidArgument("malformed qa list: " + value);
       }
     } else if (key == "budget") {
-      req.budget = std::atof(value.c_str());
+      if (!ParseFiniteDouble(value, &req.budget)) {
+        return Status::InvalidArgument("malformed budget: " + value);
+      }
     } else if (key == "deadline_ms") {
-      req.deadline_ms = std::atof(value.c_str());
+      if (!ParseFiniteDouble(value, &req.deadline_ms)) {
+        return Status::InvalidArgument("malformed deadline_ms: " + value);
+      }
     } else if (key == "use_engine") {
       req.use_engine = value != "0";
     } else if (key == "threads") {
@@ -99,9 +113,19 @@ Status ParseSubmitLine(const std::string& line, ServiceRequest* out) {
             std::to_string(kMaxSubmitShards) + "]: " + value);
       }
     } else if (key == "points") {
-      req.options.points_per_dim = std::atoi(value.c_str());
+      // 0 = DefaultPointsPerDim; Ess::TryBuild rejects 1 and grids past
+      // kMaxEssLocations.
+      if (!ParseBoundedInt(value, 0, kMaxEssLocations,
+                           &req.options.points_per_dim)) {
+        return Status::InvalidArgument(
+            "points must be an integer in [0, " +
+            std::to_string(kMaxEssLocations) + "]: " + value);
+      }
     } else if (key == "ratio") {
-      req.options.contour_cost_ratio = std::atof(value.c_str());
+      // Ess::TryBuild rejects ratios <= 1.
+      if (!ParseFiniteDouble(value, &req.options.contour_cost_ratio)) {
+        return Status::InvalidArgument("malformed ratio: " + value);
+      }
     } else if (key == "build") {
       if (value == "exhaustive") {
         req.options.ess_build_mode = EssBuildMode::kExhaustive;
@@ -109,9 +133,10 @@ Status ParseSubmitLine(const std::string& line, ServiceRequest* out) {
         req.options.ess_build_mode = EssBuildMode::kExact;
       } else if (value.rfind("recost:", 0) == 0) {
         req.options.ess_build_mode = EssBuildMode::kRecost;
-        req.options.recost_lambda = std::atof(value.c_str() + 7);
-        if (req.options.recost_lambda <= 1.0) {
-          return Status::InvalidArgument("recost lambda must be > 1");
+        if (!ParseFiniteDouble(value.substr(7), &req.options.recost_lambda) ||
+            req.options.recost_lambda <= 1.0) {
+          return Status::InvalidArgument(
+              "recost lambda must be a finite number > 1: " + value);
         }
       } else {
         return Status::InvalidArgument(

@@ -22,12 +22,16 @@
 //   SHUTDOWN  -> stops the whole server
 //
 // SUBMIT keys mirror ServiceRequest / RequestOptions: query, mode
-// (native|pb|sb|ab), qa (comma-separated selectivities), budget,
-// deadline_ms, use_engine (0|1), threads (a whole integer in
-// [0, kMaxSubmitThreads]; 0 = all cores), shards (scatter-gather workers
-// for full engine runs, a whole integer in [0, kMaxSubmitShards]; <= 1
-// is unsharded; results are bit-identical at any value), points, ratio,
-// build (exhaustive|exact|recost:<l>), compression
+// (native|pb|sb|ab), qa (comma-separated finite selectivities), budget
+// and deadline_ms (finite numbers; negative = none), use_engine (0|1),
+// threads (a whole integer in [0, kMaxSubmitThreads]; 0 = all cores),
+// shards (scatter-gather workers for full engine runs, a whole integer in
+// [0, kMaxSubmitShards]; <= 1 is unsharded; results are bit-identical at
+// any value), points (a whole integer in [0, kMaxEssLocations]; 0 = the
+// per-D default; 1 or a points^D grid past kMaxEssLocations is refused
+// with InvalidArgument when the ESS is built), ratio (a finite number;
+// <= 1 is refused the same way), build (exhaustive|exact|recost:<l>, l a
+// finite number > 1), compression
 // (auto|raw|packed|vbyte|dict|on|off — the catalog's storage encoding;
 // raw also disables fused execution), fused (0|1 — decode-then-filter
 // override on encoded columns), storage (resident|mmap — catalog
@@ -64,8 +68,8 @@ constexpr int kMaxSubmitThreads = 64;
 constexpr int kMaxSubmitShards = 1024;
 
 /// Parses one SUBMIT line ("SUBMIT key=value ...") into a ServiceRequest.
-/// Returns InvalidArgument on unknown keys, malformed values, or
-/// out-of-range threads / shards.
+/// Returns InvalidArgument on unknown keys, malformed values (numbers
+/// must be whole and finite), or out-of-range threads / shards / points.
 Status ParseSubmitLine(const std::string& line, ServiceRequest* out);
 
 /// Renders the one-line wire answer for a response: "OK ..." when the

@@ -41,18 +41,6 @@ bool ParseEncoding(const std::string& token, Encoding* out) {
   return true;
 }
 
-std::string EncodingPolicy::CacheKey() const {
-  std::string key = EncodingName(kind);
-  if (kind == Encoding::kAuto || kind == Encoding::kDict ||
-      !per_column.empty()) {
-    key += "/" + std::to_string(dict_max_card);
-  }
-  for (const auto& [col, enc] : per_column) {  // std::map: sorted, stable
-    key += "," + col + "=" + EncodingName(enc);
-  }
-  return key;
-}
-
 namespace bitpack {
 
 int WidthFor(uint64_t range) {

@@ -124,9 +124,6 @@ struct EncodingPolicy {
     p.kind = Encoding::kRaw;
     return p;
   }
-
-  /// Deterministic string for context-cache keys ("auto/4096", ...).
-  std::string CacheKey() const;
 };
 
 // ---------------------------------------------------------------------------

@@ -134,15 +134,6 @@ class ColumnData {
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
 
-  void Reserve(int64_t n) {
-    if (enc_ != nullptr) return;  // encoders size themselves per block
-    if (type_ == DataType::kInt64) {
-      ints_.reserve(static_cast<size_t>(n));
-    } else {
-      doubles_.reserve(static_cast<size_t>(n));
-    }
-  }
-
   /// Re-encodes the current (raw) values with the given layout and drops
   /// the raw vectors. kRaw and already-encoded columns are left alone.
   void Encode(Encoding encoding, int64_t dict_max_card);

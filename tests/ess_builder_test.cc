@@ -110,30 +110,44 @@ TEST(EssBuilderTest, ExactCutsOptimizerCallsAtLeast5xOn2D40) {
 }
 
 TEST(EssBuilderTest, LevelParallelRefinementIsDeterministic) {
-  // The corner batches of each refinement level are optimized in
-  // parallel; the merge (ascending linear order) must make the surface,
-  // the plan-pool interning order, and the build stats independent of
-  // the thread count.
+  // The corner batches of each refinement level, and the whole kExhaustive
+  // sweep, are optimized in parallel; the merge (ascending linear order)
+  // must make the surface, the plan-pool interning order, and the build
+  // stats independent of the thread count. 20x20 = 400 locations is past
+  // the 256-location threshold below which the builder runs serially.
   const std::shared_ptr<Catalog> catalog = ContextCache::TpcdsCatalog();
   const Query query = MakeSuiteQuery("2D_Q91");
-  Ess::Config config = BaseConfig(20);
-  config.build_mode = EssBuildMode::kExact;
-  auto serial = Ess::Build(*catalog, query, config);
-  config.num_threads = 4;
-  auto parallel = Ess::Build(*catalog, query, config);
+  for (EssBuildMode mode : {EssBuildMode::kExact, EssBuildMode::kExhaustive}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Ess::Config config = BaseConfig(20);
+    config.build_mode = mode;
+    auto serial = Ess::Build(*catalog, query, config);
+    config.num_threads = 4;
+    auto parallel = Ess::Build(*catalog, query, config);
+    ASSERT_GE(serial->num_locations(), 256);
 
-  ExpectIdenticalSurfaces(*serial, *parallel);
-  EXPECT_EQ(serial->build_stats().optimizer_calls,
-            parallel->build_stats().optimizer_calls);
-  EXPECT_EQ(serial->build_stats().exact_points,
-            parallel->build_stats().exact_points);
-  EXPECT_EQ(serial->build_stats().recosted_points,
-            parallel->build_stats().recosted_points);
-  EXPECT_EQ(serial->build_stats().cells_certified,
-            parallel->build_stats().cells_certified);
-  EXPECT_EQ(serial->build_stats().cells_refined,
-            parallel->build_stats().cells_refined);
-  EXPECT_EQ(serial->build_stats().fell_back, parallel->build_stats().fell_back);
+    ExpectIdenticalSurfaces(*serial, *parallel);
+    ASSERT_EQ(serial->pool().size(), parallel->pool().size());
+    for (int i = 0; i < serial->pool().size(); ++i) {
+      EXPECT_EQ(serial->pool().plans()[static_cast<size_t>(i)]->signature(),
+                parallel->pool().plans()[static_cast<size_t>(i)]->signature())
+          << "pool order differs at " << i;
+    }
+    EXPECT_EQ(serial->build_stats().optimizer_calls,
+              parallel->build_stats().optimizer_calls);
+    EXPECT_EQ(serial->build_stats().exact_points,
+              parallel->build_stats().exact_points);
+    EXPECT_EQ(serial->build_stats().recosted_points,
+              parallel->build_stats().recosted_points);
+    EXPECT_EQ(serial->build_stats().cells_certified,
+              parallel->build_stats().cells_certified);
+    EXPECT_EQ(serial->build_stats().cells_refined,
+              parallel->build_stats().cells_refined);
+    EXPECT_EQ(serial->build_stats().max_deviation_bound,
+              parallel->build_stats().max_deviation_bound);
+    EXPECT_EQ(serial->build_stats().fell_back,
+              parallel->build_stats().fell_back);
+  }
 }
 
 TEST(EssBuilderTest, FallbackToExhaustiveSweepOnLowFraction) {

