@@ -251,14 +251,16 @@ void EssBuilder::CertifyOrSplit(const Box& box, std::vector<Box>* next) {
   }
 }
 
-void EssBuilder::Fill(const FillJob& job) {
+void EssBuilder::Fill(int job_index) {
+  const FillJob& job = fills_[static_cast<size_t>(job_index)];
   ForEachPoint(job.box, [&](int64_t lin) {
     if (state_[static_cast<size_t>(lin)] != 0) return;
-    const EssPoint q = ess_->SelAt(ess_->FromLinear(lin));
-    double best = ess_->optimizer_->PlanCost(*job.plans.front(), q);
+    Decode(lin);
+    LoadSel();
+    double best = ess_->optimizer_->PlanCost(*job.plans.front(), q_);
     const Plan* best_plan = job.plans.front();
     for (size_t i = 1; i < job.plans.size(); ++i) {
-      const double c = ess_->optimizer_->PlanCost(*job.plans[i], q);
+      const double c = ess_->optimizer_->PlanCost(*job.plans[i], q_);
       if (c < best) {
         best = c;
         best_plan = job.plans[i];
@@ -267,6 +269,8 @@ void EssBuilder::Fill(const FillJob& job) {
     ess_->cost_[static_cast<size_t>(lin)] = best;
     ess_->plan_[static_cast<size_t>(lin)] = best_plan;
     state_[static_cast<size_t>(lin)] = 2;
+    filled_by_[static_cast<size_t>(lin)] = job_index;
+    dirty_[static_cast<size_t>(lin)] = 1;
     ++stats_.recosted_points;
     // PCM: the true optimum at q is at least the cell's bottom-corner
     // optimum, so best/bottom soundly bounds the realized deviation (it
@@ -277,27 +281,24 @@ void EssBuilder::Fill(const FillJob& job) {
   });
 }
 
-template <typename Fn>
-void EssBuilder::ForEachNeighbour(const GridLoc& loc, Fn fn) const {
-  // Odometer over {-1, 0, +1}^D offsets, skipping all-zero and
-  // out-of-grid neighbours.
-  std::vector<int> off(static_cast<size_t>(dims_), -1);
+void EssBuilder::InitGridPasses() {
+  const size_t total = static_cast<size_t>(ess_->num_locations());
+  filled_by_.assign(total, -1);
+  dirty_.assign(total, 0);
+  changed_at_.assign(total, 0);
+  visited_at_.assign(total, -1);
+  // Odometer over {-1, 0, +1}^D offsets (last dimension fastest),
+  // skipping the all-zero one.
+  const size_t dims = static_cast<size_t>(dims_);
+  std::vector<int> off(dims, -1);
   while (true) {
-    bool all_zero = true;
-    bool in_grid = true;
-    for (int d = 0; d < dims_ && in_grid; ++d) {
-      const size_t sd = static_cast<size_t>(d);
-      if (off[sd] != 0) all_zero = false;
-      const int v = loc[sd] + off[sd];
-      if (v < 0 || v >= ess_->points()) in_grid = false;
+    Neighbour n;
+    for (size_t d = 0; d < dims; ++d) {
+      n.delta += off[d] * ess_->strides_[d];
+      if (off[d] < 0) n.down |= uint32_t{1} << d;
+      if (off[d] > 0) n.up |= uint32_t{1} << d;
     }
-    if (!all_zero && in_grid) {
-      GridLoc nloc = loc;
-      for (int d = 0; d < dims_; ++d) {
-        nloc[static_cast<size_t>(d)] += off[static_cast<size_t>(d)];
-      }
-      fn(ess_->ToLinear(nloc));
-    }
+    if (n.delta != 0) stencil_.push_back(n);
     int d = dims_ - 1;
     for (; d >= 0; --d) {
       const size_t sd = static_cast<size_t>(d);
@@ -305,6 +306,38 @@ void EssBuilder::ForEachNeighbour(const GridLoc& loc, Fn fn) const {
       off[sd] = -1;
     }
     if (d < 0) break;
+  }
+  loc_.assign(dims, 0);
+  q_.assign(dims, 0.0);
+}
+
+bool EssBuilder::Decode(int64_t lin) {
+  const int points = ess_->points();
+  at_low_ = 0;
+  at_high_ = 0;
+  for (int d = 0; d < dims_; ++d) {
+    const size_t sd = static_cast<size_t>(d);
+    const int v = static_cast<int>((lin / ess_->strides_[sd]) % points);
+    loc_[sd] = v;
+    if (v == 0) at_low_ |= uint32_t{1} << d;
+    if (v == points - 1) at_high_ |= uint32_t{1} << d;
+  }
+  return (at_low_ | at_high_) == 0;
+}
+
+void EssBuilder::LoadSel() {
+  for (int d = 0; d < dims_; ++d) {
+    const size_t sd = static_cast<size_t>(d);
+    q_[sd] = ess_->axis_.value(loc_[sd]);
+  }
+}
+
+template <typename Fn>
+void EssBuilder::ForEachNeighbour(int64_t lin, Fn fn) const {
+  for (const Neighbour& n : stencil_) {
+    // Off the grid: a step down from the low face or up from the high one.
+    if (((n.down & at_low_) | (n.up & at_high_)) != 0) continue;
+    fn(lin + n.delta);
   }
 }
 
@@ -315,60 +348,103 @@ void EssBuilder::ForEachNeighbour(const GridLoc& loc, Fn fn) const {
 // optimal-cost surface and never crosses it, and exact locations (already
 // at the optimum) can never change. The stencil includes diagonals:
 // region tips are regularly connected to their region only diagonally.
+//
+// Passes run in ascending lin order (Gauss-Seidel), as a worklist: a pass
+// visits only dirty locations, and a visit costs only plans it has not
+// costed before, taken from neighbours that changed since its previous
+// visit. Both cuts are exact, so every pass ends in the state a full pass
+// would reach:
+//  * a location's cost only falls, and a recosted location's cost is its
+//    own plan's PlanCost. So a plan costed there before (by Fill, as one
+//    of its cell's candidates, at an earlier visit, or earlier in this
+//    one) was not cheaper then and cannot be now, and the location's own
+//    plan cannot win back either;
+//  * so a neighbour that kept its plan since the previous visit offers
+//    nothing new, and a visit with no such neighbour changes nothing.
+//    Fill marks each location it fills dirty; every later plan change
+//    (adoption here, re-optimization in junction repair) goes through
+//    MarkChanged, which stamps it and marks the neighbours dirty.
+// A pass that changes nothing ends the loop.
 void EssBuilder::Relax() {
   const int64_t total = ess_->num_locations();
+  seen_at_.resize(static_cast<size_t>(ess_->pool_.size()), 0);
   bool changed = true;
   while (changed) {
     changed = false;
     for (int64_t lin = 0; lin < total; ++lin) {
-      if (state_[static_cast<size_t>(lin)] != 2) continue;
-      const GridLoc loc = ess_->FromLinear(lin);
-      EssPoint q;
+      const size_t slin = static_cast<size_t>(lin);
+      if (!dirty_[slin]) continue;
+      dirty_[slin] = 0;
+      if (state_[slin] != 2) continue;
+      const int64_t since = visited_at_[slin];
+      visited_at_[slin] = events_;
+      Decode(lin);
+      const Plan* plan = ess_->plan_[slin];
+      double cost = ess_->cost_[slin];
+      // Marks p seen at this visit; false if it already was.
+      const int64_t visit = ++visits_;
+      const auto newly_seen = [&](const Plan* p) {
+        int64_t& at = seen_at_[static_cast<size_t>(p->pool_index())];
+        if (at == visit) return false;
+        at = visit;
+        return true;
+      };
+      const FillJob& job = fills_[static_cast<size_t>(filled_by_[slin])];
+      for (const Plan* p : job.plans) newly_seen(p);
+      newly_seen(plan);
       bool have_q = false;
-      ForEachNeighbour(loc, [&](int64_t nlin) {
-        const Plan* np = ess_->plan_[static_cast<size_t>(nlin)];
-        if (np == ess_->plan_[static_cast<size_t>(lin)]) return;
+      ForEachNeighbour(lin, [&](int64_t nlin) {
+        const size_t sn = static_cast<size_t>(nlin);
+        if (changed_at_[sn] <= since) return;
+        const Plan* np = ess_->plan_[sn];
+        if (!newly_seen(np)) return;
         if (!have_q) {
-          q = ess_->SelAt(loc);
+          LoadSel();
           have_q = true;
         }
-        const double c = ess_->optimizer_->PlanCost(*np, q);
-        if (c < ess_->cost_[static_cast<size_t>(lin)]) {
-          ess_->cost_[static_cast<size_t>(lin)] = c;
-          ess_->plan_[static_cast<size_t>(lin)] = np;
-          changed = true;
+        const double c = ess_->optimizer_->PlanCost(*np, q_);
+        if (c < cost) {
+          cost = c;
+          plan = np;
         }
       });
+      if (plan == ess_->plan_[slin]) continue;
+      ess_->cost_[slin] = cost;
+      ess_->plan_[slin] = plan;
+      MarkChanged(lin);
+      changed = true;
     }
   }
 }
 
-std::vector<int64_t> EssBuilder::JunctionSuspects() const {
+void EssBuilder::MarkChanged(int64_t lin) {
+  changed_at_[static_cast<size_t>(lin)] = ++events_;
+  Decode(lin);
+  ForEachNeighbour(lin, [&](int64_t nlin) {
+    dirty_[static_cast<size_t>(nlin)] = 1;
+  });
+}
+
+std::vector<int64_t> EssBuilder::JunctionSuspects() {
   std::vector<int64_t> suspects;
   const int64_t total = ess_->num_locations();
   std::vector<const Plan*> seen;
   for (int64_t lin = 0; lin < total; ++lin) {
     if (state_[static_cast<size_t>(lin)] != 2) continue;
-    const GridLoc loc = ess_->FromLinear(lin);
     // On a grid face the stencil is truncated (a sliver there shows fewer
     // distinct neighbours), so any face point next to a plan change is
     // suspect; in the interior three regions must meet.
-    bool on_face = false;
-    for (int d = 0; d < dims_; ++d) {
-      const int v = loc[static_cast<size_t>(d)];
-      if (v == 0 || v == ess_->points() - 1) on_face = true;
-    }
-    seen.clear();
-    seen.push_back(ess_->plan_[static_cast<size_t>(lin)]);
-    ForEachNeighbour(loc, [&](int64_t nlin) {
+    const bool interior = Decode(lin);
+    const size_t enough = interior ? 3 : 2;
+    seen.assign(1, ess_->plan_[static_cast<size_t>(lin)]);
+    ForEachNeighbour(lin, [&](int64_t nlin) {
+      if (seen.size() == enough) return;
       const Plan* np = ess_->plan_[static_cast<size_t>(nlin)];
       if (std::find(seen.begin(), seen.end(), np) == seen.end()) {
         seen.push_back(np);
       }
     });
-    if (static_cast<int>(seen.size()) >= (on_face ? 2 : 3)) {
-      suspects.push_back(lin);
-    }
+    if (seen.size() == enough) suspects.push_back(lin);
   }
   return suspects;
 }
@@ -426,7 +502,8 @@ Status EssBuilder::Refine() {
     frontier = std::move(next);
   }
 
-  for (const FillJob& job : fills_) Fill(job);
+  InitGridPasses();
+  for (size_t i = 0; i < fills_.size(); ++i) Fill(static_cast<int>(i));
   Relax();
   if (ess_->config_.build_mode != EssBuildMode::kExact) return Status::OK();
   // Junction repair (see the header): re-optimize recosted locations
@@ -441,6 +518,7 @@ Status EssBuilder::Refine() {
       stats_.fell_back = true;
       return Sweep();
     }
+    for (int64_t lin : suspects) MarkChanged(lin);
     Relax();
   }
 }

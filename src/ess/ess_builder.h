@@ -35,19 +35,20 @@
 //    wider than a few grid steps whose corners disagree is not refined
 //    further; its interior is filled with the minimum over the recosted
 //    surfaces of the corner (and in-cell witness) plans. Afterwards a
-//    zero-optimizer-cost relaxation pass sweeps the grid to a fixpoint,
-//    letting every recosted location adopt any axis-neighbour's plan that
-//    strictly lowers its cost. Plan-diagram regions are connected in
-//    practice, and every region wide enough to matter is discovered at
-//    some refinement corner, so relaxation floods each region's plan
-//    across its true extent — repairing the rare interior points whose
-//    optimal plan region misses the local cell's corner set. Every
-//    relaxed value is a genuine plan cost, so the surface only ever moves
-//    down towards (never past) the true optimum, and already-optimal
-//    locations are immune. Unlike corner tracing down to unit cells,
-//    whose optimizer-call count is proportional to the total length of
-//    the region boundaries, leaf cells keep the call count proportional
-//    to the coarse lattice.
+//    zero-optimizer-cost relaxation sweeps the grid to a fixpoint,
+//    letting every recosted location adopt any neighbour's plan that
+//    strictly lowers its cost; it runs as a dirty worklist that reaches
+//    the same values pass for pass as full sweeps (see Relax).
+//    Plan-diagram regions are connected in practice, and every region
+//    wide enough to matter is discovered at some refinement corner, so
+//    relaxation floods each region's plan across its true extent —
+//    repairing the rare interior points whose optimal plan region misses
+//    the local cell's corner set. Every relaxed value is a genuine plan
+//    cost, so the surface only ever moves down towards (never past) the
+//    true optimum, and already-optimal locations are immune. Unlike
+//    corner tracing down to unit cells, whose optimizer-call count is
+//    proportional to the total length of the region boundaries, leaf
+//    cells keep the call count proportional to the coarse lattice.
 //  * Junction repair (kExact only): plan regions too small to reach any
 //    refinement corner (single-point slivers exist even on 24x24 seed
 //    grids) are invisible to every fill above. Such slivers sit where
@@ -71,8 +72,12 @@
 //  * Exhaustive fallback: when the call count crosses
 //    Config::refine_fallback_fraction of the grid, the remaining
 //    locations are optimized by the kExhaustive build's own sweep
-//    (recorded in BuildStats::fell_back) — degenerate surfaces then cost
-//    no more than the plain exhaustive build.
+//    (recorded in BuildStats::fell_back). A fallen-back build makes the
+//    exhaustive build's optimizer calls plus the serial fill, relaxation
+//    and junction passes that came before the fallback: BM_EssBuild on
+//    4D_Q91 at 10 points (Release, 4-vCPU VM) measures Exact at
+//    1.1-1.2x Exhaustive with --threads 1 and about 1.5x with
+//    --threads 4, where those passes do not parallelize.
 
 #ifndef ROBUSTQP_ESS_ESS_BUILDER_H_
 #define ROBUSTQP_ESS_ESS_BUILDER_H_
@@ -142,18 +147,31 @@ class EssBuilder {
   /// Sweep() once the call budget is crossed or a corner faults.
   Status Refine();
   /// Recosts the cell's not-yet-assigned locations.
-  void Fill(const FillJob& job);
+  void Fill(int job_index);
   /// Fixpoint sweep: recosted locations adopt any neighbouring plan (full
-  /// 3^D - 1 stencil) that strictly lowers their cost. No optimizer calls.
+  /// 3^D - 1 stencil) that strictly lowers their cost. Visits only dirty
+  /// locations (see the .cc). No optimizer calls.
   void Relax();
+  /// Records that lin's plan changed: stamps changed_at_ and marks its
+  /// stencil neighbours dirty for Relax.
+  void MarkChanged(int64_t lin);
   /// Recosted locations whose neighbourhood (self + 3^D - 1 stencil)
   /// carries three or more distinct plans — plan-diagram junctions, where
   /// sliver regions too small to reach any refinement corner live.
-  std::vector<int64_t> JunctionSuspects() const;
-  /// Invokes fn(lin) for every in-grid neighbour of loc in the full
-  /// 3^D - 1 stencil.
+  std::vector<int64_t> JunctionSuspects();
+  /// Sizes the per-location state of Fill and Relax, builds the stencil
+  /// and sizes the loc_/q_ scratch (refinement builds only: the stencil
+  /// has 3^D - 1 entries).
+  void InitGridPasses();
+  /// Decodes lin into loc_, at_low_ and at_high_; true iff no coordinate
+  /// is on a grid face, so every stencil neighbour is in the grid.
+  bool Decode(int64_t lin);
+  /// Sets q_ to the selectivities at loc_.
+  void LoadSel();
+  /// Invokes fn(nlin) for every in-grid neighbour of lin, in stencil
+  /// order; lin must be the location last decoded.
   template <typename Fn>
-  void ForEachNeighbour(const GridLoc& loc, Fn fn) const;
+  void ForEachNeighbour(int64_t lin, Fn fn) const;
   /// Invokes fn(lin) for every location in the box (row-major order).
   template <typename Fn>
   void ForEachPoint(const Box& box, Fn fn) const;
@@ -168,6 +186,38 @@ class EssBuilder {
   int leaf_span_ = 4;
   /// Per location: 0 = unassigned, 1 = exact (optimizer), 2 = recosted.
   std::vector<uint8_t> state_;
+  /// Per recosted location: the fills_ index that filled it (-1 = none).
+  std::vector<int> filled_by_;
+  /// Relax worklist: 1 where a location's neighbourhood (or its own fill)
+  /// changed since Relax last visited it.
+  std::vector<uint8_t> dirty_;
+  /// Plan changes counted in order: the event at which each location's
+  /// plan last changed (0 = not since its fill or optimization), and the
+  /// count as of each location's last Relax visit (-1 = never visited).
+  int64_t events_ = 0;
+  std::vector<int64_t> changed_at_;
+  std::vector<int64_t> visited_at_;
+  /// One of the 3^D - 1 neighbour offsets: its linear-index delta and the
+  /// dimensions it steps down / up in, as bit masks.
+  struct Neighbour {
+    int64_t delta = 0;
+    uint32_t down = 0;
+    uint32_t up = 0;
+  };
+  /// The stencil in odometer order over {-1, 0, +1}^D, last dimension
+  /// fastest.
+  std::vector<Neighbour> stencil_;
+  /// Reused scratch of the serial grid passes (Fill, Relax,
+  /// JunctionSuspects): the decoded location, the dimensions in which it
+  /// sits on the low / high grid face, and its selectivities.
+  GridLoc loc_;
+  uint32_t at_low_ = 0;
+  uint32_t at_high_ = 0;
+  EssPoint q_;
+  /// Relax visits counted in order, and per pool plan (by pool_index) the
+  /// last visit that costed or skipped it.
+  int64_t visits_ = 0;
+  std::vector<int64_t> seen_at_;
   /// Certified cells, recosted only after refinement finishes so exact
   /// results always win on shared faces.
   std::vector<FillJob> fills_;

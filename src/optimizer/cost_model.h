@@ -106,7 +106,17 @@ class CostModel {
   /// Cost of a sort-merge join: sort both inputs (n log2 n), merge, emit.
   double SortMergeJoinCost(double left_rows, double right_rows,
                            double out_rows) const {
-    return params_.sort_tuple * (SortTerm(left_rows) + SortTerm(right_rows)) +
+    return SortMergeJoinCost(left_rows, right_rows, out_rows,
+                             SortTerm(left_rows), SortTerm(right_rows));
+  }
+
+  /// SortMergeJoinCost with the inputs' SortTerm values precomputed (the
+  /// optimizer DP evaluates them once per table subset); bit-identical to
+  /// the overload above.
+  double SortMergeJoinCost(double left_rows, double right_rows,
+                           double out_rows, double left_sort,
+                           double right_sort) const {
+    return params_.sort_tuple * (left_sort + right_sort) +
            params_.merge_tuple * (left_rows + right_rows) +
            params_.join_output_tuple * out_rows;
   }

@@ -62,6 +62,13 @@ CardinalityEstimator::CardinalityEstimator(const Catalog* catalog,
         std::max<int64_t>(1, std::max(ls->distinct_count, rs->distinct_count)));
     native_join_sel_.push_back(std::clamp(1.0 / ndv, 1e-12, 1.0));
   }
+
+  for (int f = 0; f < static_cast<int>(query->filters().size()); ++f) {
+    filter_dim_.push_back(query->EppDimensionOfFilter(f));
+  }
+  for (int j = 0; j < query->num_joins(); ++j) {
+    join_dim_.push_back(query->EppDimensionOfJoin(j));
+  }
 }
 
 double CardinalityEstimator::FilteredRows(int table_idx,

@@ -35,7 +35,7 @@ class CardinalityEstimator {
   /// value if the filter is an error-prone predicate, else the native
   /// histogram estimate.
   double FilterSelectivityAt(int filter_idx, const EssPoint& q) const {
-    const int dim = query_->EppDimensionOfFilter(filter_idx);
+    const int dim = filter_dim_[static_cast<size_t>(filter_idx)];
     return dim >= 0 ? q[static_cast<size_t>(dim)]
                     : filter_sel_[static_cast<size_t>(filter_idx)];
   }
@@ -59,7 +59,7 @@ class CardinalityEstimator {
   /// Selectivity of join `join_idx` at ESS location `q`: the injected
   /// value if the join is an epp, else the native estimate.
   double JoinSelectivity(int join_idx, const EssPoint& q) const {
-    const int dim = query_->EppDimensionOfJoin(join_idx);
+    const int dim = join_dim_[static_cast<size_t>(join_idx)];
     return dim >= 0 ? q[static_cast<size_t>(dim)]
                     : native_join_sel_[static_cast<size_t>(join_idx)];
   }
@@ -75,6 +75,10 @@ class CardinalityEstimator {
   std::vector<double> raw_rows_;         // per table index
   std::vector<double> filter_sel_;       // per filter index
   std::vector<double> native_join_sel_;  // per join index
+  // Query::EppDimensionOf{Filter,Join} per predicate, resolved once: the
+  // lookups sit on every PlanCost and DP call.
+  std::vector<int> filter_dim_;  // per filter index
+  std::vector<int> join_dim_;    // per join index
 };
 
 }  // namespace robustqp

@@ -28,6 +28,8 @@ struct Optimizer::DpArena {
   std::vector<double> filtered_rows;  // per table index, at the current q
   std::vector<double> join_sel;       // per join index, at the current q
   std::vector<double> card;
+  std::vector<double> sort_term;  // CostModel::SortTerm(card[mask])
+  int states = 1;                 // DP states per mask of the last RunDp
   std::vector<DpCell> dp;
 };
 
@@ -124,7 +126,9 @@ void Optimizer::ComputeCards(const EssPoint& q, DpArena* arena) const {
   }
 
   std::vector<double>& card = arena->card;
+  std::vector<double>& sort_term = arena->sort_term;
   card.assign(full + 1, 0.0);
+  sort_term.assign(full + 1, 0.0);
   for (uint64_t mask = 1; mask <= full; ++mask) {
     if (!connected_[mask]) continue;
     double c = 1.0;
@@ -140,18 +144,21 @@ void Optimizer::ComputeCards(const EssPoint& q, DpArena* arena) const {
     // break the *strict* plan cost monotonicity (Eq. (5)) the guarantees
     // rely on.
     card[mask] = c;
+    sort_term[mask] = CostModel::SortTerm(c);
   }
 }
 
-void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>& unlearned,
+void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
                       DpArena* arena) const {
   const int n = num_tables_;
   const uint64_t full = (uint64_t{1} << n) - 1;
-  const int S = num_states_;
+  const int S = unlearned != nullptr ? num_states_ : 1;
+  arena->states = S;
 
   ComputeCards(q, arena);
   const std::vector<double>& js = arena->join_sel;
   const std::vector<double>& card = arena->card;
+  const std::vector<double>& sort_term = arena->sort_term;
 
   std::vector<DpCell>& dp = arena->dp;
   dp.assign((full + 1) * static_cast<uint64_t>(S), DpCell{});
@@ -167,7 +174,8 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>& unlearned,
     int leaf_state = 0;
     for (int f : table_filters_[static_cast<size_t>(t)]) {
       const int dim = query_->EppDimensionOfFilter(f);
-      if (dim >= 0 && unlearned[static_cast<size_t>(dim)]) {
+      if (dim >= 0 && unlearned != nullptr &&
+          (*unlearned)[static_cast<size_t>(dim)]) {
         leaf_state = dim + 1;
         break;
       }
@@ -202,9 +210,9 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>& unlearned,
         if ((jm & s1) != 0 && (jm & s2) != 0) {
           ++num_cross;
           single_cross = j;
-          if (node_first == 0) {
+          if (node_first == 0 && unlearned != nullptr) {
             const int dim = query_->EppDimensionOfJoin(j);
-            if (dim >= 0 && unlearned[static_cast<size_t>(dim)]) {
+            if (dim >= 0 && (*unlearned)[static_cast<size_t>(dim)]) {
               node_first = dim + 1;
             }
           }
@@ -267,8 +275,9 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>& unlearned,
               local = a.op == PlanOp::kHashJoin
                           ? cost_model_.HashJoinCost(card[a.lm], card[a.rm],
                                                      card[mask])
-                          : cost_model_.SortMergeJoinCost(card[a.lm], card[a.rm],
-                                                          card[mask]);
+                          : cost_model_.SortMergeJoinCost(
+                                card[a.lm], card[a.rm], card[mask],
+                                sort_term[a.lm], sort_term[a.rm]);
               first_state = a.ls;
               second_state = a.rs;
             } else if (a.op == PlanOp::kNLJoin) {
@@ -311,11 +320,11 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>& unlearned,
   }
 }
 
-std::unique_ptr<PlanNode> Optimizer::Reconstruct(const std::vector<DpCell>& dp,
+std::unique_ptr<PlanNode> Optimizer::Reconstruct(const DpArena& arena,
                                                  uint64_t mask,
                                                  int state) const {
-  const int S = num_states_;
-  const DpCell& c = dp[mask * static_cast<uint64_t>(S) + static_cast<uint64_t>(state)];
+  const DpCell& c = arena.dp[mask * static_cast<uint64_t>(arena.states) +
+                             static_cast<uint64_t>(state)];
   RQP_CHECK(c.cost != kInf);
   auto node = std::make_unique<PlanNode>();
   if ((mask & (mask - 1)) == 0) {
@@ -328,8 +337,8 @@ std::unique_ptr<PlanNode> Optimizer::Reconstruct(const std::vector<DpCell>& dp,
     return node;
   }
   node->op = c.op;
-  node->left = Reconstruct(dp, c.left_mask, c.left_state);
-  node->right = Reconstruct(dp, c.right_mask, c.right_state);
+  node->left = Reconstruct(arena, c.left_mask, c.left_state);
+  node->right = Reconstruct(arena, c.right_mask, c.right_state);
   for (int j = 0; j < query_->num_joins(); ++j) {
     const uint64_t jm = join_masks_[static_cast<size_t>(j)];
     if ((jm & mask) != jm) continue;
@@ -343,12 +352,12 @@ std::unique_ptr<PlanNode> Optimizer::Reconstruct(const std::vector<DpCell>& dp,
 std::unique_ptr<Plan> Optimizer::Optimize(const EssPoint& q) const {
   RQP_CHECK(static_cast<int>(q.size()) == query_->num_epps());
   optimize_calls_.fetch_add(1, std::memory_order_relaxed);
-  const std::vector<bool> none(static_cast<size_t>(query_->num_epps()), false);
   DpArena& arena = ThreadArena();
-  RunDp(q, none, &arena);
+  // With no unlearned epps every subtree has state 0, so the single-state
+  // DP finds the same winners as the (mask, state) one.
+  RunDp(q, nullptr, &arena);
   const uint64_t full = (uint64_t{1} << num_tables_) - 1;
-  // With no unlearned epps, every subtree has state 0.
-  return std::make_unique<Plan>(query_, Reconstruct(arena.dp, full, 0));
+  return std::make_unique<Plan>(query_, Reconstruct(arena, full, 0));
 }
 
 Result<std::unique_ptr<Plan>> Optimizer::TryOptimize(const EssPoint& q) const {
@@ -372,13 +381,13 @@ std::unique_ptr<Plan> Optimizer::OptimizeConstrainedSpill(
   RQP_CHECK(dim >= 0 && dim < query_->num_epps());
   optimize_calls_.fetch_add(1, std::memory_order_relaxed);
   DpArena& arena = ThreadArena();
-  RunDp(q, unlearned, &arena);
+  RunDp(q, &unlearned, &arena);
   const uint64_t full = (uint64_t{1} << num_tables_) - 1;
   const int state = dim + 1;
   const DpCell& c = arena.dp[full * static_cast<uint64_t>(num_states_) +
                              static_cast<uint64_t>(state)];
   if (c.cost == kInf) return nullptr;
-  return std::make_unique<Plan>(query_, Reconstruct(arena.dp, full, state));
+  return std::make_unique<Plan>(query_, Reconstruct(arena, full, state));
 }
 
 // Computes per-node rows and cumulative costs. Cardinalities are kept as

@@ -100,19 +100,21 @@ class Optimizer {
 
   static DpArena& ThreadArena();
 
-  /// Fills the arena's per-table filtered rows, per-join selectivities
-  /// and per-mask cardinalities at `q` (the q-dependent quantities the DP
-  /// consumes).
+  /// Fills the arena's per-table filtered rows, per-join selectivities,
+  /// per-mask cardinalities and their sort terms at `q` (the q-dependent
+  /// quantities the DP consumes).
   void ComputeCards(const EssPoint& q, DpArena* arena) const;
 
-  /// Runs the (mask, state) DP into `arena` (resized as needed). `states`
-  /// is D+1: state 0 = no unlearned epp in subtree, state d+1 = first
-  /// unlearned epp is dimension d.
-  void RunDp(const EssPoint& q, const std::vector<bool>& unlearned,
+  /// Runs the (mask, state) DP into `arena` (resized as needed). With
+  /// `unlearned` there are D+1 states: state 0 = no unlearned epp in the
+  /// subtree, state d+1 = first unlearned epp is dimension d. Without it
+  /// (plain Optimize) only state 0 is reachable, so the DP keeps one
+  /// state per mask.
+  void RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
              DpArena* arena) const;
 
-  std::unique_ptr<PlanNode> Reconstruct(const std::vector<DpCell>& dp,
-                                        uint64_t mask, int state) const;
+  std::unique_ptr<PlanNode> Reconstruct(const DpArena& arena, uint64_t mask,
+                                        int state) const;
 
   double CostNode(const PlanNode& node, const EssPoint& q,
                   PlanCosting* out) const;

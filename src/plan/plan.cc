@@ -35,35 +35,56 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   return copy;
 }
 
-std::string PlanSignature(const PlanNode& node, const Query& query) {
-  std::ostringstream os;
+namespace {
+
+// Appends into one string rather than a stream per node: every plan the
+// optimizer returns gets a signature, so this sits on each ESS build's
+// per-location path.
+void AppendSignature(const PlanNode& node, const Query& query,
+                     std::string* out) {
   if (node.op == PlanOp::kSeqScan) {
-    os << "S(" << query.tables()[static_cast<size_t>(node.table_idx)];
-    for (int f : node.filter_indices) os << ",f" << f;
-    os << ")";
-    return os.str();
+    *out += "S(";
+    *out += query.tables()[static_cast<size_t>(node.table_idx)];
+    for (int f : node.filter_indices) {
+      *out += ",f";
+      *out += std::to_string(f);
+    }
+    *out += ')';
+    return;
   }
   switch (node.op) {
     case PlanOp::kHashJoin:
-      os << "HJ";
+      *out += "HJ";
       break;
     case PlanOp::kNLJoin:
-      os << "NLJ";
+      *out += "NLJ";
       break;
     case PlanOp::kIndexNLJoin:
-      os << "INLJ";
+      *out += "INLJ";
       break;
     case PlanOp::kSortMergeJoin:
-      os << "SMJ";
+      *out += "SMJ";
       break;
     case PlanOp::kSeqScan:
       break;  // handled above
   }
-  os << "(";
-  os << PlanSignature(*node.left, query) << "," << PlanSignature(*node.right, query);
-  for (int j : node.join_indices) os << ",j" << j;
-  os << ")";
-  return os.str();
+  *out += '(';
+  AppendSignature(*node.left, query, out);
+  *out += ',';
+  AppendSignature(*node.right, query, out);
+  for (int j : node.join_indices) {
+    *out += ",j";
+    *out += std::to_string(j);
+  }
+  *out += ')';
+}
+
+}  // namespace
+
+std::string PlanSignature(const PlanNode& node, const Query& query) {
+  std::string out;
+  AppendSignature(node, query, &out);
+  return out;
 }
 
 Plan::Plan(const Query* query, std::unique_ptr<PlanNode> root)

@@ -15,7 +15,7 @@
 namespace robustqp {
 
 /// Owns plans, dedups them by canonical signature, and assigns stable
-/// display names ("P1", "P2", ...) in interning order.
+/// display names ("P1", "P2", ...) and pool indices in interning order.
 class PlanPool {
  public:
   /// Interns `plan`: if an identical plan exists, returns the canonical

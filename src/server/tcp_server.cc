@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -50,6 +51,17 @@ bool ParseBoundedInt(const std::string& value, int64_t lo, int64_t hi,
     return false;
   }
   *out = static_cast<int>(v);
+  return true;
+}
+
+/// Parses `value` as a whole unsigned decimal that fits in uint64_t: no
+/// sign, no whitespace, no exponent.
+bool ParseUint64(const std::string& value, uint64_t* out) {
+  const char* end = value.data() + value.size();
+  uint64_t v = 0;
+  const std::from_chars_result r = std::from_chars(value.data(), end, v);
+  if (r.ec != std::errc() || r.ptr != end) return false;
+  *out = v;
   return true;
 }
 
@@ -173,8 +185,10 @@ Status ParseSubmitLine(const std::string& line, ServiceRequest* out) {
     } else if (key == "faults") {
       req.options.fault_spec = value;
     } else if (key == "seed") {
-      req.options.fault_seed =
-          static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
+      if (!ParseUint64(value, &req.options.fault_seed)) {
+        return Status::InvalidArgument(
+            "seed must be an unsigned 64-bit decimal integer: " + value);
+      }
     } else {
       return Status::InvalidArgument("unknown SUBMIT key: " + key);
     }

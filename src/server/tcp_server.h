@@ -39,7 +39,8 @@
 // responses are bit-identical across backends),
 // feedback (0|1 — closed-loop calibration,
 // warm-started discovery, and drift detection against the serving
-// instance's FeedbackStore), faults (spec string, no spaces), seed.
+// instance's FeedbackStore), faults (spec string, no spaces), seed (an
+// unsigned 64-bit decimal).
 // Unknown keys are an error; values never contain spaces.
 // Each SUBMIT is served synchronously on its connection (Submit + Wait) —
 // concurrency comes from concurrent connections, which is exactly how the

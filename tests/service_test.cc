@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <optional>
@@ -566,6 +567,28 @@ TEST(TcpProtocolTest, ParseSubmitLineRejectsNonNumericValues) {
   ASSERT_EQ(parse("points=" + std::to_string(kMaxEssLocations), &req),
             StatusCode::kOk);
   EXPECT_EQ(req.options.points_per_dim, kMaxEssLocations);
+}
+
+TEST(TcpProtocolTest, ParseSubmitLineAcceptsOnlyUnsignedDecimalSeeds) {
+  const auto parse = [](const std::string& seed, ServiceRequest* req) {
+    return ParseSubmitLine("SUBMIT query=2D_Q91 seed=" + seed, req).code();
+  };
+  // 2^64 is one past the largest uint64_t.
+  for (const std::string bad :
+       {"abc", "-1", "1e3", "", "18446744073709551616", "+5", "7x", "0x10"}) {
+    ServiceRequest req;
+    EXPECT_EQ(parse(bad, &req), StatusCode::kInvalidArgument) << bad;
+    ServiceResponse resp;
+    resp.status = ParseSubmitLine("SUBMIT query=2D_Q91 seed=" + bad, &req);
+    EXPECT_EQ(FormatResponseLine(resp).rfind("ERR code=2 ", 0), 0u) << bad;
+  }
+  ServiceRequest req;
+  ASSERT_EQ(parse("0", &req), StatusCode::kOk);
+  EXPECT_EQ(req.options.fault_seed, 0u);
+  ASSERT_EQ(parse("64", &req), StatusCode::kOk);
+  EXPECT_EQ(req.options.fault_seed, 64u);
+  ASSERT_EQ(parse("18446744073709551615", &req), StatusCode::kOk);
+  EXPECT_EQ(req.options.fault_seed, UINT64_MAX);
 }
 
 TEST(TcpProtocolTest, FormatResponseLineShapes) {
