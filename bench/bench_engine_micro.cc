@@ -104,6 +104,55 @@ BENCHMARK_CAPTURE(BM_JoinOperators, IndexNLJoin_ProbeDim_Batch,
                   PlanOp::kIndexNLJoin, false, Executor::Engine::kBatch)
     ->Unit(benchmark::kMillisecond);
 
+// Budget-aborting batch executions, the learning primitive of every
+// discovery algorithm. NLJ: store_sales streams past a materialized
+// date_dim inner; the budget pays for the inner pipeline plus ~100 outer
+// rows, so the run aborts inside its first outer morsels (PlanBouquet's
+// shape on 4D_Q91). HashJoin: the date_dim build completes and the
+// store_sales probe pipeline aborts halfway.
+void BM_BudgetedAbort(benchmark::State& state, PlanOp op) {
+  const Catalog& catalog = SharedCatalog();
+  Query q("abort_micro", {"store_sales", "date_dim"},
+          {{"store_sales", "ss_sold_date_sk", "date_dim", "d_date_sk", ""}},
+          {}, std::vector<int>{0});
+  auto scan_ss = std::make_unique<PlanNode>();
+  scan_ss->op = PlanOp::kSeqScan;
+  scan_ss->table_idx = 0;
+  auto scan_d = std::make_unique<PlanNode>();
+  scan_d->op = PlanOp::kSeqScan;
+  scan_d->table_idx = 1;
+  auto join = std::make_unique<PlanNode>();
+  join->op = op;
+  join->join_indices = {0};
+  const bool nlj = op == PlanOp::kNLJoin;
+  join->left = nlj ? std::move(scan_ss) : std::move(scan_d);
+  join->right = nlj ? std::move(scan_d) : std::move(scan_ss);
+  Plan plan(&q, std::move(join));
+  Executor exec(&catalog, CostModel::PostgresFlavour(),
+                EngineOpts(Executor::Engine::kBatch));
+  const CostParams& p = CostModel::PostgresFlavour().params();
+  const double inner = static_cast<double>(catalog.RowCount("date_dim"));
+  double budget = 0.0;
+  if (nlj) {
+    budget = inner * (p.scan_tuple + p.nlj_materialize_tuple) +
+             100.0 * (p.scan_tuple + inner * p.nlj_pair);
+  } else {
+    const auto full = exec.Execute(plan, -1.0);
+    RQP_CHECK(full.ok() && full->completed);
+    budget = 0.5 * full->cost_used;
+  }
+  for (auto _ : state) {
+    const auto res = exec.Execute(plan, budget);
+    RQP_CHECK(res.ok() && !res->completed);
+    benchmark::DoNotOptimize(res->cost_used);
+  }
+  state.counters["budget"] = budget;
+}
+BENCHMARK_CAPTURE(BM_BudgetedAbort, NLJ_FirstMorsel, PlanOp::kNLJoin)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BudgetedAbort, HashJoin_MidProbe, PlanOp::kHashJoin)
+    ->Unit(benchmark::kMillisecond);
+
 // Raw filter-kernel throughput over a 1M-row int64 column, away from any
 // engine overhead. `est` steers FilterRange onto the sparse (selection-list
 // append) or dense (bytemask + compaction) path; the value is chosen so the

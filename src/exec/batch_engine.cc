@@ -11,7 +11,7 @@
 //            (hash probe / index-NL probe / NLJ pair loop)  →  sink
 //            (root counter / hash build / NLJ materialize / sort buffer)
 //
-// and is driven in fixed-width morsels of kBatchRows source rows.
+// and is driven in morsels of at most kBatchRows source rows.
 // Filters run as tight column loops producing selection vectors; batches
 // are column-major and carry only the columns later stages actually
 // consume (join keys and sink payloads — the root pipeline usually
@@ -30,6 +30,18 @@
 // Sink data effects (hash inserts, sort/materialize appends, output
 // rows) are deferred until the morsel's budget check passes, so rollback
 // never has to undo a data structure.
+//
+// Two things keep an aborting run at bulk speed up to its abort point:
+//  * Slack-sized morsels (MorselSizer). Budgeted morsels start at 16 rows
+//    and double up to kBatchRows, capped at half the rows the remaining
+//    slack pays for at the pipeline's observed cost per committed row,
+//    and never cross a kBatchRows-aligned position. The morsel that
+//    crosses the budget — the only one replayed — is then usually one
+//    source row.
+//  * Amortized replay charges (WorkCtx::Charge). After an exact total T
+//    the next ~(budget - T) / max_event_cost events provably cannot cross
+//    the budget, so replay counts them without reducing the ledger and
+//    computes the total exactly again only when that allowance runs out.
 //
 // Unbudgeted scan pipelines run through the chunk driver described above
 // RunPipelineChunked.
@@ -56,6 +68,8 @@ namespace robustqp {
 namespace {
 
 constexpr int64_t kBatchRows = 1024;
+/// Width of the first morsel of a budgeted sequential pipeline.
+constexpr int64_t kFirstMorselRows = 16;
 
 // ---------------------------------------------------------------------------
 // Column references and resolved predicates
@@ -646,11 +660,45 @@ struct WorkCtx {
   bool Hazard() const {
     return budgeted && ledger->Total(*params) > budget;
   }
-  /// Tuple-order charge used by the replay interpreter.
+  /// Tuple-order charge used by the replay interpreter. Returns false on
+  /// the first event whose inclusion makes Total exceed the budget — the
+  /// tuple engine's abort event — but reduces the ledger only when
+  /// `free_charges` (events proven unable to cross) has run out.
   bool Charge(EventCount CostLedger::*counter) {
     ++((*ledger).*counter);
-    return !budgeted || ledger->Total(*params) <= budget;
+    if (!budgeted) return true;
+    if (free_charges > 0) {
+      --free_charges;
+      return true;
+    }
+    const double total = ledger->Total(*params);
+    if (total > budget) return false;
+    free_charges = FreeChargesAfter(total);
+    return true;
   }
+  /// Events that provably keep Total <= budget after an exact total T.
+  /// One event adds at most the largest CostParams constant to the exact
+  /// real-valued dot product, and Total's rounding error (a few ulps of a
+  /// sum of non-negative terms) is far below the 1e-12 relative margin
+  /// taken off both ends; the final -1 absorbs the rounding of the
+  /// quotient itself.
+  int64_t FreeChargesAfter(double total) const {
+    const double room = budget * (1.0 - 1e-12) - total * (1.0 + 1e-12);
+    if (!(room > 0.0)) return 0;
+    const CostParams& p = *params;
+    const double max_event_cost = std::max(
+        {p.scan_tuple, p.hash_build_tuple, p.hash_probe_tuple,
+         p.nlj_materialize_tuple, p.nlj_pair, p.join_output_tuple,
+         p.index_probe, p.index_fetch, p.sort_tuple, p.merge_tuple});
+    const double k = room / max_event_cost;  // +inf when every constant is 0
+    if (!(k < 0x1p62)) return int64_t{1} << 62;
+    return std::max<int64_t>(0, static_cast<int64_t>(k) - 1);
+  }
+  /// Replay charges known not to cross the budget; 0 forces an exact
+  /// total on the next Charge. Anything that writes the ledger outside
+  /// Charge must reset it (RestoreSnapshot does, and every replay starts
+  /// there).
+  int64_t free_charges = 0;
 };
 
 /// Per-pipeline-run scratch (one per worker in chunk-parallel mode).
@@ -692,6 +740,7 @@ MorselSnapshot TakeSnapshot(const Pipeline& p, const WorkCtx& ctx) {
 
 void RestoreSnapshot(const Pipeline& p, const MorselSnapshot& s, WorkCtx* ctx) {
   *ctx->ledger = s.ledger;
+  ctx->free_charges = 0;
   for (size_t i = 0; i < p.touched.size(); ++i) {
     (*ctx->stats)[static_cast<size_t>(p.touched[i])] = s.stats[i];
   }
@@ -885,10 +934,10 @@ int StepMerge(SmjState* m, NodeStats* st, Charger&& charge, size_t* out_li,
   }
 }
 
-/// Bulk-generates up to kBatchRows merge output rows. Returns false when
-/// a hazard check tripped (budgeted mode only; caller rolls back).
+/// Bulk-generates up to `limit` merge output rows. Returns false when a
+/// hazard check tripped (budgeted mode only; caller rolls back).
 bool MergeBulk(SmjState* m, const std::vector<MergeOut>& merge_out,
-               WorkCtx* ctx, Batch* out) {
+               int64_t limit, WorkCtx* ctx, Batch* out) {
   NodeStats& st = ctx->St(m->node_id);
   out->Reset(merge_out.size());
   auto count = [&](EventCount CostLedger::*counter) {
@@ -896,7 +945,7 @@ bool MergeBulk(SmjState* m, const std::vector<MergeOut>& merge_out,
     return true;
   };
   size_t li = 0, ri = 0;
-  while (out->n < kBatchRows) {
+  while (out->n < limit) {
     const int rc = StepMerge(m, &st, count, &li, &ri);
     if (rc == 1) {
       m->eof = true;
@@ -918,6 +967,43 @@ bool MergeBulk(SmjState* m, const std::vector<MergeOut>& merge_out,
 // ---------------------------------------------------------------------------
 // Bulk streaming stages
 // ---------------------------------------------------------------------------
+
+/// Counts the inner rows of `buf` whose keys equal row `i` of `in` and,
+/// unless `pos` is null, writes their positions to it in inner order. The
+/// single-key compare is a branch-free scan over the contiguous inner key
+/// column.
+int64_t NljMatches(const NljBuffer& buf, const std::vector<int>& in_keys,
+                   const Batch& in, int64_t i, int64_t* pos) {
+  int64_t m = 0;
+  if (buf.keys.size() == 1) {
+    const double key =
+        in.cols[static_cast<size_t>(in_keys[0])][static_cast<size_t>(i)];
+    const double* inner = buf.keys[0].data();
+    if (pos == nullptr) {
+      for (int64_t r = 0; r < buf.n; ++r) m += inner[r] == key;
+      return m;
+    }
+    for (int64_t r = 0; r < buf.n; ++r) {
+      pos[m] = r;
+      m += inner[r] == key;
+    }
+    return m;
+  }
+  for (int64_t r = 0; r < buf.n; ++r) {
+    bool match = true;
+    for (size_t k = 0; k < buf.keys.size(); ++k) {
+      if (in.cols[static_cast<size_t>(in_keys[k])][static_cast<size_t>(i)] !=
+          buf.keys[k][static_cast<size_t>(r)]) {
+        match = false;
+        break;
+      }
+    }
+    if (!match) continue;
+    if (pos != nullptr) pos[m] = r;
+    ++m;
+  }
+  return m;
+}
 
 /// Runs one stage over a batch. Returns false when a periodic hazard
 /// check tripped (budgeted mode only).
@@ -1066,29 +1152,23 @@ bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
     }
     case Stage::Kind::kNlj: {
       st.left_in += in.n;  // uncharged, as in the tuple engine
-      const NljBuffer* buf = s.nlj;
-      const size_t kw = buf->keys.size();
+      const NljBuffer& buf = *s.nlj;
+      sc->match_e.resize(static_cast<size_t>(buf.n));
+      int64_t* pos = w == 0 ? nullptr : sc->match_e.data();
       for (int64_t i = 0; i < in.n; ++i) {
-        ctx->ledger->nlj_pair += buf->n;
-        for (int64_t r = 0; r < buf->n; ++r) {
-          bool match = true;
-          for (size_t k = 0; k < kw; ++k) {
-            if (in.cols[static_cast<size_t>(s.in_keys[k])]
-                       [static_cast<size_t>(i)] !=
-                buf->keys[k][static_cast<size_t>(r)]) {
-              match = false;
-              break;
-            }
-          }
-          if (!match) continue;
-          ++matches;
-          for (size_t c = 0; c < w; ++c) {
-            const OutCol& oc = s.out_cols[c];
-            out->cols[c].push_back(
-                oc.from_input ? in.cols[static_cast<size_t>(oc.idx)]
-                                       [static_cast<size_t>(i)]
-                              : buf->pay[static_cast<size_t>(oc.idx)]
-                                        [static_cast<size_t>(r)]);
+        ctx->ledger->nlj_pair += buf.n;
+        const int64_t m = NljMatches(buf, s.in_keys, in, i, pos);
+        matches += m;
+        for (size_t c = 0; c < w; ++c) {
+          const OutCol& oc = s.out_cols[c];
+          std::vector<double>& dst = out->cols[c];
+          if (oc.from_input) {
+            dst.insert(dst.end(), static_cast<size_t>(m),
+                       in.cols[static_cast<size_t>(oc.idx)]
+                              [static_cast<size_t>(i)]);
+          } else {
+            const double* src = buf.pay[static_cast<size_t>(oc.idx)].data();
+            for (int64_t j = 0; j < m; ++j) dst.push_back(src[pos[j]]);
           }
         }
         if (ctx->budgeted && (i & 15) == 15) {
@@ -1358,9 +1438,10 @@ Status ReplayScanMorsel(const Pipeline& p, int64_t r0, int64_t r1,
   // charge, filters 0..j reached, filters 0..j-1 passed, nothing beyond —
   // so the abort row is the smallest m whose cumulative scan charge
   // pushes the canonical total past the budget, found by binary search
-  // without evaluating a single row. Aligned morsels sit inside one
-  // 4096-row block, so this is the common shape for pruned scans; any
-  // undecided (kSome) filter falls through to the row-at-a-time loop.
+  // without evaluating a single row. Slack-sized morsels never cross a
+  // kBatchRows-aligned position, so each sits inside one 4096-row block
+  // and this is the common shape for pruned scans; any undecided (kSome)
+  // filter falls through to the row-at-a-time loop.
   if (ctx->use_zone_maps && !s.filters.empty()) {
     size_t j = 0;
     kernels::ZoneMatch zm = kernels::ZoneMatch::kAll;
@@ -1471,30 +1552,79 @@ bool StagesBulk(const Pipeline& p, Batch* src, WorkCtx* ctx, Scratch* sc,
   return true;
 }
 
+/// Sizes the morsels of a budgeted sequential pipeline so that the one
+/// crossing the budget, the only one replayed tuple-at-a-time, is small:
+///  * widths start at kFirstMorselRows and double up to kBatchRows;
+///  * once rows have committed, a morsel is capped at half the rows the
+///    remaining slack pays for at the pipeline's observed cost per
+///    committed row, so near the budget morsels shrink to one row;
+///  * no morsel crosses a kBatchRows-aligned position, so a scan morsel
+///    stays inside one zone block.
+/// Positions count source rows (scan) or merge output rows (merge).
+/// Sizing is physical only: every count is order-independent and sink
+/// data is applied in row order, so results never depend on it.
+class MorselSizer {
+ public:
+  explicit MorselSizer(const WorkCtx& ctx)
+      : start_total_(ctx.ledger->Total(*ctx.params)) {}
+
+  /// Rows of the next morsel, which starts at position `pos`.
+  int64_t Next(int64_t pos, const WorkCtx& ctx) const {
+    int64_t rows = std::min(width_, kBatchRows - pos % kBatchRows);
+    if (committed_ > 0) {
+      const double total = ctx.ledger->Total(*ctx.params);
+      const double per_row =
+          (total - start_total_) / static_cast<double>(committed_);
+      if (per_row > 0.0) {
+        const double half = (ctx.budget - total) / per_row / 2.0;
+        if (half < static_cast<double>(rows)) {
+          rows = std::max<int64_t>(1, static_cast<int64_t>(half));
+        }
+      }
+    }
+    return rows;
+  }
+
+  void Commit(int64_t rows) {
+    committed_ += rows;
+    width_ = std::min(kBatchRows, 2 * width_);
+  }
+
+ private:
+  const double start_total_;
+  int64_t committed_ = 0;
+  int64_t width_ = kFirstMorselRows;
+};
+
 /// Sequential driver for budgeted scan pipelines (snapshot / rollback /
-/// replay) and for every merge pipeline, budgeted or not.
+/// replay over slack-sized morsels) and for every merge pipeline,
+/// budgeted or not.
 Status RunPipelineSequential(const Pipeline& p, const CostModel& cm,
                              WorkCtx* ctx, Scratch* sc) {
   RunPreOps(p, ctx);
+  MorselSizer sizer(*ctx);
   if (p.is_scan) {
     const int64_t n = p.scan.table->num_rows();
-    for (int64_t r0 = 0; r0 < n; r0 += kBatchRows) {
-      const int64_t r1 = std::min<int64_t>(n, r0 + kBatchRows);
+    for (int64_t r0 = 0; r0 < n;) {
+      const int64_t r1 = std::min(n, r0 + sizer.Next(r0, *ctx));
       const MorselSnapshot snap = TakeSnapshot(p, *ctx);
       ScanBulk(p.scan, r0, r1, ctx, sc, &sc->a);
       Batch* out = nullptr;
       const bool ok = StagesBulk(p, &sc->a, ctx, sc, &out);
       if (ok && !ctx->Hazard()) {
         SinkApply(p.sink, *out, ctx, sc);
+        sizer.Commit(r1 - r0);
+        r0 = r1;
         continue;
       }
       RestoreSnapshot(p, snap, ctx);
       return ReplayScanMorsel(p, r0, r1, ctx, sc);
     }
   } else {
+    int64_t emitted = 0;
     while (!p.merge->eof) {
       if (!ctx->budgeted) {
-        MergeBulk(p.merge, p.merge_out, ctx, &sc->a);
+        MergeBulk(p.merge, p.merge_out, kBatchRows, ctx, &sc->a);
         if (sc->a.n == 0 && p.merge->eof) break;
         Batch* out = nullptr;
         StagesBulk(p, &sc->a, ctx, sc, &out);
@@ -1502,11 +1632,15 @@ Status RunPipelineSequential(const Pipeline& p, const CostModel& cm,
         continue;
       }
       const MorselSnapshot snap = TakeSnapshot(p, *ctx);
-      bool ok = MergeBulk(p.merge, p.merge_out, ctx, &sc->a);
+      bool ok = MergeBulk(p.merge, p.merge_out, sizer.Next(emitted, *ctx),
+                          ctx, &sc->a);
+      const int64_t rows = sc->a.n;  // the stages may reuse sc->a
       Batch* out = nullptr;
       if (ok) ok = StagesBulk(p, &sc->a, ctx, sc, &out);
       if (ok && !ctx->Hazard()) {
         if (out != nullptr) SinkApply(p.sink, *out, ctx, sc);
+        sizer.Commit(rows);
+        emitted += rows;
         continue;
       }
       RestoreSnapshot(p, snap, ctx);

@@ -17,12 +17,17 @@
 //
 //  * the tuple engine — a Volcano-style demand-driven iterator, one
 //    virtual Next() per row, one budget check per cost event; and
-//  * the batch engine (default) — push-based pipelines over fixed-width
-//    batches of ~1024 row ids, with filters as tight column loops,
-//    hash-join probe split from output emission, per-batch amortized
-//    budget accounting, and unbudgeted table scans driven one
-//    zone-pruned chunk at a time (chunk-parallel on a thread pool for
-//    full runs).
+//  * the batch engine (default) — push-based pipelines over batches of
+//    up to 1024 row ids, with filters as tight column loops, hash-join
+//    probe split from output emission, and unbudgeted table scans driven
+//    one zone-pruned chunk at a time (chunk-parallel on a thread pool for
+//    full runs). A budgeted run counts whole morsels in bulk, sizing
+//    them from the remaining budget slack (16 rows doubling to 1024,
+//    capped at half the rows the slack pays for), and replays only the
+//    morsel that crosses the budget tuple-at-a-time; replay computes the
+//    exact ledger total only once a bound no longer proves the budget
+//    uncrossable. Aborting runs therefore run at bulk speed up to their
+//    abort point.
 //
 // Both engines count cost events into the same integer ledger
 // (exec/cost_ledger.h) and reduce it through one canonical fixed-order
@@ -108,7 +113,7 @@ class Executor {
  public:
   enum class Engine {
     kTuple,  // Volcano iterator, per-tuple budget checks
-    kBatch,  // vectorized batches, per-batch amortized accounting
+    kBatch,  // vectorized batches, slack-sized budgeted morsels
   };
 
   struct Options {

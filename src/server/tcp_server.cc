@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -17,6 +18,10 @@
 namespace robustqp {
 
 namespace {
+
+/// Most input a connection refused for an overlong line still reads (and
+/// discards) before it closes.
+constexpr size_t kMaxDrainBytes = 256 * kMaxLineBytes;
 
 /// Parses `value` as one whole, finite decimal number.
 bool ParseFiniteDouble(const std::string& value, double* out) {
@@ -292,6 +297,7 @@ void TcpServer::ServeConnection(int fd) {
     buffer.append(chunk, static_cast<size_t>(n));
     size_t nl;
     while (open && (nl = buffer.find('\n')) != std::string::npos) {
+      if (nl > kMaxLineBytes) break;
       std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -357,6 +363,27 @@ void TcpServer::ServeConnection(int fd) {
       reply.push_back('\n');
       if (::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL) < 0) {
         open = false;
+      }
+    }
+    // A line longer than the cap, or an unterminated buffer that already
+    // is, gets one ERR and the connection closes; nothing of it is parsed.
+    const size_t pending = std::min(buffer.find('\n'), buffer.size());
+    if (open && pending > kMaxLineBytes) {
+      ServiceResponse resp;
+      resp.status = Status::InvalidArgument(
+          "line longer than " + std::to_string(kMaxLineBytes) + " bytes");
+      const std::string reply = FormatResponseLine(resp) + "\n";
+      (void)!::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+      open = false;
+      // Lingering close: closing with unread input resets the connection,
+      // which can destroy the ERR before the client reads it. Half-close
+      // so a FIN follows the ERR, then discard what the client still
+      // sends, up to a bound, without buffering it.
+      ::shutdown(fd, SHUT_WR);
+      for (size_t drained = 0; drained < kMaxDrainBytes;) {
+        const ssize_t d = ::recv(fd, chunk, sizeof(chunk), 0);
+        if (d <= 0) break;
+        drained += static_cast<size_t>(d);
       }
     }
   }

@@ -41,7 +41,8 @@
 // warm-started discovery, and drift detection against the serving
 // instance's FeedbackStore), faults (spec string, no spaces), seed (an
 // unsigned 64-bit decimal).
-// Unknown keys are an error; values never contain spaces.
+// Unknown keys are an error; values never contain spaces. A line longer
+// than kMaxLineBytes gets ERR code=2 and the connection closes.
 // Each SUBMIT is served synchronously on its connection (Submit + Wait) —
 // concurrency comes from concurrent connections, which is exactly how the
 // throughput bench drives it. ERR `code` is the stable ExitCodeFor()
@@ -52,6 +53,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -67,6 +69,12 @@ namespace robustqp {
 /// spawn that many pool threads or size per-shard vectors by it.
 constexpr int kMaxSubmitThreads = 64;
 constexpr int kMaxSubmitShards = 1024;
+
+/// Longest accepted request line, in bytes without its newline. A longer
+/// line, or an unterminated one that grows past it, gets one ERR code=2
+/// reply and the connection closes, so one client cannot grow the
+/// server's buffer without bound.
+constexpr size_t kMaxLineBytes = 64 * 1024;
 
 /// Parses one SUBMIT line ("SUBMIT key=value ...") into a ServiceRequest.
 /// Returns InvalidArgument on unknown keys, malformed values (numbers

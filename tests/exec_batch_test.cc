@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <set>
@@ -17,8 +21,10 @@
 
 #include "common/fault.h"
 #include "common/rng.h"
+#include "exec/cost_ledger.h"
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
+#include "storage/column_file.h"
 #include "storage/stats_builder.h"
 #include "storage/table.h"
 #include "test_util.h"
@@ -892,6 +898,271 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CompressionDifferentialTest,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Budgeted-abort boundaries. A budgeted batch run sizes its morsels from
+// the remaining slack, replays only the morsel that crosses the budget,
+// and skips the exact ledger total on replay charges while a bound proves
+// the budget cannot be crossed. Each case below aims the abort at a spot
+// where that arithmetic could slip — the first morsel of an NLJ over a
+// large inner buffer, the first and last row of a 1024-row-aligned window,
+// a slack cap already down to one row, a sort-merge batch, index-NL and
+// hash-probe stages — with budgets at exact ledger totals, their
+// std::nextafter neighbours and fractions of the true cost, on resident
+// and mapped storage, zone maps on and off, and an armed exec.* spec.
+// ---------------------------------------------------------------------------
+
+/// Serializes every table to a column file and reopens it mapped, with
+/// the same indexes. The files are unlinked once mapped.
+std::unique_ptr<Catalog> MapCatalog(const Catalog& resident) {
+  char tmpl[] = "/tmp/rqp_abort_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  RQP_CHECK(dir != nullptr);
+  auto mapped = std::make_unique<Catalog>();
+  for (const std::string& name : resident.TableNames()) {
+    const CatalogEntry* entry = resident.FindTable(name);
+    const std::string path = std::string(dir) + "/" + name + ".rqp";
+    RQP_CHECK(WriteTableFile(*entry->table, entry->stats, path).ok());
+    MappedTable mt;
+    RQP_CHECK(OpenMappedTable(path, &mt).ok());
+    std::remove(path.c_str());
+    RQP_CHECK(mapped->AddTable(mt.table, std::move(mt.stats)).ok());
+    for (const auto& [column, index] : entry->indexes) {
+      (void)index;
+      RQP_CHECK(mapped->BuildIndex(name, column).ok());
+    }
+  }
+  rmdir(dir);
+  return mapped;
+}
+
+/// Fact f (9000 rows: three zone blocks, nine 1024-row windows) joined to
+/// an indexed d1 of 3000 rows. f.c is clustered, so `c <= 60` passes the
+/// first block whole, the second in part and proves the third empty.
+struct AbortInstance {
+  std::unique_ptr<Catalog> catalog;
+  std::unique_ptr<Query> query;
+};
+
+AbortInstance MakeAbortInstance() {
+  Rng rng(2026);
+  AbortInstance inst;
+  inst.catalog = std::make_unique<Catalog>();
+  auto f = std::make_shared<Table>(TableSchema(
+      "f", {{"k", DataType::kInt64},
+            {"fk1", DataType::kInt64},
+            {"c", DataType::kInt64},
+            {"a", DataType::kInt64}}));
+  for (int64_t r = 0; r < 9000; ++r) {
+    f->column(0).AppendInt(r + 1);
+    f->column(1).AppendInt(rng.UniformInt(1, 3000));
+    f->column(2).AppendInt(r / 97);
+    f->column(3).AppendInt(rng.UniformInt(1, 16));
+  }
+  RQP_CHECK(f->Finalize().ok());
+  auto f_stats = ComputeTableStats(*f);
+  RQP_CHECK(inst.catalog->AddTable(std::move(f), std::move(f_stats)).ok());
+  auto d1 = std::make_shared<Table>(
+      TableSchema("d1", {{"kd1", DataType::kInt64}, {"ad1", DataType::kInt64}}));
+  for (int64_t r = 0; r < 3000; ++r) {
+    d1->column(0).AppendInt(r + 1);
+    d1->column(1).AppendInt(rng.UniformInt(1, 8));
+  }
+  RQP_CHECK(d1->Finalize().ok());
+  auto d1_stats = ComputeTableStats(*d1);
+  RQP_CHECK(inst.catalog->AddTable(std::move(d1), std::move(d1_stats)).ok());
+  RQP_CHECK(inst.catalog->BuildIndex("d1", "kd1").ok());
+  inst.query = std::make_unique<Query>(
+      "abort", std::vector<std::string>{"f", "d1"},
+      std::vector<JoinPredicate>{{"f", "fk1", "d1", "kd1", ""}},
+      std::vector<FilterPredicate>{{"f", "c", CompareOp::kLe, 60.0, false, ""},
+                                   {"f", "a", CompareOp::kLe, 12.0, false, ""},
+                                   {"d1", "ad1", CompareOp::kLe, 7.0, false,
+                                    ""}},
+      std::vector<EppRef>{EppRef::Join(0)});
+  RQP_CHECK(inst.query->Validate(*inst.catalog).ok());
+  return inst;
+}
+
+std::unique_ptr<PlanNode> AbortScan(int table, std::vector<int> filters) {
+  auto n = std::make_unique<PlanNode>();
+  n->op = PlanOp::kSeqScan;
+  n->table_idx = table;
+  n->filter_indices = std::move(filters);
+  return n;
+}
+
+/// Join of f (table 0, filters c and a) and d1 (table 1, filter ad1);
+/// `f_left` puts f on the left. Node ids: join 0, left 1, right 2.
+std::unique_ptr<PlanNode> AbortJoin(PlanOp op, bool f_left) {
+  auto n = std::make_unique<PlanNode>();
+  n->op = op;
+  n->join_indices = {0};
+  auto f = AbortScan(0, {0, 1});
+  auto d1 = AbortScan(1, {2});
+  n->left = f_left ? std::move(f) : std::move(d1);
+  n->right = f_left ? std::move(d1) : std::move(f);
+  return n;
+}
+
+/// The ledger a run has charged once the streaming pipeline over f has
+/// consumed its first `k` rows: `base` (every earlier pipeline) plus each
+/// row's events — one scan event, then for a surviving row the join's
+/// per-row events. Valid for every shape below except sort-merge.
+CostLedger LedgerAfterFactRows(const Catalog& catalog, PlanOp op, bool spill,
+                               int64_t k) {
+  const Table& f = *catalog.FindTable("f")->table;
+  const Table& d1 = *catalog.FindTable("d1")->table;
+  std::vector<int64_t> inner(3001, 0);  // d1 rows with kd1 == key, ad1 <= 7
+  int64_t m = 0;
+  for (int64_t r = 0; r < d1.num_rows(); ++r) {
+    if (d1.column(1).GetNumeric(r) <= 7.0) {
+      ++inner[static_cast<size_t>(d1.column(0).GetNumeric(r))];
+      ++m;
+    }
+  }
+  CostLedger l;
+  if (!spill && op == PlanOp::kNLJoin) {
+    l.scan_tuple += d1.num_rows();
+    l.nlj_materialize_tuple += m;
+  } else if (!spill && op == PlanOp::kHashJoin) {
+    l.scan_tuple += d1.num_rows();
+    l.hash_build_tuple += m;
+  }
+  for (int64_t r = 0; r < k; ++r) {
+    ++l.scan_tuple;
+    if (spill || f.column(2).GetNumeric(r) > 60.0 ||
+        f.column(3).GetNumeric(r) > 12.0) {
+      continue;
+    }
+    const int64_t matches =
+        inner[static_cast<size_t>(f.column(1).GetNumeric(r))];
+    if (op == PlanOp::kNLJoin) l.nlj_pair += m;
+    if (op == PlanOp::kHashJoin) ++l.hash_probe_tuple;
+    if (op == PlanOp::kIndexNLJoin) {
+      ++l.index_probe;
+      ++l.index_fetch;  // kd1 is unique and every fk1 has its row
+    }
+    l.join_output_tuple += matches;
+  }
+  return l;
+}
+
+TEST(BudgetedAbortBoundaryTest, BatchMatchesTupleAtEveryAbortShape) {
+  const AbortInstance inst = MakeAbortInstance();
+  const std::unique_ptr<Catalog> mapped = MapCatalog(*inst.catalog);
+  const CostParams params = CostModel::PostgresFlavour().params();
+  const char* spec = "exec.*:p=0.2";
+
+  struct Shape {
+    std::string name;
+    PlanOp op;
+    bool f_left;
+    bool spill;  // spill the f scan: a scan-only pipeline
+    std::vector<int64_t> rows;  // abort targets: f rows consumed
+  };
+  const std::vector<int64_t> wide = {0,    1,    15,   16,   17,   1023,
+                                     1024, 1025, 2047, 2048, 4095, 4096,
+                                     4097, 6000, 8191, 8192, 8193, 8999};
+  const std::vector<Shape> shapes = {
+      // PlanBouquet's NLJ shape: ~2600 materialized inner rows, aborts
+      // inside the first outer morsels and around the first window edge.
+      {"nlj", PlanOp::kNLJoin, true, false,
+       {0, 1, 2, 15, 16, 17, 47, 48, 49, 1023, 1024, 1025}},
+      {"hash-probe", PlanOp::kHashJoin, false, false, wide},
+      {"index-nl", PlanOp::kIndexNLJoin, true, false, wide},
+      {"scan-spill", PlanOp::kHashJoin, false, true, wide},
+      {"sort-merge", PlanOp::kSortMergeJoin, true, false, {}},
+  };
+
+  for (const Shape& shape : shapes) {
+    const Plan plan(inst.query.get(), AbortJoin(shape.op, shape.f_left));
+    const int f_node = shape.f_left ? 1 : 2;
+    const int root = shape.spill ? f_node : 0;
+
+    // Budgets: exact ledger totals T_k at the target rows and their
+    // neighbours, then fractions of the true cost. `abort_row[b]` is the f
+    // row budget b must abort on (-1: no claim): T_k aborts on row k+1's
+    // scan event, one ulp below it on row k's last event.
+    std::vector<double> budgets;
+    std::vector<int64_t> abort_row;
+    for (const int64_t k : shape.rows) {
+      const double t =
+          LedgerAfterFactRows(*inst.catalog, shape.op, shape.spill, k)
+              .Total(params);
+      const double below = std::nextafter(t, 0.0);
+      budgets.insert(budgets.end(), {t, below, std::nextafter(t, HUGE_VAL)});
+      abort_row.insert(abort_row.end(), {k + 1, below < t ? k : -1, k + 1});
+    }
+    // The true cost: the ledger model's total after every f row, checked
+    // against a tuple-engine run except for the NLJ, whose full run is
+    // ~23M pair events (its fractions stay in the first few windows).
+    double full_cost = LedgerAfterFactRows(*inst.catalog, shape.op,
+                                           shape.spill, 9000)
+                           .Total(params);
+    std::vector<double> fractions = {0.001, 0.003, 0.01, 0.02};
+    if (shape.op != PlanOp::kNLJoin) {
+      Executor tuple = MakeEngine(inst.catalog.get(), Executor::Engine::kTuple);
+      const Result<ExecutionResult> full =
+          shape.spill ? tuple.ExecuteSpill(plan, root, -1.0)
+                      : tuple.Execute(plan, -1.0);
+      ASSERT_TRUE(full.ok() && full->completed) << shape.name;
+      if (shape.op != PlanOp::kSortMergeJoin) {
+        EXPECT_EQ(full->cost_used, full_cost) << shape.name;
+      }
+      full_cost = full->cost_used;
+      fractions = {0.003, 0.1, 0.37, 0.5, 0.81, 0.9, 0.95, 0.99, 0.995,
+                   0.999, 0.9999, 1.0};
+      budgets.push_back(std::nextafter(full_cost, 0.0));
+    }
+    for (const double frac : fractions) budgets.push_back(full_cost * frac);
+    abort_row.resize(budgets.size(), -1);
+
+    for (const bool use_mapped : {false, true}) {
+      const Catalog* catalog = use_mapped ? mapped.get() : inst.catalog.get();
+      Executor tuple = MakeEngine(catalog, Executor::Engine::kTuple);
+      for (const bool zones : {true, false}) {
+        Executor batch =
+            MakeEngine(catalog, Executor::Engine::kBatch, 1, zones);
+        for (const bool faults : {false, true}) {
+          for (size_t b = 0; b < budgets.size(); ++b) {
+            const double budget = budgets[b];
+            const std::string tag =
+                shape.name + (use_mapped ? " mmap" : " resident") +
+                (zones ? " zones" : " no-zones") +
+                (faults ? " faults" : "") + " budget#" + std::to_string(b) +
+                "=" + std::to_string(budget);
+            const auto run = [&](const Executor& ex) {
+              if (faults) {
+                EXPECT_TRUE(FaultInjector::Global().Configure(spec, b).ok());
+              }
+              FaultStreamScope scope(b);
+              Result<ExecutionResult> r =
+                  shape.spill ? ex.ExecuteSpill(plan, root, budget)
+                              : ex.Execute(plan, budget);
+              FaultInjector::Disarm();
+              return r;
+            };
+            const Result<ExecutionResult> rt = run(tuple);
+            const Result<ExecutionResult> rb = run(batch);
+            ASSERT_EQ(rt.ok(), rb.ok()) << tag;
+            if (!rt.ok()) {
+              EXPECT_TRUE(rt.status().IsTransient()) << tag;
+              continue;
+            }
+            ExpectSameResult(*rt, *rb, tag);
+            if (!faults && abort_row[b] >= 0) {
+              EXPECT_FALSE(rt->completed) << tag;
+              EXPECT_EQ(rt->node_stats[static_cast<size_t>(f_node)].left_in,
+                        abort_row[b])
+                  << tag;
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // ExecuteMinMax: the metadata fast path must answer like a naive scan and

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "server/context_cache.h"
 #include "server/query_service.h"
@@ -591,6 +593,97 @@ TEST(TcpProtocolTest, ParseSubmitLineAcceptsOnlyUnsignedDecimalSeeds) {
   EXPECT_EQ(req.options.fault_seed, UINT64_MAX);
 }
 
+// Deterministic fuzz of the server's outside input: seeded mutations of
+// valid SUBMIT lines — truncation at every byte, duplicate and unknown
+// keys, NaN / inf / negative / huge values, random byte edits and a qa
+// list of 10^5 entries. Every input must parse to OK or InvalidArgument
+// (ERR code=2), the same way every time, and never abort.
+TEST(TcpProtocolTest, ParseSubmitLineFuzzGivesOkOrStableErr) {
+  const std::vector<std::string> valid = {
+      "SUBMIT query=3D_Q15 mode=ab qa=0.1,0.2,0.3 budget=500 "
+      "deadline_ms=2000 threads=2 shards=4 points=6 ratio=1.5 "
+      "build=recost:2.5 faults=exec.*:p=0.01 seed=9",
+      "SUBMIT query=4D_Q91 mode=pb use_engine=1 threads=1 storage=mmap "
+      "compression=dict fused=0 feedback=1",
+      "SUBMIT query=2D_Q91 mode=sb points=8 build=exact",
+  };
+  const std::vector<std::string> keys = {
+      "query", "mode",   "qa",    "budget",      "deadline_ms", "use_engine",
+      "threads", "shards", "points", "ratio",     "build",       "compression",
+      "fused", "storage", "feedback", "faults",   "seed"};
+  const std::vector<std::string> values = {
+      "nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e308", "1e309",
+      "-1e309", "-1", "-0", "0", "1e-320", "99999999999999999999",
+      "18446744073709551616", "0x10", "+3", "3.", "1e", ".", "-", "",
+      "recost:nan", "recost:1e999", "0.5,nan", "1,,2", ",", "1,-inf",
+      std::string(300, '9')};
+
+  std::vector<std::string> inputs;
+  for (const std::string& line : valid) {
+    for (size_t n = 0; n <= line.size(); ++n) inputs.push_back(line.substr(0, n));
+  }
+  Rng rng(20);
+  for (int i = 0; i < 3000; ++i) {
+    std::string line = valid[static_cast<size_t>(rng.UniformInt(0, 2))];
+    switch (rng.UniformInt(0, 4)) {
+      case 0:  // a duplicate of a known key with any value
+      case 1:  // a known key with a hostile value
+        line += " " + keys[static_cast<size_t>(rng.UniformInt(
+                          0, static_cast<int64_t>(keys.size()) - 1))] +
+                "=" +
+                values[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(values.size()) - 1))];
+        break;
+      case 2:  // an unknown or malformed key
+        line += std::vector<std::string>{" zz=1", " QUERY=x", " =5",
+                                         " a=b=c", " qa", " ==",
+                                         " query=a=b"}[static_cast<size_t>(
+            rng.UniformInt(0, 6))];
+        break;
+      default: {  // random byte edits: replace, insert or delete
+        const int edits = static_cast<int>(rng.UniformInt(1, 4));
+        for (int e = 0; e < edits && !line.empty(); ++e) {
+          const size_t at = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(line.size()) - 1));
+          const char c = static_cast<char>(rng.UniformInt(0, 255));
+          const int64_t op = rng.UniformInt(0, 2);
+          if (op == 0) line[at] = c;
+          if (op == 1) line.insert(at, 1, c);
+          if (op == 2) line.erase(at, 1);
+        }
+      }
+    }
+    inputs.push_back(line);
+  }
+  std::string qa = "SUBMIT query=4D_Q91 qa=";
+  for (int i = 0; i < 100000; ++i) {
+    qa += (i == 0 ? "" : ",") + std::to_string(1e-5 * (i % 7 + 1));
+  }
+  inputs.push_back(qa);
+  inputs.push_back(qa + ",nan");
+
+  for (const std::string& line : inputs) {
+    ServiceRequest first, second;
+    const Status a = ParseSubmitLine(line, &first);
+    const Status b = ParseSubmitLine(line, &second);
+    EXPECT_TRUE(a.ok() || a.code() == StatusCode::kInvalidArgument)
+        << line << " -> " << a.ToString();
+    EXPECT_EQ(a.code(), b.code()) << line;
+    EXPECT_EQ(a.message(), b.message()) << line;
+    if (!a.ok()) {
+      ServiceResponse resp;
+      resp.status = a;
+      EXPECT_EQ(FormatResponseLine(resp).rfind("ERR code=2 ", 0), 0u) << line;
+    }
+  }
+  // The 10^5-entry list parses whole; one NaN entry refuses all of it.
+  ServiceRequest req;
+  ASSERT_TRUE(ParseSubmitLine(qa, &req).ok());
+  EXPECT_EQ(req.qa.size(), 100000u);
+  EXPECT_EQ(ParseSubmitLine(qa + ",nan", &req).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(TcpProtocolTest, FormatResponseLineShapes) {
   ServiceResponse ok;
   ok.status = Status::OK();
@@ -714,6 +807,86 @@ TEST(TcpServerTest, UnbuildableGridIsInvalidArgumentAndServerKeepsServing) {
   const std::string ok =
       client.RoundTrip("SUBMIT query=2D_Q91 mode=sb points=8 threads=1");
   EXPECT_EQ(ok.rfind("OK ", 0), 0u) << ok;
+  server.Stop();
+}
+
+/// Opens a loopback connection to `port`; -1 on failure.
+int ConnectLoopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0) {
+    return fd;
+  }
+  if (fd >= 0) ::close(fd);
+  return -1;
+}
+
+/// Sends `payload` from a second thread, then half-closes; returns
+/// everything the server sends until it closes.
+std::string SendAndReadUntilClose(int fd, const std::string& payload) {
+  std::thread sender([fd, &payload] {
+    size_t off = 0;
+    while (off < payload.size()) {
+      const ssize_t n = ::send(fd, payload.data() + off, payload.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) break;
+      off += static_cast<size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+  });
+  std::string got;
+  char chunk[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    got.append(chunk, static_cast<size_t>(n));
+  }
+  sender.join();
+  return got;
+}
+
+// A line longer than kMaxLineBytes — a 10 MB one, or an unterminated
+// buffer past the cap — gets exactly one ERR code=2 and the connection
+// closes; a line of exactly the cap is served, and so is every other
+// connection.
+TEST(TcpServerTest, OverlongLineGetsOneErrAndTheConnectionCloses) {
+  QueryService service;
+  TcpServer server(&service, /*port=*/0);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::vector<std::string> hostile = {
+      "PING\n" + std::string(10 << 20, 'x') + "\nPING\n",
+      std::string(kMaxLineBytes + 1, 'y')};
+  for (const std::string& payload : hostile) {
+    const int fd = ConnectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    const std::string got = SendAndReadUntilClose(fd, payload);
+    ::close(fd);
+    const bool leading_ping = payload.rfind("PING\n", 0) == 0;
+    const std::string err = leading_ping ? got.substr(got.find('\n') + 1) : got;
+    if (leading_ping) {
+      EXPECT_EQ(got.rfind("PONG\n", 0), 0u) << got;
+    }
+    EXPECT_EQ(err.rfind("ERR code=2 status=InvalidArgument", 0), 0u) << got;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << got;
+
+    LineClient other(server.port());
+    ASSERT_TRUE(other.connected());
+    EXPECT_EQ(other.RoundTrip("PING"), "PONG");
+  }
+
+  // Exactly at the cap: parsed and answered like any other line.
+  LineClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  std::string at_cap = "SUBMIT query=2D_NOPE mode=sb";
+  at_cap.resize(kMaxLineBytes, ' ');
+  const std::string reply = client.RoundTrip(at_cap);
+  EXPECT_EQ(reply.rfind("ERR code=3 status=NotFound", 0), 0u) << reply;
+  EXPECT_EQ(client.RoundTrip("PING"), "PONG");
   server.Stop();
 }
 
