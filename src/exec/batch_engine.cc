@@ -31,17 +31,12 @@
 // rows) are deferred until the morsel's budget check passes, so rollback
 // never has to undo a data structure.
 //
-// Two things keep an aborting run at bulk speed up to its abort point:
-//  * Slack-sized morsels (MorselSizer). Budgeted morsels start at 16 rows
-//    and double up to kBatchRows, capped at half the rows the remaining
-//    slack pays for at the pipeline's observed cost per committed row,
-//    and never cross a kBatchRows-aligned position. The morsel that
-//    crosses the budget — the only one replayed — is then usually one
-//    source row.
-//  * Amortized replay charges (WorkCtx::Charge). After an exact total T
-//    the next ~(budget - T) / max_event_cost events provably cannot cross
-//    the budget, so replay counts them without reducing the ledger and
-//    computes the total exactly again only when that allowance runs out.
+// Slack-sized morsels (MorselSizer) keep an aborting run at bulk speed up
+// to its abort point. Budgeted morsels start at 16 rows and double up to
+// kBatchRows, capped at half the rows the remaining slack pays for at the
+// pipeline's observed cost per committed row, and never cross a
+// kBatchRows-aligned position. The morsel that crosses the budget — the
+// only one replayed — is then usually one source row.
 //
 // Unbudgeted scan pipelines run through the chunk driver described above
 // RunPipelineChunked.
@@ -662,43 +657,11 @@ struct WorkCtx {
   }
   /// Tuple-order charge used by the replay interpreter. Returns false on
   /// the first event whose inclusion makes Total exceed the budget — the
-  /// tuple engine's abort event — but reduces the ledger only when
-  /// `free_charges` (events proven unable to cross) has run out.
+  /// tuple engine's abort event.
   bool Charge(EventCount CostLedger::*counter) {
     ++((*ledger).*counter);
-    if (!budgeted) return true;
-    if (free_charges > 0) {
-      --free_charges;
-      return true;
-    }
-    const double total = ledger->Total(*params);
-    if (total > budget) return false;
-    free_charges = FreeChargesAfter(total);
-    return true;
+    return !budgeted || ledger->Total(*params) <= budget;
   }
-  /// Events that provably keep Total <= budget after an exact total T.
-  /// One event adds at most the largest CostParams constant to the exact
-  /// real-valued dot product, and Total's rounding error (a few ulps of a
-  /// sum of non-negative terms) is far below the 1e-12 relative margin
-  /// taken off both ends; the final -1 absorbs the rounding of the
-  /// quotient itself.
-  int64_t FreeChargesAfter(double total) const {
-    const double room = budget * (1.0 - 1e-12) - total * (1.0 + 1e-12);
-    if (!(room > 0.0)) return 0;
-    const CostParams& p = *params;
-    const double max_event_cost = std::max(
-        {p.scan_tuple, p.hash_build_tuple, p.hash_probe_tuple,
-         p.nlj_materialize_tuple, p.nlj_pair, p.join_output_tuple,
-         p.index_probe, p.index_fetch, p.sort_tuple, p.merge_tuple});
-    const double k = room / max_event_cost;  // +inf when every constant is 0
-    if (!(k < 0x1p62)) return int64_t{1} << 62;
-    return std::max<int64_t>(0, static_cast<int64_t>(k) - 1);
-  }
-  /// Replay charges known not to cross the budget; 0 forces an exact
-  /// total on the next Charge. Anything that writes the ledger outside
-  /// Charge must reset it (RestoreSnapshot does, and every replay starts
-  /// there).
-  int64_t free_charges = 0;
 };
 
 /// Per-pipeline-run scratch (one per worker in chunk-parallel mode).
@@ -740,7 +703,6 @@ MorselSnapshot TakeSnapshot(const Pipeline& p, const WorkCtx& ctx) {
 
 void RestoreSnapshot(const Pipeline& p, const MorselSnapshot& s, WorkCtx* ctx) {
   *ctx->ledger = s.ledger;
-  ctx->free_charges = 0;
   for (size_t i = 0; i < p.touched.size(); ++i) {
     (*ctx->stats)[static_cast<size_t>(p.touched[i])] = s.stats[i];
   }
@@ -968,39 +930,26 @@ bool MergeBulk(SmjState* m, const std::vector<MergeOut>& merge_out,
 // Bulk streaming stages
 // ---------------------------------------------------------------------------
 
-/// Counts the inner rows of `buf` whose keys equal row `i` of `in` and,
-/// unless `pos` is null, writes their positions to it in inner order. The
-/// single-key compare is a branch-free scan over the contiguous inner key
-/// column.
-int64_t NljMatches(const NljBuffer& buf, const std::vector<int>& in_keys,
-                   const Batch& in, int64_t i, int64_t* pos) {
+/// Writes to `pos`, in inner order, the positions of the inner rows of
+/// `buf` whose keys equal `key` (one value per join key) and returns their
+/// count. Branch-free compaction: the first key column selects from every
+/// inner row (all of them when the join has no key), and each further key
+/// column narrows the selection.
+int64_t NljMatches(const NljBuffer& buf, const double* key, int64_t* pos) {
+  const bool keyless = buf.keys.empty();
   int64_t m = 0;
-  if (buf.keys.size() == 1) {
-    const double key =
-        in.cols[static_cast<size_t>(in_keys[0])][static_cast<size_t>(i)];
-    const double* inner = buf.keys[0].data();
-    if (pos == nullptr) {
-      for (int64_t r = 0; r < buf.n; ++r) m += inner[r] == key;
-      return m;
-    }
-    for (int64_t r = 0; r < buf.n; ++r) {
-      pos[m] = r;
-      m += inner[r] == key;
-    }
-    return m;
-  }
   for (int64_t r = 0; r < buf.n; ++r) {
-    bool match = true;
-    for (size_t k = 0; k < buf.keys.size(); ++k) {
-      if (in.cols[static_cast<size_t>(in_keys[k])][static_cast<size_t>(i)] !=
-          buf.keys[k][static_cast<size_t>(r)]) {
-        match = false;
-        break;
-      }
+    pos[m] = r;
+    m += keyless || buf.keys[0][static_cast<size_t>(r)] == key[0];
+  }
+  for (size_t k = 1; k < buf.keys.size(); ++k) {
+    const double* col = buf.keys[k].data();
+    int64_t kept = 0;
+    for (int64_t j = 0; j < m; ++j) {
+      pos[kept] = pos[j];
+      kept += col[pos[j]] == key[k];
     }
-    if (!match) continue;
-    if (pos != nullptr) pos[m] = r;
-    ++m;
+    m = kept;
   }
   return m;
 }
@@ -1154,10 +1103,15 @@ bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
       st.left_in += in.n;  // uncharged, as in the tuple engine
       const NljBuffer& buf = *s.nlj;
       sc->match_e.resize(static_cast<size_t>(buf.n));
-      int64_t* pos = w == 0 ? nullptr : sc->match_e.data();
+      int64_t* pos = sc->match_e.data();
       for (int64_t i = 0; i < in.n; ++i) {
         ctx->ledger->nlj_pair += buf.n;
-        const int64_t m = NljMatches(buf, s.in_keys, in, i, pos);
+        sc->key.clear();
+        for (int kp : s.in_keys) {
+          sc->key.push_back(
+              in.cols[static_cast<size_t>(kp)][static_cast<size_t>(i)]);
+        }
+        const int64_t m = NljMatches(buf, sc->key.data(), pos);
         matches += m;
         for (size_t c = 0; c < w; ++c) {
           const OutCol& oc = s.out_cols[c];

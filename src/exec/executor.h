@@ -24,10 +24,9 @@
 //    full runs). A budgeted run counts whole morsels in bulk, sizing
 //    them from the remaining budget slack (16 rows doubling to 1024,
 //    capped at half the rows the slack pays for), and replays only the
-//    morsel that crosses the budget tuple-at-a-time; replay computes the
-//    exact ledger total only once a bound no longer proves the budget
-//    uncrossable. Aborting runs therefore run at bulk speed up to their
-//    abort point.
+//    morsel that crosses the budget — usually one source row —
+//    tuple-at-a-time. Aborting runs therefore run at bulk speed up to
+//    their abort point.
 //
 // Both engines count cost events into the same integer ledger
 // (exec/cost_ledger.h) and reduce it through one canonical fixed-order

@@ -23,6 +23,13 @@ namespace {
 /// discards) before it closes.
 constexpr size_t kMaxDrainBytes = 256 * kMaxLineBytes;
 
+/// Length of the line that ends at `end` (its newline, or the end of an
+/// unterminated buffer) without a '\r' before it, the unit kMaxLineBytes
+/// counts in.
+size_t LineBytes(const std::string& buffer, size_t end) {
+  return end > 0 && buffer[end - 1] == '\r' ? end - 1 : end;
+}
+
 /// Parses `value` as one whole, finite decimal number.
 bool ParseFiniteDouble(const std::string& value, double* out) {
   char* end = nullptr;
@@ -297,7 +304,7 @@ void TcpServer::ServeConnection(int fd) {
     buffer.append(chunk, static_cast<size_t>(n));
     size_t nl;
     while (open && (nl = buffer.find('\n')) != std::string::npos) {
-      if (nl > kMaxLineBytes) break;
+      if (LineBytes(buffer, nl) > kMaxLineBytes) break;
       std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -368,7 +375,7 @@ void TcpServer::ServeConnection(int fd) {
     // A line longer than the cap, or an unterminated buffer that already
     // is, gets one ERR and the connection closes; nothing of it is parsed.
     const size_t pending = std::min(buffer.find('\n'), buffer.size());
-    if (open && pending > kMaxLineBytes) {
+    if (open && LineBytes(buffer, pending) > kMaxLineBytes) {
       ServiceResponse resp;
       resp.status = Status::InvalidArgument(
           "line longer than " + std::to_string(kMaxLineBytes) + " bytes");

@@ -70,7 +70,7 @@ namespace robustqp {
 constexpr int kMaxSubmitThreads = 64;
 constexpr int kMaxSubmitShards = 1024;
 
-/// Longest accepted request line, in bytes without its newline. A longer
+/// Longest accepted request line, in bytes without its LF or CRLF. A longer
 /// line, or an unterminated one that grows past it, gets one ERR code=2
 /// reply and the connection closes, so one client cannot grow the
 /// server's buffer without bound.

@@ -901,9 +901,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CompressionDifferentialTest,
 
 // ---------------------------------------------------------------------------
 // Budgeted-abort boundaries. A budgeted batch run sizes its morsels from
-// the remaining slack, replays only the morsel that crosses the budget,
-// and skips the exact ledger total on replay charges while a bound proves
-// the budget cannot be crossed. Each case below aims the abort at a spot
+// the remaining slack and replays only the morsel that crosses the
+// budget. Each case below aims the abort at a spot
 // where that arithmetic could slip — the first morsel of an NLJ over a
 // large inner buffer, the first and last row of a 1024-row-aligned window,
 // a slack cap already down to one row, a sort-merge batch, index-NL and
@@ -1162,6 +1161,87 @@ TEST(BudgetedAbortBoundaryTest, BatchMatchesTupleAtEveryAbortShape) {
       }
     }
   }
+}
+
+// The NLJ stage's key compare at every key width: keyless (a cross
+// product), one key, and two keys, where the second column narrows what
+// the first selected. Each plan runs as the root, which only counts the
+// matches, and under a hash join that reads an inner payload column at
+// the match positions; full and budgeted runs must equal the tuple
+// engine's.
+TEST(NljKeyWidthTest, BatchMatchesTupleAtEveryKeyWidth) {
+  Rng rng(77);
+  Catalog catalog;
+  const auto add_table = [&](const std::string& name,
+                             const std::vector<std::string>& cols,
+                             int64_t rows, const std::vector<int64_t>& domain) {
+    std::vector<ColumnDef> defs;
+    for (const std::string& c : cols) defs.push_back({c, DataType::kInt64});
+    auto t = std::make_shared<Table>(TableSchema(name, defs));
+    for (int64_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < cols.size(); ++c) {
+        t->column(static_cast<int>(c))
+            .AppendInt(domain[c] > 0 ? rng.UniformInt(1, domain[c]) : r + 1);
+      }
+    }
+    RQP_CHECK(t->Finalize().ok());
+    auto stats = ComputeTableStats(*t);
+    RQP_CHECK(catalog.AddTable(std::move(t), std::move(stats)).ok());
+  };
+  add_table("f", {"x", "y"}, 1200, {40, 6});
+  add_table("d", {"x", "y", "z"}, 200, {40, 6, 10});
+  add_table("e", {"z"}, 10, {0});
+  const Query query(
+      "nljkeys", {"f", "d", "e"},
+      {{"f", "x", "d", "x", ""}, {"f", "y", "d", "y", ""},
+       {"d", "z", "e", "z", ""}},
+      {}, std::vector<EppRef>{EppRef::Join(0)});
+  ASSERT_TRUE(query.Validate(catalog).ok());
+
+  const auto nlj = [](std::vector<int> keys) {
+    auto n = std::make_unique<PlanNode>();
+    n->op = PlanOp::kNLJoin;
+    n->join_indices = std::move(keys);
+    n->left = AbortScan(0, {});
+    n->right = AbortScan(1, {});
+    return n;
+  };
+  Executor tuple = MakeEngine(&catalog, Executor::Engine::kTuple);
+  Executor batch = MakeEngine(&catalog, Executor::Engine::kBatch);
+  const std::vector<std::vector<int>> widths = {{}, {0}, {0, 1}};
+  std::vector<int64_t> root_rows;
+  for (const std::vector<int>& keys : widths) {
+    for (const bool payload : {false, true}) {
+      std::unique_ptr<PlanNode> root = nlj(keys);
+      if (payload) {
+        auto hj = std::make_unique<PlanNode>();
+        hj->op = PlanOp::kHashJoin;
+        hj->join_indices = {2};
+        hj->left = std::move(root);
+        hj->right = AbortScan(2, {});
+        root = std::move(hj);
+      }
+      const Plan plan(&query, std::move(root));
+      const std::string tag = std::to_string(keys.size()) + " keys" +
+                              (payload ? " under a hash join" : " at root");
+      const Result<ExecutionResult> full = tuple.Execute(plan, -1.0);
+      ASSERT_TRUE(full.ok() && full->completed) << tag;
+      if (!payload) root_rows.push_back(full->output_rows);
+      for (const double frac : {-1.0, 0.01, 0.1, 0.5, 0.9, 1.0}) {
+        const double budget = frac < 0 ? -1.0 : full->cost_used * frac;
+        const Result<ExecutionResult> rt = tuple.Execute(plan, budget);
+        const Result<ExecutionResult> rb = batch.Execute(plan, budget);
+        ASSERT_TRUE(rt.ok() && rb.ok()) << tag;
+        ExpectSameResult(*rt, *rb, tag + " budget=" + std::to_string(budget));
+      }
+    }
+  }
+  // Every inner row matches a keyless join; each key narrows the matches.
+  ASSERT_EQ(root_rows.size(), 3u);
+  EXPECT_EQ(root_rows[0], 1200 * 200);
+  EXPECT_LT(root_rows[1], root_rows[0]);
+  EXPECT_LT(root_rows[2], root_rows[1]);
+  EXPECT_GT(root_rows[2], 0);
 }
 
 // ---------------------------------------------------------------------------

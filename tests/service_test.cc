@@ -851,8 +851,8 @@ std::string SendAndReadUntilClose(int fd, const std::string& payload) {
 
 // A line longer than kMaxLineBytes — a 10 MB one, or an unterminated
 // buffer past the cap — gets exactly one ERR code=2 and the connection
-// closes; a line of exactly the cap is served, and so is every other
-// connection.
+// closes; a line of exactly the cap is served, with an LF or a CRLF
+// ending, and so is every other connection.
 TEST(TcpServerTest, OverlongLineGetsOneErrAndTheConnectionCloses) {
   QueryService service;
   TcpServer server(&service, /*port=*/0);
@@ -887,6 +887,11 @@ TEST(TcpServerTest, OverlongLineGetsOneErrAndTheConnectionCloses) {
   const std::string reply = client.RoundTrip(at_cap);
   EXPECT_EQ(reply.rfind("ERR code=3 status=NotFound", 0), 0u) << reply;
   EXPECT_EQ(client.RoundTrip("PING"), "PONG");
+  // The same line ending in CRLF: the '\r' is not counted against the cap.
+  const std::string crlf_reply = client.RoundTrip(at_cap + "\r");
+  EXPECT_EQ(crlf_reply.rfind("ERR code=3 status=NotFound", 0), 0u)
+      << crlf_reply;
+  EXPECT_EQ(client.RoundTrip("PING\r"), "PONG");
   server.Stop();
 }
 
