@@ -4,7 +4,8 @@
 // selectivity, and the TPC-DS catalog numbers the ROADMAP claims point
 // at — per-column compression ratios and the whole-catalog footprint
 // (encoded vs raw, generator scale), plus the low-cardinality filtered
-// scan where fused filtering pays. Everything here is wall-clock /
+// scan where fused filtering pays, and row-id gathers over encoded
+// columns (the index-NL fetch and sparse-survivor path). Everything here is wall-clock /
 // footprint only; the differential tests pin results and cost accounting
 // to be bit-identical across layouts.
 
@@ -155,6 +156,54 @@ BENCHMARK_CAPTURE(BM_FilterEncoded, PackedFused_Sel99pct, Encoding::kPacked, 1,
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_FilterEncoded, DictFused_Sel99pct, Encoding::kDict, 1,
                   989.0, 0.99)
+    ->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Row-id gather over encoded columns
+// ---------------------------------------------------------------------------
+
+/// kernels::Gather of 64K row ids from a 1M-row encoded column of serial
+/// keys with small jitter (vbyte-friendly, packs at 16 bits; a 1000-value
+/// domain for the dictionary). `random` row ids are uniform (index-NL
+/// fetches across keys); otherwise an ascending 1-in-16 sample (scan
+/// survivors, one key's index rows).
+void BM_GatherEncoded(benchmark::State& state, Encoding enc, bool random) {
+  TableSchema schema("gather_micro", {{"v", DataType::kInt64}});
+  EncodingPolicy policy;
+  policy.kind = enc;
+  Table table(schema, policy);
+  Rng rng(11);
+  for (int64_t r = 0; r < kRows; ++r) {
+    table.column(0).AppendInt(enc == Encoding::kDict
+                                  ? LowCardData()[static_cast<size_t>(r)]
+                                  : r * 4 + rng.UniformInt(0, 3));
+  }
+  RQP_CHECK(table.Finalize().ok());
+  RQP_CHECK(table.column(0).encoded());
+  constexpr int64_t kGathered = 1 << 16;
+  std::vector<int64_t> rows(static_cast<size_t>(kGathered));
+  for (int64_t i = 0; i < kGathered; ++i) {
+    rows[static_cast<size_t>(i)] =
+        random ? rng.UniformInt(0, kRows - 1) : i * (kRows / kGathered);
+  }
+  std::vector<double> out;
+  for (auto _ : state) {
+    kernels::Gather(table.column(0), rows.data(), kGathered, &out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kGathered);
+}
+BENCHMARK_CAPTURE(BM_GatherEncoded, Packed/Ascending, Encoding::kPacked, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GatherEncoded, Packed/Random, Encoding::kPacked, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GatherEncoded, Dict/Ascending, Encoding::kDict, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GatherEncoded, Dict/Random, Encoding::kDict, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GatherEncoded, Vbyte/Ascending, Encoding::kVbyte, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_GatherEncoded, Vbyte/Random, Encoding::kVbyte, true)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

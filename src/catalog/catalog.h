@@ -24,7 +24,7 @@ struct CatalogEntry {
   std::shared_ptr<Table> table;
   std::vector<ColumnStats> stats;
   /// Hash indexes keyed by column name.
-  std::map<std::string, std::shared_ptr<HashIndex>> indexes;
+  std::map<std::string, std::shared_ptr<HashIndex>> indexes{};
 };
 
 /// Name-keyed registry of tables. Tables are registered once (with

@@ -17,6 +17,15 @@
 // consume (join keys and sink payloads — the root pipeline usually
 // carries zero columns and reduces to counting).
 //
+// Each streaming stage has one vectorized path, budgeted or not. The
+// hash probe resolves a batch's row-major keys with one FindBatch and
+// emits column-major. The index-NL probe lists (probe row, inner row)
+// pairs from the index, filters them column-at-a-time over values the
+// kernels gather a block run at a time, and gathers its outputs the same
+// way. The NLJ compares keys by branch-free compaction. Budgeted runs
+// drive the same code over sub-ranges of the batch with a budget check
+// between them.
+//
 // Budget accounting (bit-identical to the tuple engine): both engines
 // count cost events into the shared CostLedger and reduce it through the
 // canonical fixed-order CostLedger::Total, which is independent of the
@@ -65,6 +74,14 @@ namespace {
 constexpr int64_t kBatchRows = 1024;
 /// Width of the first morsel of a budgeted sequential pipeline.
 constexpr int64_t kFirstMorselRows = 16;
+/// Budgeted probe stages check the budget after every sub-range of this
+/// many incoming rows (index-NL / hash probe). Physical only: a missed
+/// crossing is caught by the morsel's end-of-batch check.
+constexpr int64_t kIndexCheckRows = 64;
+constexpr int64_t kHashCheckRows = 256;
+/// The index-NL stage closes a sub-range once it has listed this many
+/// (probe row, inner row) pairs, bounding its pair scratch.
+constexpr int64_t kIndexPairRows = 4 * kBatchRows;
 
 // ---------------------------------------------------------------------------
 // Column references and resolved predicates
@@ -671,10 +688,11 @@ struct Scratch {
   std::vector<double> key;
   std::vector<double> pay;
   kernels::FilterScratch fsc;
-  std::vector<int64_t> probe_u;   // vectorized probe: resolved ordinals
-  std::vector<uint64_t> hashes;   // vectorized probe: hash pass output
-  std::vector<int64_t> match_i;   // vectorized probe: matched probe rows
-  std::vector<int64_t> match_e;   // vectorized probe: matched entries
+  std::vector<int64_t> probe_u;   // hash probe: resolved ordinals
+  std::vector<uint64_t> hashes;   // hash probe: hash pass output
+  std::vector<int64_t> match_i;   // probe stages: matched probe rows
+  std::vector<int64_t> match_e;   // matched entries / inner rows / NLJ pos
+  std::vector<double> vals;       // index-NL: gathered inner filter values
   /// Replay row values, one vector per pipeline level.
   std::vector<std::vector<double>> rows;
 };
@@ -954,6 +972,26 @@ int64_t NljMatches(const NljBuffer& buf, const double* key, int64_t* pos) {
   return m;
 }
 
+/// Appends k rows to every output column of `out` (which holds `at`
+/// rows): an input column is read at the matched probe rows, any other
+/// column is filled by other_side(column index, destination).
+template <typename OtherSide>
+void EmitPairs(const Stage& s, const Batch& in, const int64_t* probe,
+               int64_t k, int64_t at, Batch* out, OtherSide&& other_side) {
+  for (size_t c = 0; c < s.out_cols.size(); ++c) {
+    const OutCol& oc = s.out_cols[c];
+    std::vector<double>& col = out->cols[c];
+    col.resize(static_cast<size_t>(at + k));
+    double* dst = col.data() + at;
+    if (oc.from_input) {
+      const double* src = in.cols[static_cast<size_t>(oc.idx)].data();
+      for (int64_t j = 0; j < k; ++j) dst[j] = src[probe[j]];
+    } else {
+      other_side(oc.idx, dst);
+    }
+  }
+}
+
 /// Runs one stage over a batch. Returns false when a periodic hazard
 /// check tripped (budgeted mode only).
 bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
@@ -970,21 +1008,36 @@ bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
 
   switch (s.kind) {
     case Stage::Kind::kHashProbe: {
+      // Probe in sub-ranges (the whole batch when unbudgeted): keys
+      // row-major into scratch, FindBatch for the sub-range, then a
+      // column-major emit — match pairs first, then each output column
+      // filled in its own tight gather loop.
       st.right_in += in.n;
       ctx->ledger->hash_probe_tuple += in.n;
       const JoinHashTable* ht = s.ht;
-      const int kw = ht->key_width();
-      const bool vectorized = !ctx->budgeted && kw == 1 && in.n > 0;
-      if (vectorized) {
-        // Two-pass probe: hash + slot resolution for the whole batch up
-        // front, then a column-major emit — match pairs first, then each
-        // output column filled in its own tight gather loop.
-        sc->probe_u.resize(static_cast<size_t>(in.n));
-        ht->FindBatch(in.cols[static_cast<size_t>(s.in_keys[0])].data(), in.n,
-                      sc->probe_u.data(), &sc->hashes);
+      const size_t kw = s.in_keys.size();
+      const int64_t step = ctx->budgeted ? kHashCheckRows : in.n;
+      for (int64_t i0 = 0; i0 < in.n; i0 += step) {
+        const int64_t m = std::min(in.n - i0, step);
+        const double* keys = nullptr;
+        if (kw == 1) {
+          keys = in.cols[static_cast<size_t>(s.in_keys[0])].data() + i0;
+        } else {
+          sc->key.resize(static_cast<size_t>(m) * kw);
+          for (size_t k = 0; k < kw; ++k) {
+            const double* src =
+                in.cols[static_cast<size_t>(s.in_keys[k])].data() + i0;
+            for (int64_t i = 0; i < m; ++i) {
+              sc->key[static_cast<size_t>(i) * kw + k] = src[i];
+            }
+          }
+          keys = sc->key.data();
+        }
+        sc->probe_u.resize(static_cast<size_t>(m));
+        ht->FindBatch(keys, m, sc->probe_u.data(), &sc->hashes);
         sc->match_i.clear();
         sc->match_e.clear();
-        for (int64_t i = 0; i < in.n; ++i) {
+        for (int64_t i = 0; i < m; ++i) {
           const int64_t u = sc->probe_u[static_cast<size_t>(i)];
           if (u < 0) continue;
           if (w == 0) {
@@ -992,66 +1045,23 @@ bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
             continue;
           }
           for (int64_t e = ht->ChainHead(u); e >= 0; e = ht->ChainNext(e)) {
-            sc->match_i.push_back(i);
+            sc->match_i.push_back(i0 + i);
             sc->match_e.push_back(e);
           }
         }
         if (w > 0) {
-          matches = static_cast<int64_t>(sc->match_i.size());
-          for (size_t c = 0; c < w; ++c) {
-            const OutCol& oc = s.out_cols[c];
-            std::vector<double>& dst = out->cols[c];
-            dst.resize(static_cast<size_t>(matches));
-            if (oc.from_input) {
-              const double* src =
-                  in.cols[static_cast<size_t>(oc.idx)].data();
-              for (int64_t j = 0; j < matches; ++j) {
-                dst[static_cast<size_t>(j)] =
-                    src[sc->match_i[static_cast<size_t>(j)]];
-              }
-            } else {
-              for (int64_t j = 0; j < matches; ++j) {
-                dst[static_cast<size_t>(j)] =
-                    ht->Payload(static_cast<size_t>(oc.idx),
-                                sc->match_e[static_cast<size_t>(j)]);
-              }
-            }
-          }
+          const int64_t k = static_cast<int64_t>(sc->match_i.size());
+          EmitPairs(s, in, sc->match_i.data(), k, matches, out,
+                    [&](int idx, double* dst) {
+                      for (int64_t j = 0; j < k; ++j) {
+                        dst[j] = ht->Payload(
+                            static_cast<size_t>(idx),
+                            sc->match_e[static_cast<size_t>(j)]);
+                      }
+                    });
+          matches += k;
         }
-        break;
-      }
-      for (int64_t i = 0; i < in.n; ++i) {
-        int64_t u;
-        if (kw == 1) {
-          const double k = in.cols[static_cast<size_t>(s.in_keys[0])]
-                                  [static_cast<size_t>(i)];
-          u = ht->Find(&k);
-        } else {
-          sc->key.clear();
-          for (int kp : s.in_keys) {
-            sc->key.push_back(
-                in.cols[static_cast<size_t>(kp)][static_cast<size_t>(i)]);
-          }
-          u = ht->Find(sc->key.data());
-        }
-        if (u >= 0) {
-          if (w == 0) {
-            matches += ht->ChainLen(u);
-          } else {
-            for (int64_t e = ht->ChainHead(u); e >= 0; e = ht->ChainNext(e)) {
-              ++matches;
-              for (size_t c = 0; c < w; ++c) {
-                const OutCol& oc = s.out_cols[c];
-                out->cols[c].push_back(
-                    oc.from_input
-                        ? in.cols[static_cast<size_t>(oc.idx)]
-                                 [static_cast<size_t>(i)]
-                        : ht->Payload(static_cast<size_t>(oc.idx), e));
-              }
-            }
-          }
-        }
-        if (ctx->budgeted && (i & 255) == 255) {
+        if (ctx->budgeted) {
           flush_outputs();
           if (ctx->Hazard()) return false;
         }
@@ -1059,40 +1069,57 @@ bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
       break;
     }
     case Stage::Kind::kIndexProbe: {
+      // Two passes per sub-range of outer rows (the whole batch when
+      // unbudgeted, capped at about kIndexPairRows fetched rows):
+      //  1. look up every key, charge index_fetch by count and list the
+      //     (probe row, inner row) pairs in tuple-engine order;
+      //  2. evaluate each inner filter column-at-a-time over the gathered
+      //     values, compacting the pairs branch-free;
+      //  3. gather each output column at the surviving pairs.
+      // Inner filters are uncharged, so their order and batching never
+      // show in the counts.
       st.left_in += in.n;
       ctx->ledger->index_probe += in.n;
       const double* keys =
           in.cols[static_cast<size_t>(s.in_keys[0])].data();
-      const bool no_filters = s.inner_filters.empty();
-      for (int64_t i = 0; i < in.n; ++i) {
-        const RowIdSpan m = s.index->Lookup(static_cast<int64_t>(keys[i]));
-        if (!m.empty()) {
-          ctx->ledger->index_fetch += m.size();
-          if (no_filters && w == 0) {
-            matches += m.size();
-          } else {
-            for (int64_t r : m) {
-              bool pass = true;
-              for (const Filter& f : s.inner_filters) {
-                if (!EvalFilter(f, r)) {
-                  pass = false;
-                  break;
-                }
-              }
-              if (!pass) continue;
-              ++matches;
-              for (size_t c = 0; c < w; ++c) {
-                const OutCol& oc = s.out_cols[c];
-                out->cols[c].push_back(
-                    oc.from_input
-                        ? in.cols[static_cast<size_t>(oc.idx)]
-                                 [static_cast<size_t>(i)]
-                        : s.inner_table->column(oc.idx).GetNumeric(r));
-              }
-            }
+      const bool count_only = s.inner_filters.empty() && w == 0;
+      const int64_t step = ctx->budgeted ? kIndexCheckRows : in.n;
+      std::vector<int64_t>& probe = sc->match_i;
+      std::vector<int64_t>& inner = sc->match_e;
+      for (int64_t i0 = 0; i0 < in.n;) {
+        const int64_t end = std::min(in.n, i0 + step);
+        probe.clear();
+        inner.clear();
+        int64_t i = i0;
+        for (; i < end && static_cast<int64_t>(inner.size()) < kIndexPairRows;
+             ++i) {
+          const RowIdSpan span = s.index->Lookup(static_cast<int64_t>(keys[i]));
+          ctx->ledger->index_fetch += span.size();
+          if (count_only) {
+            matches += span.size();
+            continue;
           }
+          probe.insert(probe.end(), static_cast<size_t>(span.size()), i);
+          inner.insert(inner.end(), span.begin(), span.end());
         }
-        if (ctx->budgeted && (i & 63) == 63) {
+        i0 = i;
+        int64_t k = static_cast<int64_t>(inner.size());
+        for (const Filter& f : s.inner_filters) {
+          if (k == 0) break;
+          sc->vals.resize(static_cast<size_t>(k));
+          kernels::GatherInto(*f.col, inner.data(), k, sc->vals.data());
+          k = kernels::CompactWhere(sc->vals.data(), f.op, f.value, k,
+                                    probe.data(), inner.data());
+        }
+        if (!count_only) {
+          EmitPairs(s, in, probe.data(), k, matches, out,
+                    [&](int idx, double* dst) {
+                      kernels::GatherInto(s.inner_table->column(idx),
+                                          inner.data(), k, dst);
+                    });
+          matches += k;
+        }
+        if (ctx->budgeted) {
           flush_outputs();
           if (ctx->Hazard()) return false;
         }

@@ -404,18 +404,23 @@ int64_t FilterRange(const ColumnData& col, CompareOp op, double value,
 }
 
 int64_t FilterRefine(const ColumnData& col, CompareOp op, double value,
-                     std::vector<int64_t>* sel) {
+                     std::vector<int64_t>* sel, FilterScratch* scratch) {
   const int64_t n = static_cast<int64_t>(sel->size());
   int64_t* s = sel->data();
   int64_t w = 0;
   if (col.encoded()) {
-    // Survivor lists are sparse by construction here; point access is
-    // O(1) for packed and dictionary blocks.
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t r = s[i];
-      s[w] = r;
-      w += CompareVal(col.GetNumeric(r), op, value) ? 1 : 0;
-    }
+    // Gather the survivors' values a block run at a time (a vbyte point
+    // read alone costs up to 64 varint decodes), then compact.
+    FilterScratch local;
+    if (scratch == nullptr) scratch = &local;
+    scratch->decoded_d.resize(static_cast<size_t>(n));
+    col.enc().GatherNumeric(s, n, scratch->decoded_d.data());
+    WithArrayPred(scratch->decoded_d.data(), op, value, [&](auto pred) {
+      for (int64_t i = 0; i < n; ++i) {
+        s[w] = s[i];
+        w += pred(i) ? 1 : 0;
+      }
+    });
     sel->resize(static_cast<size_t>(w));
     return w;
   }
@@ -642,16 +647,13 @@ void Gather(const ColumnData& col, const int64_t* sel, int64_t n,
             std::vector<double>* out) {
   out->resize(static_cast<size_t>(n > 0 ? n : 0));
   if (n <= 0) return;
-  double* o = out->data();
+  GatherInto(col, sel, n, out->data());
+}
+
+void GatherInto(const ColumnData& col, const int64_t* sel, int64_t n,
+                double* o) {
   if (col.encoded()) {
-    const EncodedColumn& enc = col.enc();
-    if (col.type() == DataType::kInt64) {
-      for (int64_t i = 0; i < n; ++i) {
-        o[i] = static_cast<double>(enc.GetInt(sel[i]));
-      }
-    } else {
-      for (int64_t i = 0; i < n; ++i) o[i] = enc.GetDouble(sel[i]);
-    }
+    col.enc().GatherNumeric(sel, n, o);
     return;
   }
   if (col.type() == DataType::kInt64) {
@@ -682,15 +684,17 @@ void GatherRange(const ColumnData& col, int64_t r0, int64_t r1,
   }
 }
 
-uint64_t HashKeyValue(double v) {
-  const double x = v == 0.0 ? 0.0 : v;  // normalize -0.0
-  uint64_t b;
-  std::memcpy(&b, &x, sizeof(b));
-  b *= 0xbf58476d1ce4e5b9ull;
-  b ^= b >> 31;
-  uint64_t h = (0x9e3779b97f4a7c15ull ^ b) * 0x94d049bb133111ebull;
-  h ^= h >> 29;
-  return h;
+int64_t CompactWhere(const double* vals, CompareOp op, double value,
+                     int64_t n, int64_t* a, int64_t* b) {
+  int64_t w = 0;
+  WithArrayPred(vals, op, value, [&](auto pred) {
+    for (int64_t j = 0; j < n; ++j) {
+      a[w] = a[j];
+      b[w] = b[j];
+      w += pred(j) ? 1 : 0;
+    }
+  });
+  return w;
 }
 
 void FlatJoinTable::Init(int key_width, int payload_width) {
@@ -729,22 +733,21 @@ void FlatJoinTable::FindBatch(const double* keys, int64_t n, int64_t* out,
     std::fill(out, out + n, int64_t{-1});
     return;
   }
-  // Pass 1: hash every key (straight-line, auto-vectorizable).
+  // Pass 1: hash every key (straight-line, no probe-walk branches).
   hash_scratch->resize(static_cast<size_t>(n));
   uint64_t* h = hash_scratch->data();
-  for (int64_t i = 0; i < n; ++i) h[i] = HashKeyValue(keys[i]);
+  for (int64_t i = 0; i < n; ++i) h[i] = Hash(keys + i * kw_);
   // Pass 2: resolve slots. Linear probing with the precomputed hashes;
   // NaN keys miss naturally (stored != key for every comparison).
   const uint64_t mask = slots_.size() - 1;
   const int64_t* slots = slots_.data();
-  const double* ukeys = ukeys_.data();
   for (int64_t i = 0; i < n; ++i) {
-    const double k = keys[i];
+    const double* key = keys + i * kw_;
     int64_t found = -1;
     for (uint64_t s = h[i] & mask;; s = (s + 1) & mask) {
       const int64_t u = slots[s];
       if (u < 0) break;
-      if (ukeys[u] == k) {
+      if (KeyEquals(u, key)) {
         found = u;
         break;
       }

@@ -120,9 +120,12 @@ int64_t FilterRange(const ColumnData& col, CompareOp op, double value,
                     bool fused = true);
 
 /// Compacts `*sel` in place to the ids satisfying `col OP value`
-/// (branch-free). Returns the new count.
+/// (branch-free). Encoded columns gather the survivors' values through
+/// EncodedColumn::GatherNumeric into `scratch` first (a local buffer when
+/// null). Returns the new count.
 int64_t FilterRefine(const ColumnData& col, CompareOp op, double value,
-                     std::vector<int64_t>* sel);
+                     std::vector<int64_t>* sel,
+                     FilterScratch* scratch = nullptr);
 
 // ---------------------------------------------------------------------------
 // Fused filters over encoded blocks
@@ -192,9 +195,21 @@ MinMaxStats ColumnMinMax(const ColumnData& col);
 // Gather kernels
 // ---------------------------------------------------------------------------
 
-/// Appends nothing; overwrites `*out` with col[sel[0..n)] as doubles.
+/// Overwrites `*out` with col[sel[0..n)] as doubles (GetNumeric
+/// semantics). Encoded columns go through EncodedColumn::GatherNumeric,
+/// which decodes a block run of row ids at a time.
 void Gather(const ColumnData& col, const int64_t* sel, int64_t n,
             std::vector<double>* out);
+
+/// Gather into caller-owned out[0..n).
+void GatherInto(const ColumnData& col, const int64_t* sel, int64_t n,
+                double* out);
+
+/// Compacts the parallel arrays a[0..n) and b[0..n) in place to the
+/// positions j where `vals[j] OP value` holds, keeping their order
+/// (branch-free, op dispatched once). Returns the kept count.
+int64_t CompactWhere(const double* vals, CompareOp op, double value,
+                     int64_t n, int64_t* a, int64_t* b);
 
 /// Overwrites `*out` with col[r0..r1) as doubles.
 void GatherRange(const ColumnData& col, int64_t r0, int64_t r1,
@@ -203,10 +218,6 @@ void GatherRange(const ColumnData& col, int64_t r0, int64_t r1,
 // ---------------------------------------------------------------------------
 // Flat open-addressing join hash table
 // ---------------------------------------------------------------------------
-
-/// Mixes the bit pattern of one key value (SplitMix64 finalizer). -0.0 is
-/// normalized to +0.0 so it hashes with 0.0, matching double equality.
-uint64_t HashKeyValue(double v);
 
 /// Build-once hash table for join build sides: open-addressed unique-key
 /// slots, per-key insertion-ordered entry chains, column-major payloads.
@@ -224,10 +235,10 @@ class FlatJoinTable {
   /// Unique-key ordinal, or -1 when the key is absent.
   int64_t Find(const double* key) const;
 
-  /// Vectorized single-key probe: for each of `keys[0..n)` writes the
-  /// unique-key ordinal (or -1) into `out[0..n)`. Split into a hash pass
-  /// and a bucket-resolve pass so the hash loop auto-vectorizes and the
-  /// probe loop runs without re-deriving hashes. Requires key_width == 1.
+  /// Batch probe at any key width: `keys` holds n keys row-major
+  /// (key_width() values each); writes each key's unique-key ordinal (or
+  /// -1) into `out[0..n)`. Split into a hash pass and a bucket-resolve
+  /// pass so the probe walk runs without re-deriving hashes.
   void FindBatch(const double* keys, int64_t n, int64_t* out,
                  std::vector<uint64_t>* hash_scratch) const;
 

@@ -37,7 +37,7 @@ struct EvalOptions {
   /// duration of the sweep and disarmed afterwards. Fault draws are keyed
   /// to the grid location, so the sweep stays bit-identical at any thread
   /// count.
-  std::string fault_spec;
+  std::string fault_spec{};
   /// Seed for the deterministic fault draws of a chaos sweep.
   uint64_t fault_seed = 42;
   /// Sharded chaos mode: simulate every full execution as scattered over

@@ -51,7 +51,7 @@ void PrintContourDrilldown(const Ess& ess, const DiscoveryResult& result,
   std::vector<std::string> header;
   header.push_back("contour");
   for (int d = 0; d < ess.dims(); ++d) {
-    header.push_back("e" + std::to_string(d + 1) + " (" +
+    header.push_back(std::string("e").append(std::to_string(d + 1)) + " (" +
                      ess.query().EppLabel(d) + ")");
   }
   header.push_back(seconds_per_unit > 0.0 ? "time (s)" : "cum. cost");

@@ -39,7 +39,7 @@ struct FilterPredicate {
   CompareOp op = CompareOp::kLt;
   double value = 0.0;
   bool is_string = false;
-  std::string value_str;
+  std::string value_str{};
 };
 
 /// An equi-join predicate `left.column = right.column` — one edge of the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/status.h"
 
@@ -562,6 +563,72 @@ const std::string& EncodedColumn::GetString(int64_t row) const {
 
 namespace {
 
+/// Calls fn(i, code) for each in-block index i in [i0, i1) of a packed
+/// code run, unpacking through bitpack::Unpack's lane-width loops a stack
+/// buffer at a time.
+template <typename Fn>
+void ForEachCode(const uint64_t* words, int width, int64_t i0, int64_t i1,
+                 Fn&& fn) {
+  constexpr int64_t kChunk = 256;
+  uint64_t codes[kChunk];
+  for (int64_t c0 = i0; c0 < i1; c0 += kChunk) {
+    const int64_t m = std::min(kChunk, i1 - c0);
+    bitpack::Unpack(words, c0, m, width, codes);
+    for (int64_t j = 0; j < m; ++j) fn(c0 + j, codes[j]);
+  }
+}
+
+/// Calls fn(j, code) for j in [0, n) with the code at in-block index
+/// rows[j] - base of a packed code run. The width switch runs once per
+/// call; lane widths 8/16/32/64 are typed loads and 1/2/4-bit codes sit
+/// whole inside one byte (see bitpack::LaneWidthFor).
+template <typename Fn>
+void ForGatheredCodes(const uint64_t* words, int width, const int64_t* rows,
+                      int64_t n, int64_t base, Fn&& fn) {
+  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(words);
+  switch (width) {
+    case 0:
+      for (int64_t j = 0; j < n; ++j) fn(j, uint64_t{0});
+      return;
+    case 8:
+      for (int64_t j = 0; j < n; ++j) fn(j, uint64_t{bytes[rows[j] - base]});
+      return;
+    case 16:
+      for (int64_t j = 0; j < n; ++j) {
+        uint16_t v;
+        std::memcpy(&v, bytes + (rows[j] - base) * 2, sizeof(v));
+        fn(j, uint64_t{v});
+      }
+      return;
+    case 32:
+      for (int64_t j = 0; j < n; ++j) {
+        uint32_t v;
+        std::memcpy(&v, bytes + (rows[j] - base) * 4, sizeof(v));
+        fn(j, uint64_t{v});
+      }
+      return;
+    case 64:
+      for (int64_t j = 0; j < n; ++j) fn(j, words[rows[j] - base]);
+      return;
+    case 1:
+    case 2:
+    case 4: {
+      const int per = 8 / width;
+      const uint8_t mask = static_cast<uint8_t>((1u << width) - 1);
+      for (int64_t j = 0; j < n; ++j) {
+        const int64_t lane = rows[j] - base;
+        fn(j, static_cast<uint64_t>(
+                  (bytes[lane / per] >> ((lane % per) * width)) & mask));
+      }
+      return;
+    }
+    default:
+      for (int64_t j = 0; j < n; ++j) {
+        fn(j, bitpack::Extract(words, rows[j] - base, width));
+      }
+  }
+}
+
 /// Shared partial-block decode skeleton: calls sink(i, value) for each
 /// in-block index i in [i0, i1) with the decoded int64 value.
 template <typename Sink>
@@ -569,21 +636,19 @@ void DecodeIntPart(const uint64_t* words, const uint8_t* bytes,
                    const uint64_t* skips, const int64_t* dict, Encoding kind,
                    int64_t ref, int width, int64_t i0, int64_t i1,
                    Sink&& sink) {
+  const uint64_t uref = static_cast<uint64_t>(ref);
   if (kind == Encoding::kRaw) {
     for (int64_t i = i0; i < i1; ++i) {
       sink(i, static_cast<int64_t>(words[i]));
     }
   } else if (kind == Encoding::kDict) {
-    for (int64_t i = i0; i < i1; ++i) {
-      sink(i, dict[bitpack::Extract(words, i, width)]);
-    }
+    ForEachCode(words, width, i0, i1,
+                [&](int64_t i, uint64_t c) { sink(i, dict[c]); });
   } else if (kind == Encoding::kPacked) {
-    const uint64_t uref = static_cast<uint64_t>(ref);
-    for (int64_t i = i0; i < i1; ++i) {
-      sink(i, static_cast<int64_t>(uref + bitpack::Extract(words, i, width)));
-    }
+    ForEachCode(words, width, i0, i1, [&](int64_t i, uint64_t c) {
+      sink(i, static_cast<int64_t>(uref + c));
+    });
   } else {  // kVbyte: start at the preceding skip point, discard the run-in
-    const uint64_t uref = static_cast<uint64_t>(ref);
     const int64_t group = i0 / vbyte::kVbyteGroup;
     const uint8_t* p = bytes + skips[group];
     uint64_t delta = 0;
@@ -600,105 +665,146 @@ void DecodeIntPart(const uint64_t* words, const uint8_t* bytes,
 }  // namespace
 
 void EncodedColumn::DecodeInto(int64_t b, int64_t* out) const {
-  const Block& blk = blocks_[static_cast<size_t>(b)];
-  if (type_ == DataType::kString) {
-    const uint64_t* w = wp_ + blk.word_off;
-    for (int64_t i = 0; i < blk.rows; ++i) {
-      out[i] =
-          static_cast<int64_t>(rank_of_code_[bitpack::Extract(w, i, blk.width)]);
-    }
-    return;
-  }
-  DecodeIntPart(wp_ + blk.word_off, bp_, sp_ + blk.skip_off, dict_i_.data(),
-                blk.kind, blk.ref, blk.width, 0, blk.rows,
-                [out](int64_t i, int64_t v) { out[i] = v; });
+  DecodeRangeAs(b * kBlockRows, b * kBlockRows + block_rows(b), out);
 }
 
 void EncodedColumn::DecodeInto(int64_t b, double* out) const {
-  const Block& blk = blocks_[static_cast<size_t>(b)];
-  if (type_ == DataType::kString) {
-    const uint64_t* w = wp_ + blk.word_off;
-    for (int64_t i = 0; i < blk.rows; ++i) {
-      out[i] =
-          static_cast<double>(rank_of_code_[bitpack::Extract(w, i, blk.width)]);
-    }
-    return;
-  }
-  if (type_ == DataType::kDouble) {
-    const uint64_t* w = wp_ + blk.word_off;
-    if (blk.kind == Encoding::kRaw) {
-      std::memcpy(out, w, static_cast<size_t>(blk.rows) * sizeof(double));
-      return;
-    }
-    for (int64_t i = 0; i < blk.rows; ++i) {
-      out[i] = dict_d_[bitpack::Extract(w, i, blk.width)];
-    }
-    return;
-  }
-  DecodeIntPart(wp_ + blk.word_off, bp_, sp_ + blk.skip_off, dict_i_.data(),
-                blk.kind, blk.ref, blk.width, 0, blk.rows,
-                [out](int64_t i, int64_t v) {
-                  out[i] = static_cast<double>(v);
-                });
+  DecodeRangeAs(b * kBlockRows, b * kBlockRows + block_rows(b), out);
 }
 
 void EncodedColumn::DecodeRange(int64_t r0, int64_t r1, int64_t* out) const {
+  DecodeRangeAs(r0, r1, out);
+}
+
+void EncodedColumn::DecodeRange(int64_t r0, int64_t r1, double* out) const {
+  DecodeRangeAs(r0, r1, out);
+}
+
+template <typename T>
+void EncodedColumn::DecodeRangeAs(int64_t r0, int64_t r1, T* out) const {
   while (r0 < r1) {
     const int64_t b = r0 / kBlockRows;
     const Block& blk = blocks_[static_cast<size_t>(b)];
     const int64_t base = b * kBlockRows;
     const int64_t i0 = r0 - base;
     const int64_t i1 = std::min<int64_t>(r1 - base, blk.rows);
-    int64_t* o = out - i0;
+    T* o = out - i0;
+    const uint64_t* w = wp_ + blk.word_off;
     if (type_ == DataType::kString) {
-      const uint64_t* w = wp_ + blk.word_off;
-      for (int64_t i = i0; i < i1; ++i) {
-        o[i] = static_cast<int64_t>(
-            rank_of_code_[bitpack::Extract(w, i, blk.width)]);
+      ForEachCode(w, blk.width, i0, i1, [&](int64_t i, uint64_t c) {
+        o[i] = static_cast<T>(rank_of_code_[c]);
+      });
+    } else if (type_ == DataType::kDouble) {
+      // Double columns decode into doubles only (their values need not
+      // fit an int64).
+      if constexpr (std::is_same_v<T, double>) {
+        if (blk.kind == Encoding::kRaw) {
+          std::memcpy(o + i0, w + i0,
+                      static_cast<size_t>(i1 - i0) * sizeof(double));
+        } else {
+          ForEachCode(w, blk.width, i0, i1,
+                      [&](int64_t i, uint64_t c) { o[i] = dict_d_[c]; });
+        }
+      } else {
+        RQP_CHECK(false);
       }
     } else {
-      DecodeIntPart(wp_ + blk.word_off, bp_, sp_ + blk.skip_off,
-                    dict_i_.data(), blk.kind, blk.ref, blk.width, i0, i1,
-                    [o](int64_t i, int64_t v) { o[i] = v; });
+      DecodeIntPart(w, bp_, sp_ + blk.skip_off, dict_i_.data(), blk.kind,
+                    blk.ref, blk.width, i0, i1,
+                    [o](int64_t i, int64_t v) { o[i] = static_cast<T>(v); });
     }
     out += i1 - i0;
     r0 = base + i1;
   }
 }
 
-void EncodedColumn::DecodeRange(int64_t r0, int64_t r1, double* out) const {
-  while (r0 < r1) {
-    const int64_t b = r0 / kBlockRows;
-    const Block& blk = blocks_[static_cast<size_t>(b)];
-    const int64_t base = b * kBlockRows;
-    const int64_t i0 = r0 - base;
-    const int64_t i1 = std::min<int64_t>(r1 - base, blk.rows);
-    double* o = out - i0;
-    if (type_ == DataType::kString) {
-      const uint64_t* w = wp_ + blk.word_off;
-      for (int64_t i = i0; i < i1; ++i) {
-        o[i] = static_cast<double>(
-            rank_of_code_[bitpack::Extract(w, i, blk.width)]);
-      }
-    } else if (type_ == DataType::kDouble) {
-      const uint64_t* w = wp_ + blk.word_off;
-      if (blk.kind == Encoding::kRaw) {
-        std::memcpy(o + i0, w + i0,
-                    static_cast<size_t>(i1 - i0) * sizeof(double));
+void EncodedColumn::GatherNumeric(const int64_t* rows, int64_t n,
+                                  double* out) const {
+  const bool ints = type_ == DataType::kInt64;
+  // Row ids are non-negative, so two share a block iff they agree above
+  // the in-block bits.
+  const auto same_block = [](int64_t a, int64_t b) {
+    return static_cast<uint64_t>(a ^ b) < static_cast<uint64_t>(kBlockRows);
+  };
+  int64_t j = 0;
+  while (j < n) {
+    // Lone rows (ids scattered across blocks) take the point read, which
+    // is cheaper than setting up a block run.
+    for (; j + 1 < n && !same_block(rows[j], rows[j + 1]); ++j) {
+      out[j] = ints ? static_cast<double>(GetInt(rows[j])) : GetDouble(rows[j]);
+    }
+    int64_t j1 = j + 1;
+    while (j1 < n && same_block(rows[j], rows[j1])) ++j1;
+    const int64_t b = rows[j] / kBlockRows;
+    GatherBlock(blocks_[static_cast<size_t>(b)], b * kBlockRows, rows + j,
+                j1 - j, out + j);
+    j = j1;
+  }
+}
+
+void EncodedColumn::GatherBlock(const Block& blk, int64_t base,
+                                const int64_t* rows, int64_t n,
+                                double* out) const {
+  const uint64_t* w = wp_ + blk.word_off;
+  if (type_ == DataType::kString) {
+    ForGatheredCodes(w, blk.width, rows, n, base, [&](int64_t j, uint64_t c) {
+      out[j] = static_cast<double>(rank_of_code_[c]);
+    });
+    return;
+  }
+  const bool dbl = type_ == DataType::kDouble;
+  switch (blk.kind) {
+    case Encoding::kRaw:
+      if (dbl) {
+        for (int64_t j = 0; j < n; ++j) {
+          std::memcpy(&out[j], w + (rows[j] - base), sizeof(double));
+        }
       } else {
-        for (int64_t i = i0; i < i1; ++i) {
-          o[i] = dict_d_[bitpack::Extract(w, i, blk.width)];
+        for (int64_t j = 0; j < n; ++j) {
+          out[j] = static_cast<double>(static_cast<int64_t>(w[rows[j] - base]));
         }
       }
-    } else {
-      DecodeIntPart(wp_ + blk.word_off, bp_, sp_ + blk.skip_off,
-                    dict_i_.data(), blk.kind, blk.ref, blk.width, i0, i1,
-                    [o](int64_t i, int64_t v) {
-                      o[i] = static_cast<double>(v);
-                    });
+      return;
+    case Encoding::kDict:
+      if (dbl) {
+        ForGatheredCodes(w, blk.width, rows, n, base,
+                         [&](int64_t j, uint64_t c) { out[j] = dict_d_[c]; });
+      } else {
+        ForGatheredCodes(w, blk.width, rows, n, base,
+                         [&](int64_t j, uint64_t c) {
+                           out[j] = static_cast<double>(dict_i_[c]);
+                         });
+      }
+      return;
+    case Encoding::kPacked: {
+      const uint64_t uref = static_cast<uint64_t>(blk.ref);
+      ForGatheredCodes(w, blk.width, rows, n, base, [&](int64_t j, uint64_t c) {
+        out[j] = static_cast<double>(static_cast<int64_t>(uref + c));
+      });
+      return;
     }
-    out += i1 - i0;
-    r0 = base + i1;
+    default: {  // kVbyte
+      const uint64_t uref = static_cast<uint64_t>(blk.ref);
+      const uint64_t* skips = sp_ + blk.skip_off;
+      const uint8_t* p = nullptr;
+      int64_t at = -1;  // in-block index of the value in `delta`
+      uint64_t delta = 0;
+      for (int64_t j = 0; j < n; ++j) {
+        const int64_t i = rows[j] - base;
+        if (at < 0 || i < at ||
+            i / vbyte::kVbyteGroup != at / vbyte::kVbyteGroup) {
+          const int64_t g = i / vbyte::kVbyteGroup;
+          p = bp_ + skips[g];
+          at = g * vbyte::kVbyteGroup - 1;
+        }
+        while (at < i) {
+          p = vbyte::Decode(p, &delta);
+          ++at;
+        }
+        out[j] = static_cast<double>(static_cast<int64_t>(uref + delta));
+      }
+      return;
+    }
   }
 }
 

@@ -16,7 +16,9 @@
 //  * *vbyte* — LEB128 varints of the same frame-of-reference deltas, for
 //    blocks whose range needs many bits but whose typical delta is small
 //    (RDF-TDAA's adjacency-array trick). A skip table every 64 values
-//    bounds point access to at most 64 sequential varint decodes.
+//    bounds point access to at most 64 sequential varint decodes, so
+//    GetInt on a vbyte block costs 1..64 decodes; GatherNumeric decodes a
+//    skip group once for all the ascending rows it is asked for.
 //  * *dictionary* — a column-level first-appearance-order dictionary with
 //    bit-packed per-row codes (block width grows with the dictionary, so
 //    early blocks stay narrow). Doubles are interned by *bit pattern*,
@@ -292,8 +294,21 @@ class EncodedColumn {
   void DecodeInto(int64_t b, double* out) const;
 
   /// Decodes the row range [r0, r1) (may span blocks) into out[0..r1-r0).
+  /// Packed and dictionary codes unpack through bitpack::Unpack's
+  /// lane-width loops.
   void DecodeRange(int64_t r0, int64_t r1, int64_t* out) const;
   void DecodeRange(int64_t r0, int64_t r1, double* out) const;
+
+  /// Batched row-id gather: out[j] = the ColumnData::GetNumeric value of
+  /// row rows[j] (int values cast, doubles verbatim, dictionary entries,
+  /// string ranks) for j in [0, n). Rows may come in any order and
+  /// repeat. Each run of rows inside one block is decoded with the
+  /// block's kind and code width dispatched once; a vbyte block decodes
+  /// forward from a skip point once per skip group while the rows
+  /// ascend, and restarts only when a row goes backwards or jumps to a
+  /// later group. Ascending row lists — index fetches, filter survivors
+  /// — therefore cost about one varint decode per row, not up to 64.
+  void GatherNumeric(const int64_t* rows, int64_t n, double* out) const;
 
   // ---- Fused-kernel access ----
 
@@ -376,6 +391,13 @@ class EncodedColumn {
 
  private:
   void FlushStage();
+  /// GatherNumeric for rows[0..n), all inside the block starting at row
+  /// `base`.
+  void GatherBlock(const Block& blk, int64_t base, const int64_t* rows,
+                   int64_t n, double* out) const;
+  /// DecodeRange for both output types.
+  template <typename T>
+  void DecodeRangeAs(int64_t r0, int64_t r1, T* out) const;
   /// Sink mode: spills the in-memory payload tails to the sink and clears
   /// them, keeping the global offsets in flushed_words_ / flushed_bytes_.
   void SpillToSink();

@@ -1,5 +1,7 @@
 #include "storage/hash_index.h"
 
+#include <algorithm>
+
 #include "common/status.h"
 #include "storage/table.h"
 
@@ -32,11 +34,17 @@ HashIndex::HashIndex(const Table& table, int column_idx)
   const uint64_t mask = static_cast<uint64_t>(cap) - 1;
 
   // Pass 1: intern keys (first-touch order), count rows per key, and
-  // remember each row's key ordinal.
+  // replace each row's key by its key ordinal. Encoded columns decode in
+  // block runs (a vbyte point read costs up to 64 varint decodes).
   std::vector<int64_t> row_key(static_cast<size_t>(n));
+  if (col.encoded()) {
+    col.enc().DecodeRange(0, n, row_key.data());
+  } else {
+    std::copy(col.ints().begin(), col.ints().begin() + n, row_key.begin());
+  }
   std::vector<int64_t> counts;
   for (int64_t r = 0; r < n; ++r) {
-    const int64_t key = col.GetInt(r);
+    const int64_t key = row_key[static_cast<size_t>(r)];
     uint64_t s = HashKey(key) & mask;
     while (true) {
       const int64_t u = slots_[s];

@@ -15,12 +15,19 @@ ColumnStats ComputeColumnStats(const ColumnData& col) {
 
   // NaN rows are excluded before sorting (NaN breaks the comparator's
   // strict weak ordering) and carry no ordering information anyway.
-  std::vector<double> sorted;
-  sorted.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const double v = col.GetNumeric(i);
-    if (!std::isnan(v)) sorted.push_back(v);
+  // Encoded columns decode a block at a time (GetNumeric on a vbyte
+  // block costs up to 64 varint decodes per row).
+  std::vector<double> sorted(static_cast<size_t>(n));
+  if (col.encoded()) {
+    col.enc().DecodeRange(0, n, sorted.data());
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      sorted[static_cast<size_t>(i)] = col.GetNumeric(i);
+    }
   }
+  sorted.erase(std::remove_if(sorted.begin(), sorted.end(),
+                              [](double v) { return std::isnan(v); }),
+               sorted.end());
   std::sort(sorted.begin(), sorted.end());
   if (sorted.empty()) return stats;  // all-NaN column: no ordering stats
 

@@ -26,7 +26,7 @@ struct ColumnSpec {
   /// never draws from the Rng can be appended to an existing table spec
   /// without perturbing the other columns' data — the determinism the
   /// golden tests depend on.
-  std::function<std::string(Rng&, int64_t)> str_gen;
+  std::function<std::string(Rng&, int64_t)> str_gen{};
 };
 
 /// Materializes a table of `rows` rows from column specs and registers it

@@ -121,8 +121,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CostRatioTest,
                          ::testing::Values(RatioCase{1.5}, RatioCase{1.8},
                                            RatioCase{2.5}, RatioCase{3.0}),
                          [](const ::testing::TestParamInfo<RatioCase>& info) {
-                           return "r" + std::to_string(static_cast<int>(
-                                            info.param.ratio * 10));
+                           return std::string("r").append(std::to_string(
+                               static_cast<int>(info.param.ratio * 10)));
                          });
 
 TEST(AlgorithmEdgeTest, GuaranteeFormulaSpecialValues) {

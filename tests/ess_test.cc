@@ -88,7 +88,9 @@ TEST_F(EssTest, ContourOfIsConsistent) {
     const double c = ess_->OptimalCost(lin);
     const int i = ess_->ContourOf(c);
     EXPECT_LE(c, ess_->ContourCost(i) * (1 + 1e-9));
-    if (i > 0) EXPECT_GT(c, ess_->ContourCost(i - 1));
+    if (i > 0) {
+      EXPECT_GT(c, ess_->ContourCost(i - 1));
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
@@ -462,14 +463,18 @@ TEST_P(ExecBatchDifferentialTest, TupleAndBatchAgreeUnderFaults) {
         if (rt_ok) rt = r.MoveValue();
         // Unbudgeted retry exhaustion is a legal transient outcome; any
         // other error is a real failure.
-        if (!rt_ok) ASSERT_TRUE(r.status().IsTransient()) << tag;
+        if (!rt_ok) {
+          ASSERT_TRUE(r.status().IsTransient()) << tag;
+        }
       }
       {
         FaultStreamScope scope(static_cast<uint64_t>(trial));
         Result<ExecutionResult> r = batch_exec.Execute(*plan, budget);
         rb_ok = r.ok();
         if (rb_ok) rb = r.MoveValue();
-        if (!rb_ok) ASSERT_TRUE(r.status().IsTransient()) << tag;
+        if (!rb_ok) {
+          ASSERT_TRUE(r.status().IsTransient()) << tag;
+        }
       }
       // Same stream, same draws: the engines must agree on the outcome
       // shape, not just on successful results.
@@ -702,21 +707,27 @@ TEST_P(ZoneMapDifferentialTest, PrunedUnprunedAgreeUnderFaults) {
         Result<ExecutionResult> r = tuple_exec.Execute(*plan, budget);
         rt_ok = r.ok();
         if (rt_ok) rt = r.MoveValue();
-        if (!rt_ok) ASSERT_TRUE(r.status().IsTransient()) << tag;
+        if (!rt_ok) {
+          ASSERT_TRUE(r.status().IsTransient()) << tag;
+        }
       }
       {
         FaultStreamScope scope(static_cast<uint64_t>(trial));
         Result<ExecutionResult> r = pruned.Execute(*plan, budget);
         rp_ok = r.ok();
         if (rp_ok) rp = r.MoveValue();
-        if (!rp_ok) ASSERT_TRUE(r.status().IsTransient()) << tag;
+        if (!rp_ok) {
+          ASSERT_TRUE(r.status().IsTransient()) << tag;
+        }
       }
       {
         FaultStreamScope scope(static_cast<uint64_t>(trial));
         Result<ExecutionResult> r = unpruned.Execute(*plan, budget);
         ru_ok = r.ok();
         if (ru_ok) ru = r.MoveValue();
-        if (!ru_ok) ASSERT_TRUE(r.status().IsTransient()) << tag;
+        if (!ru_ok) {
+          ASSERT_TRUE(r.status().IsTransient()) << tag;
+        }
       }
       FaultInjector::Disarm();
       ASSERT_EQ(rt_ok, rp_ok) << tag;
@@ -863,21 +874,27 @@ TEST_P(CompressionDifferentialTest, EncodedAndRawAgreeUnderFaults) {
         Result<ExecutionResult> r = batch_raw.Execute(*plan, budget);
         rr_ok = r.ok();
         if (rr_ok) rr = r.MoveValue();
-        if (!rr_ok) ASSERT_TRUE(r.status().IsTransient()) << tag;
+        if (!rr_ok) {
+          ASSERT_TRUE(r.status().IsTransient()) << tag;
+        }
       }
       {
         FaultStreamScope scope(static_cast<uint64_t>(trial));
         Result<ExecutionResult> r = fused.Execute(*plan, budget);
         rf_ok = r.ok();
         if (rf_ok) rf = r.MoveValue();
-        if (!rf_ok) ASSERT_TRUE(r.status().IsTransient()) << tag;
+        if (!rf_ok) {
+          ASSERT_TRUE(r.status().IsTransient()) << tag;
+        }
       }
       {
         FaultStreamScope scope(static_cast<uint64_t>(trial));
         Result<ExecutionResult> r = decoded.Execute(*plan, budget);
         rd_ok = r.ok();
         if (rd_ok) rd = r.MoveValue();
-        if (!rd_ok) ASSERT_TRUE(r.status().IsTransient()) << tag;
+        if (!rd_ok) {
+          ASSERT_TRUE(r.status().IsTransient()) << tag;
+        }
       }
       FaultInjector::Disarm();
       ASSERT_EQ(rr_ok, rf_ok) << tag;
@@ -1242,6 +1259,214 @@ TEST(NljKeyWidthTest, BatchMatchesTupleAtEveryKeyWidth) {
   EXPECT_LT(root_rows[1], root_rows[0]);
   EXPECT_LT(root_rows[2], root_rows[1]);
   EXPECT_GT(root_rows[2], 0);
+}
+
+// ---------------------------------------------------------------------------
+// Probe stages over encoded inner columns. The index-NL stage lists
+// (probe row, inner row) pairs, filters them column-at-a-time through the
+// batched row-id gather and gathers its outputs; the hash-probe stage
+// probes row-major keys of any width through FindBatch. Budgeted runs use
+// the same code on 64-row (index) and 256-row (hash) sub-ranges with a
+// budget check between them. Budgets below are found on the tuple engine
+// so that the abort lands on chosen outer rows of each stage — around the
+// sub-range edges — and every run must equal the tuple engine's.
+// ---------------------------------------------------------------------------
+
+/// o (outer, 3000 rows; its first 600 keys miss the index), g (inner,
+/// 9000 rows, indexed on gk with 18 consecutive rows per key; filter and
+/// output columns vbyte, dict, string and packed) and t (build side:
+/// every (v, x, q) combination).
+struct ProbeInstance {
+  std::unique_ptr<Catalog> catalog;
+  std::unique_ptr<Query> query;
+};
+
+ProbeInstance MakeProbeInstance() {
+  Rng rng(4242);
+  ProbeInstance inst;
+  inst.catalog = std::make_unique<Catalog>();
+  const auto add = [&](std::shared_ptr<Table> t) {
+    RQP_CHECK(t->Finalize().ok());
+    auto stats = ComputeTableStats(*t);
+    RQP_CHECK(inst.catalog->AddTable(std::move(t), std::move(stats)).ok());
+  };
+  auto o = std::make_shared<Table>(TableSchema(
+      "o", {{"k", DataType::kInt64},
+            {"x", DataType::kInt64},
+            {"y", DataType::kInt64}}));
+  for (int64_t r = 0; r < 3000; ++r) {
+    // Keys 600..1199 descend, so consecutive index spans step backwards
+    // through g's vbyte skip groups.
+    o->column(0).AppendInt(r < 600    ? rng.UniformInt(2001, 2400)
+                           : r < 1200 ? 500 - (r - 600) % 500
+                                      : rng.UniformInt(1, 550));
+    o->column(1).AppendInt(rng.UniformInt(1, 5));
+    o->column(2).AppendInt(rng.UniformInt(1, 20));
+  }
+  add(o);
+  EncodingPolicy gpolicy = EncodingPolicy::Auto();
+  gpolicy.per_column = {{"v", Encoding::kVbyte},
+                        {"dct", Encoding::kDict},
+                        {"p", Encoding::kPacked}};
+  auto g = std::make_shared<Table>(
+      TableSchema("g", {{"gk", DataType::kInt64},
+                        {"v", DataType::kInt64},
+                        {"dct", DataType::kInt64},
+                        {"s", DataType::kString},
+                        {"p", DataType::kInt64},
+                        {"q", DataType::kInt64}}),
+      gpolicy);
+  for (int64_t r = 0; r < 9000; ++r) {
+    g->column(0).AppendInt(r / 18 + 1);  // 18 consecutive rows per key
+    g->column(1).AppendInt(rng.UniformInt(1, 20));
+    g->column(2).AppendInt(rng.UniformInt(0, 50) * 1009);
+    g->column(3).AppendString(
+        std::string("s").append(std::to_string(100 + rng.UniformInt(0, 80))));
+    g->column(4).AppendInt(rng.UniformInt(0, 1000000));
+    g->column(5).AppendInt(rng.UniformInt(1, 2));
+  }
+  add(g);
+  RQP_CHECK(inst.catalog->BuildIndex("g", "gk").ok());
+  auto t = std::make_shared<Table>(TableSchema(
+      "t", {{"v", DataType::kInt64},
+            {"x", DataType::kInt64},
+            {"q", DataType::kInt64}}));
+  for (int64_t v = 1; v <= 20; ++v) {
+    for (int64_t x = 1; x <= 5; ++x) {
+      for (int64_t q = 1; q <= 2; ++q) {
+        t->column(0).AppendInt(v);
+        t->column(1).AppendInt(x);
+        t->column(2).AppendInt(q);
+      }
+    }
+  }
+  add(t);
+  inst.query = std::make_unique<Query>(
+      "probes", std::vector<std::string>{"o", "g", "t"},
+      std::vector<JoinPredicate>{{"o", "k", "g", "gk", ""},
+                                 {"g", "v", "t", "v", ""},
+                                 {"o", "x", "t", "x", ""},
+                                 {"g", "q", "t", "q", ""},
+                                 {"o", "y", "t", "v", ""}},
+      std::vector<FilterPredicate>{
+          {"g", "v", CompareOp::kLe, 15.0, false, ""},
+          {"g", "dct", CompareOp::kGe, 10.0 * 1009, false, ""},
+          {"g", "s", CompareOp::kLe, 0.0, true, "s160"},
+          {"g", "p", CompareOp::kLt, 900000.0, false, ""}},
+      std::vector<EppRef>{EppRef::Join(0)});
+  RQP_CHECK(inst.query->Validate(*inst.catalog).ok());
+  return inst;
+}
+
+TEST(ProbeStageTest, IndexAndHashProbesMatchTupleAtSubRangeAborts) {
+  const ProbeInstance inst = MakeProbeInstance();
+  const std::unique_ptr<Catalog> mapped = MapCatalog(*inst.catalog);
+
+  struct Shape {
+    std::string name;
+    std::function<std::unique_ptr<PlanNode>()> make;
+    int stage_node;   // the stage whose outer rows the aborts target
+    bool index;       // index stage (left_in) or hash probe (right_in)
+    std::vector<int64_t> rows;  // abort on the stage's outer row k
+  };
+  const auto scan = [](int table, std::vector<int> filters) {
+    return AbortScan(table, std::move(filters));
+  };
+  const auto index_nl = [&](std::vector<int> filters) {
+    auto n = std::make_unique<PlanNode>();
+    n->op = PlanOp::kIndexNLJoin;
+    n->join_indices = {0};
+    n->left = scan(0, {});
+    n->right = scan(1, std::move(filters));
+    return n;
+  };
+  const auto hash = [&](std::vector<int> joins,
+                        std::unique_ptr<PlanNode> probe) {
+    auto n = std::make_unique<PlanNode>();
+    n->op = PlanOp::kHashJoin;
+    n->join_indices = std::move(joins);
+    n->left = scan(2, {});
+    n->right = std::move(probe);
+    return n;
+  };
+  const std::vector<int64_t> index_rows = {0,   63,  64,  65,  175, 176,
+                                           177, 255, 256, 257, 663, 664,
+                                           665, 1100};
+  const std::vector<int64_t> hash_rows = {0,   255, 256, 257, 511,
+                                          512, 513, 767, 1500};
+  const std::vector<Shape> shapes = {
+      // Index-NL under a three-key hash join: the stage filters on vbyte,
+      // dict, string and packed columns and emits o.x (from the outer
+      // batch) and g.v, g.q (gathered from the inner table).
+      {"index-nl filtered, 3-key hash above",
+       [&] { return hash({1, 2, 3}, index_nl({0, 1, 2, 3})); }, 2, true,
+       index_rows},
+      {"index-nl unfiltered at root", [&] { return index_nl({}); }, 0, true,
+       index_rows},
+      {"index-nl filtered at root", [&] { return index_nl({2, 0}); }, 0, true,
+       index_rows},
+      {"hash probe 1 key", [&] { return hash({2}, scan(0, {})); }, 0, false,
+       hash_rows},
+      {"hash probe 2 keys", [&] { return hash({2, 4}, scan(0, {})); }, 0,
+       false, hash_rows},
+  };
+
+  Executor tuple_res = MakeEngine(inst.catalog.get(), Executor::Engine::kTuple);
+  for (const Shape& shape : shapes) {
+    const Plan plan(inst.query.get(), shape.make());
+    const auto stage_rows = [&](const ExecutionResult& r) {
+      const NodeStats& st = r.node_stats[static_cast<size_t>(shape.stage_node)];
+      return shape.index ? st.left_in : st.right_in;
+    };
+    const Result<ExecutionResult> full = tuple_res.Execute(plan, -1.0);
+    ASSERT_TRUE(full.ok() && full->completed) << shape.name;
+    ASSERT_GT(full->output_rows, 0) << shape.name;
+
+    // Smallest budget whose tuple run reaches stage row k (0-based), i.e.
+    // aborts while that row is in the stage: bisection on the monotone
+    // map budget -> rows that entered the stage.
+    std::vector<double> budgets = {-1.0, full->cost_used,
+                                   std::nextafter(full->cost_used, 0.0)};
+    std::vector<int64_t> expect_rows = {-1, -1, -1};
+    for (const int64_t k : shape.rows) {
+      double lo = 0.0, hi = full->cost_used;
+      for (int it = 0; it < 200 && std::nextafter(lo, hi) < hi; ++it) {
+        const double mid = lo + (hi - lo) / 2;
+        const Result<ExecutionResult> r = tuple_res.Execute(plan, mid);
+        ASSERT_TRUE(r.ok()) << shape.name;
+        (r->completed || stage_rows(*r) >= k + 1 ? hi : lo) = mid;
+      }
+      budgets.insert(budgets.end(), {hi, std::nextafter(hi, 0.0),
+                                     std::nextafter(hi, HUGE_VAL)});
+      expect_rows.insert(expect_rows.end(), {k + 1, k, k + 1});
+    }
+    for (const double frac : {0.01, 0.2, 0.5, 0.9, 0.999}) {
+      budgets.push_back(full->cost_used * frac);
+      expect_rows.push_back(-1);
+    }
+
+    for (const bool use_mapped : {false, true}) {
+      const Catalog* catalog = use_mapped ? mapped.get() : inst.catalog.get();
+      Executor tuple = MakeEngine(catalog, Executor::Engine::kTuple);
+      for (const bool zones : {true, false}) {
+        Executor batch = MakeEngine(catalog, Executor::Engine::kBatch, 1, zones);
+        for (size_t b = 0; b < budgets.size(); ++b) {
+          const std::string tag = shape.name +
+                                  (use_mapped ? " mmap" : " resident") +
+                                  (zones ? " zones" : " no-zones") +
+                                  " budget#" + std::to_string(b);
+          const Result<ExecutionResult> rt = tuple.Execute(plan, budgets[b]);
+          const Result<ExecutionResult> rb = batch.Execute(plan, budgets[b]);
+          ASSERT_TRUE(rt.ok() && rb.ok()) << tag;
+          ExpectSameResult(*rt, *rb, tag);
+          if (expect_rows[b] >= 0) {
+            EXPECT_FALSE(rb->completed) << tag;
+            EXPECT_EQ(stage_rows(*rb), expect_rows[b]) << tag;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -332,8 +332,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PcmPropertyTest,
                                            PcmCase{2, 77}, PcmCase{3, 3},
                                            PcmCase{3, 1234}),
                          [](const ::testing::TestParamInfo<PcmCase>& info) {
-                           return "D" + std::to_string(info.param.num_epps) +
-                                  "_s" + std::to_string(info.param.seed);
+                           std::string name = "D";
+                           name += std::to_string(info.param.num_epps);
+                           name += "_s";
+                           name += std::to_string(info.param.seed);
+                           return name;
                          });
 
 TEST_F(OptimizerTest, CommercialFlavourDiffers) {

@@ -657,7 +657,8 @@ TEST(TcpProtocolTest, ParseSubmitLineFuzzGivesOkOrStableErr) {
   }
   std::string qa = "SUBMIT query=4D_Q91 qa=";
   for (int i = 0; i < 100000; ++i) {
-    qa += (i == 0 ? "" : ",") + std::to_string(1e-5 * (i % 7 + 1));
+    qa += i == 0 ? "" : ",";
+    qa += std::to_string(1e-5 * (i % 7 + 1));
   }
   inputs.push_back(qa);
   inputs.push_back(qa + ",nan");

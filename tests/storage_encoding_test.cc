@@ -4,19 +4,27 @@
 // (INT64_MIN/MAX, NaN payloads, ±inf, -0.0), dictionary abandonment,
 // policy parsing and cache keys, the fused predicate mapping
 // (MapPredicateToCodes) against a naive reference, fused-vs-decoded
-// FilterRange equivalence, and metadata-driven ColumnMinMax.
+// FilterRange equivalence, metadata-driven ColumnMinMax, and the
+// batched row-id gather (EncodedColumn::GatherNumeric, kernels::Gather)
+// against per-row GetNumeric on resident and mapped columns.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "catalog/schema.h"
 #include "common/rng.h"
 #include "exec/kernels.h"
+#include "storage/column_file.h"
 #include "storage/encoding.h"
+#include "storage/stats_builder.h"
 #include "storage/table.h"
 
 namespace robustqp {
@@ -733,6 +741,199 @@ TEST(ColumnMinMaxTest, EmptyAndAllNaN) {
   EXPECT_EQ(s.rows, 10);
   EXPECT_TRUE(s.has_nan);
   EXPECT_GT(s.min, s.max);
+}
+
+// ---------------------------------------------------------------------------
+// Batched row-id gather vs per-row GetNumeric
+// ---------------------------------------------------------------------------
+
+/// Row-id lists over [0, n): ascending (all rows and a sparse subset),
+/// descending, repeated (runs of one row and an ascending list with
+/// duplicates), random across blocks, and empty.
+std::vector<std::pair<std::string, std::vector<int64_t>>> GatherRowLists(
+    int64_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, std::vector<int64_t>>> lists;
+  std::vector<int64_t> all, sparse, desc, runs, dups, random;
+  for (int64_t r = 0; r < n; ++r) {
+    all.push_back(r);
+    if (rng.Bernoulli(0.1)) sparse.push_back(r);
+    desc.push_back(n - 1 - r);
+    if (rng.Bernoulli(0.05)) {
+      dups.insert(dups.end(), static_cast<size_t>(rng.UniformInt(1, 3)), r);
+    }
+  }
+  for (int i = 0; i < 2000 && n > 0; ++i) {
+    runs.insert(runs.end(), static_cast<size_t>(rng.UniformInt(1, 4)),
+                rng.UniformInt(0, n - 1));
+    random.push_back(rng.UniformInt(0, n - 1));
+  }
+  lists.push_back({"ascending", all});
+  lists.push_back({"ascending-sparse", sparse});
+  lists.push_back({"descending", desc});
+  lists.push_back({"repeated-runs", runs});
+  lists.push_back({"ascending-duplicates", dups});
+  lists.push_back({"random-cross-block", random});
+  lists.push_back({"empty", {}});
+  return lists;
+}
+
+double PointNumeric(const EncodedColumn& col, int64_t r) {
+  return col.type() == DataType::kInt64 ? static_cast<double>(col.GetInt(r))
+                                        : col.GetDouble(r);
+}
+
+void ExpectGatherMatchesPointReads(const EncodedColumn& col,
+                                   const std::string& what) {
+  for (const auto& [shape, rows] : GatherRowLists(col.size(), 17)) {
+    const int64_t n = static_cast<int64_t>(rows.size());
+    std::vector<double> got(rows.size() + 1, -12345.0);
+    col.GatherNumeric(rows.data(), n, got.data());
+    for (int64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(Bits(got[static_cast<size_t>(j)]),
+                Bits(PointNumeric(col, rows[static_cast<size_t>(j)])))
+          << what << " " << shape << " position " << j << " row "
+          << rows[static_cast<size_t>(j)];
+    }
+    EXPECT_EQ(got[rows.size()], -12345.0) << what << " " << shape;
+  }
+}
+
+void ExpectGatherMatchesPointReads(const ColumnData& col,
+                                   const std::string& what) {
+  for (const auto& [shape, rows] : GatherRowLists(col.size(), 23)) {
+    const int64_t n = static_cast<int64_t>(rows.size());
+    std::vector<double> got;
+    kernels::Gather(col, rows.data(), n, &got);
+    ASSERT_EQ(static_cast<int64_t>(got.size()), n);
+    for (int64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(Bits(got[static_cast<size_t>(j)]),
+                Bits(col.GetNumeric(rows[static_cast<size_t>(j)])))
+          << what << " " << shape << " position " << j;
+    }
+  }
+}
+
+TEST(GatherNumericTest, PackedMatchesPointReadsAtEveryLaneWidth) {
+  // Block b holds values spanning exactly the range of lane width
+  // widths[b], so every lane width gets a block of its own.
+  const std::vector<int> widths = {0, 1, 2, 4, 8, 16, 32, 64};
+  EncodedColumn col(DataType::kInt64, Encoding::kPacked, 4096);
+  Rng rng(91);
+  for (int w : widths) {
+    const uint64_t top =
+        w == 0 ? 0 : (w == 64 ? ~uint64_t{0} : (uint64_t{1} << w) - 1);
+    const int64_t ref = w == 64 ? kI64Min : -1000;
+    for (int64_t i = 0; i < EncodedColumn::kBlockRows; ++i) {
+      uint64_t delta = top == 0 ? 0 : rng.engine()() & top;
+      if (i == 0) delta = top;  // pin the block range
+      col.AppendInt(static_cast<int64_t>(static_cast<uint64_t>(ref) + delta));
+    }
+  }
+  col.Finish();
+  ASSERT_EQ(col.num_blocks(), static_cast<int64_t>(widths.size()));
+  for (size_t b = 0; b < widths.size(); ++b) {
+    ASSERT_EQ(col.block_kind(static_cast<int64_t>(b)), Encoding::kPacked);
+    ASSERT_EQ(col.packed_view(static_cast<int64_t>(b)).width, widths[b]);
+  }
+  ExpectGatherMatchesPointReads(col, "packed");
+}
+
+TEST(GatherNumericTest, EveryBlockKindMatchesPointReads) {
+  Rng rng(7);
+  const int64_t n = 3 * EncodedColumn::kBlockRows + 100;
+  EncodedColumn raw_i(DataType::kInt64, Encoding::kRaw, 4096);
+  EncodedColumn raw_d(DataType::kDouble, Encoding::kRaw, 4096);
+  EncodedColumn vb(DataType::kInt64, Encoding::kVbyte, 4096);
+  EncodedColumn dict_i(DataType::kInt64, Encoding::kDict, 4096);
+  EncodedColumn dict_d(DataType::kDouble, Encoding::kAuto, 4096);
+  EncodedColumn str(DataType::kString, Encoding::kAuto, 4096);
+  const std::vector<double> specials = {0.0, -0.0, 1.5, kInf, -kInf, kNaN};
+  for (int64_t r = 0; r < n; ++r) {
+    raw_i.AppendInt(r % 5 == 0 ? kI64Min + r : rng.UniformInt(-1000, 1000));
+    raw_d.AppendDouble(r % 7 == 0 ? kNaN : rng.UniformDouble(-1, 1));
+    // Mostly small deltas with rare wide ones: 1- to 10-byte varints.
+    vb.AppendInt(rng.Bernoulli(0.02) ? kI64Max - r : r * 3 + rng.UniformInt(0, 5));
+    dict_i.AppendInt(rng.UniformInt(0, 40) * 1000003);
+    dict_d.AppendDouble(specials[static_cast<size_t>(rng.UniformInt(0, 5))]);
+    str.AppendString(std::string("s").append(
+        std::to_string(rng.UniformInt(0, 300))));
+  }
+  for (EncodedColumn* c : {&raw_i, &raw_d, &vb, &dict_i, &dict_d, &str}) {
+    c->Finish();
+  }
+  ASSERT_EQ(raw_i.block_kind(0), Encoding::kRaw);
+  ASSERT_EQ(raw_d.block_kind(0), Encoding::kRaw);
+  for (int64_t b = 0; b < vb.num_blocks(); ++b) {
+    ASSERT_EQ(vb.block_kind(b), Encoding::kVbyte);
+  }
+  ASSERT_EQ(dict_i.mode(), Encoding::kDict);
+  ASSERT_EQ(dict_d.mode(), Encoding::kDict);
+  ExpectGatherMatchesPointReads(raw_i, "raw int");
+  ExpectGatherMatchesPointReads(raw_d, "raw double");
+  ExpectGatherMatchesPointReads(vb, "vbyte");
+  ExpectGatherMatchesPointReads(dict_i, "int dict");
+  ExpectGatherMatchesPointReads(dict_d, "double dict");
+  ExpectGatherMatchesPointReads(str, "string");
+}
+
+TEST(GatherNumericTest, ResidentAndMappedColumnsMatchPointReads) {
+  TableSchema schema("g", {{"raw_i", DataType::kInt64},
+                           {"raw_d", DataType::kDouble},
+                           {"packed", DataType::kInt64},
+                           {"vb", DataType::kInt64},
+                           {"dict_i", DataType::kInt64},
+                           {"dict_d", DataType::kDouble},
+                           {"str", DataType::kString}});
+  EncodingPolicy policy = EncodingPolicy::Auto();
+  policy.per_column = {{"raw_i", Encoding::kRaw},
+                       {"raw_d", Encoding::kRaw},
+                       {"packed", Encoding::kPacked},
+                       {"vb", Encoding::kVbyte},
+                       {"dict_i", Encoding::kDict}};
+  auto table = std::make_shared<Table>(schema, policy);
+  Rng rng(33);
+  for (int64_t r = 0; r < 2 * EncodedColumn::kBlockRows + 777; ++r) {
+    table->column(0).AppendInt(rng.UniformInt(-5, 5000));
+    table->column(1).AppendDouble(rng.UniformDouble(0, 1));
+    table->column(2).AppendInt(rng.UniformInt(0, 1 << 20));
+    table->column(3).AppendInt(r * 11 + rng.UniformInt(0, 200));
+    table->column(4).AppendInt(rng.UniformInt(0, 60) * 99991);
+    table->column(5).AppendDouble(rng.UniformInt(0, 30) * 0.25);
+    table->column(6).AppendString(
+        std::string("b").append(std::to_string(rng.UniformInt(0, 90))));
+  }
+  ASSERT_TRUE(table->Finalize().ok());
+
+  char tmpl[] = "/tmp/rqp_gather_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string path = std::string(dir) + "/g.rqp";
+  ASSERT_TRUE(WriteTableFile(*table, ComputeTableStats(*table), path).ok());
+  MappedTable mapped;
+  ASSERT_TRUE(OpenMappedTable(path, &mapped).ok());
+  std::remove(path.c_str());
+  rmdir(dir);
+  ASSERT_TRUE(mapped.table->IsMapped());
+
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const std::string name = schema.column(c).name;
+    const ColumnData& resident = table->column(c);
+    const ColumnData& mcol = mapped.table->column(c);
+    ExpectGatherMatchesPointReads(resident, name + " resident");
+    ExpectGatherMatchesPointReads(mcol, name + " mapped");
+    ASSERT_TRUE(mcol.encoded()) << name;
+    ExpectGatherMatchesPointReads(mcol.enc(), name + " mapped encoded");
+    if (resident.encoded()) {
+      ExpectGatherMatchesPointReads(resident.enc(), name + " resident encoded");
+    }
+    for (int64_t r = 0; r < table->num_rows(); r += 97) {
+      ASSERT_EQ(Bits(resident.GetNumeric(r)), Bits(mcol.GetNumeric(r)))
+          << name << " row " << r;
+    }
+  }
+  EXPECT_EQ(table->column(3).enc().block_kind(0), Encoding::kVbyte);
+  EXPECT_EQ(mapped.table->column(0).enc().block_kind(0), Encoding::kRaw);
 }
 
 }  // namespace
