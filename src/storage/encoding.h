@@ -303,7 +303,8 @@ class EncodedColumn {
   /// row rows[j] (int values cast, doubles verbatim, dictionary entries,
   /// string ranks) for j in [0, n). Rows may come in any order and
   /// repeat. Each run of rows inside one block is decoded with the
-  /// block's kind and code width dispatched once; a vbyte block decodes
+  /// block's kind and code width dispatched once (a lone row between
+  /// rows of other blocks takes the point read); a vbyte block decodes
   /// forward from a skip point once per skip group while the rows
   /// ascend, and restarts only when a row goes backwards or jumps to a
   /// later group. Ascending row lists — index fetches, filter survivors
