@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/fault.h"
 #include "ess/ess.h"
 #include "server/context_cache.h"
 #include "test_util.h"
@@ -403,10 +406,147 @@ void ExpectGoldens(const std::string& id) {
   EXPECT_EQ(checked, 8);  // {kExact, kRecost} x {0.5, 1.0} x {1, 4} threads
 }
 
-TEST(EssBuilderGoldenTest, Q96_3D_16) { ExpectGoldens("3D_Q96"); }
-TEST(EssBuilderGoldenTest, Q91_4D_6) { ExpectGoldens("4D_Q91"); }
-TEST(EssBuilderGoldenTest, JobQ1a_4D_8) { ExpectGoldens("4D_JOB_Q1a"); }
-TEST(EssBuilderGoldenTest, Q19_5D_4) { ExpectGoldens("5D_Q19"); }
+/// One recorded sweep build: a digest of its surface (per location, the
+/// interning ordinal of its plan and the bits of its cost), its plan pool
+/// (size and digest of the signatures in interning order), and its
+/// optimizer calls. The faulted rows build under kSweepFaultSpec, whose
+/// transient optimizer faults are retried per location; they also pin the
+/// optimizer.dp draws (evaluations and transients fired).
+struct SweepGolden {
+  const char* query;
+  int points;
+  bool faulted;
+  uint64_t surface_digest;
+  int pool_size;
+  uint64_t pool_digest;
+  int64_t optimizer_calls;
+  int64_t dp_evaluations;
+  int64_t dp_transients;
+};
+
+constexpr char kSweepFaultSpec[] = "optimizer.dp:p=0.05";
+constexpr uint64_t kSweepFaultSeed = 37;
+
+SweepGolden RecordSweep(const char* id, int points, bool faulted,
+                        int threads) {
+  const std::shared_ptr<Catalog> catalog = IsJobQuery(id)
+                                               ? ContextCache::JobCatalog()
+                                               : ContextCache::TpcdsCatalog();
+  const Query query = MakeSuiteQuery(id);
+  Ess::Config config;
+  config.points_per_dim = points;
+  config.num_threads = threads;
+  if (faulted) {
+    EXPECT_TRUE(
+        FaultInjector::Global().Configure(kSweepFaultSpec, kSweepFaultSeed).ok());
+  }
+  Result<std::unique_ptr<Ess>> built = Ess::TryBuild(*catalog, query, config);
+  const FaultSiteStats dp =
+      faulted ? FaultInjector::Global().Snapshot()[fault_site::kOptimizerDp]
+              : FaultSiteStats{};
+  FaultInjector::Disarm();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return SweepGolden{id, points, faulted, 0, 0, 0, 0, 0, 0};
+  const Ess& ess = **built;
+  std::unordered_map<const Plan*, uint64_t> ordinal;
+  std::string signatures;
+  for (const Plan* plan : ess.pool().plans()) {
+    ordinal.emplace(plan, ordinal.size());
+    signatures += plan->signature();
+    signatures += '\n';
+  }
+  uint64_t surface = 1469598103934665603ull;
+  for (int64_t lin = 0; lin < ess.num_locations(); ++lin) {
+    uint64_t bits = 0;
+    const double cost = ess.OptimalCost(lin);
+    std::memcpy(&bits, &cost, sizeof(bits));
+    for (const uint64_t word : {ordinal.at(ess.OptimalPlan(lin)), bits}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        surface ^= (word >> (8 * byte)) & 0xff;
+        surface *= 1099511628211ull;
+      }
+    }
+  }
+  return SweepGolden{id,
+                     points,
+                     faulted,
+                     surface,
+                     ess.pool().size(),
+                     Fnv1a(signatures),
+                     ess.build_stats().optimizer_calls,
+                     dp.evaluations,
+                     dp.transients};
+}
+
+std::string FormatSweepGolden(const SweepGolden& g) {
+  std::ostringstream os;
+  os << "{\"" << g.query << "\", " << g.points << ", "
+     << (g.faulted ? "true" : "false") << ", 0x" << std::hex
+     << g.surface_digest << "ull, " << std::dec << g.pool_size << ", 0x"
+     << std::hex << g.pool_digest << "ull, " << std::dec << g.optimizer_calls
+     << ", " << g.dp_evaluations << ", " << g.dp_transients << "}";
+  return os.str();
+}
+
+// A transient optimizer.dp fault fails before the DP runs and is retried,
+// so each faulted row makes its clean row's optimizer calls and builds the
+// same surface.
+const SweepGolden kSweepGoldens[] = {
+    {"3D_Q96", 16, false, 0x90fb1e7174e9329ull, 49, 0x223448833149ff96ull,
+     4096, 0, 0},
+    {"3D_Q96", 16, true, 0x90fb1e7174e9329ull, 49, 0x223448833149ff96ull,
+     4096, 4317, 221},
+    {"4D_Q91", 6, false, 0xa9be83c6a1e06177ull, 188, 0x9fc0481e837c7aa5ull,
+     1296, 0, 0},
+    {"4D_Q91", 6, true, 0xa9be83c6a1e06177ull, 188, 0x9fc0481e837c7aa5ull,
+     1296, 1366, 70},
+    {"4D_JOB_Q1a", 8, false, 0x8c1da7896c112831ull, 38, 0xf736e1e8a5a27a2ull,
+     4096, 0, 0},
+    {"4D_JOB_Q1a", 8, true, 0x8c1da7896c112831ull, 38, 0xf736e1e8a5a27a2ull,
+     4096, 4317, 221},
+    {"5D_Q19", 4, false, 0x9fd9249befd8593aull, 295, 0x22714b08381dafe3ull,
+     1024, 0, 0},
+    {"5D_Q19", 4, true, 0x9fd9249befd8593aull, 295, 0x22714b08381dafe3ull,
+     1024, 1075, 51},
+};
+
+void ExpectSweepGoldens(const std::string& id) {
+  int checked = 0;
+  for (const SweepGolden& want : kSweepGoldens) {
+    if (id != want.query) continue;
+    for (int threads : {1, 4}) {
+      const SweepGolden got =
+          RecordSweep(want.query, want.points, want.faulted, threads);
+      SCOPED_TRACE(FormatSweepGolden(got) + " at threads=" +
+                   std::to_string(threads));
+      EXPECT_EQ(got.surface_digest, want.surface_digest);
+      EXPECT_EQ(got.pool_size, want.pool_size);
+      EXPECT_EQ(got.pool_digest, want.pool_digest);
+      EXPECT_EQ(got.optimizer_calls, want.optimizer_calls);
+      EXPECT_EQ(got.dp_evaluations, want.dp_evaluations);
+      EXPECT_EQ(got.dp_transients, want.dp_transients);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 4);  // {clean, faulted} x {1, 4} threads
+}
+
+TEST(EssBuilderGoldenTest, Q96_3D_16) {
+  ExpectSweepGoldens("3D_Q96");
+  ExpectGoldens("3D_Q96");
+}
+TEST(EssBuilderGoldenTest, Q91_4D_6) {
+  ExpectSweepGoldens("4D_Q91");
+  ExpectGoldens("4D_Q91");
+}
+TEST(EssBuilderGoldenTest, JobQ1a_4D_8) {
+  ExpectSweepGoldens("4D_JOB_Q1a");
+  ExpectGoldens("4D_JOB_Q1a");
+}
+TEST(EssBuilderGoldenTest, Q19_5D_4) {
+  ExpectSweepGoldens("5D_Q19");
+  ExpectGoldens("5D_Q19");
+}
 
 }  // namespace
 }  // namespace robustqp
