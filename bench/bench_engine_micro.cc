@@ -294,57 +294,30 @@ void BM_PlanCosting(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanCosting)->Unit(benchmark::kNanosecond);
 
-void BM_EssBuild(benchmark::State& state, const std::string& id,
-                 EssBuildMode mode) {
+void BM_EssBuild(benchmark::State& state, const std::string& id) {
   const Catalog& catalog = SharedCatalog();
   const Query q = MakeSuiteQuery(id);
   int64_t opt_calls = 0;
   int64_t locations = 0;
-  bool fell_back = false;
   for (auto _ : state) {
     Ess::Config config;
     config.points_per_dim = static_cast<int>(state.range(0));
-    config.build_mode = mode;
     config.num_threads = bench::Threads();
     auto ess = Ess::Build(catalog, q, config);
     opt_calls = ess->build_stats().optimizer_calls;
-    fell_back = ess->build_stats().fell_back;
     locations = ess->num_locations();
     benchmark::DoNotOptimize(locations);
   }
   state.counters["opt_calls"] = static_cast<double>(opt_calls);
-  state.counters["fell_back"] = fell_back ? 1.0 : 0.0;
   state.counters["locations"] = static_cast<double>(locations);
 }
-BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive2D_Q91, std::string("2D_Q91"),
-                  EssBuildMode::kExhaustive)
+BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive2D_Q91, std::string("2D_Q91"))
     ->Arg(10)->Arg(20)->Arg(40)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EssBuild, Exact2D_Q91, std::string("2D_Q91"),
-                  EssBuildMode::kExact)
-    ->Arg(40)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EssBuild, Recost2D_Q91, std::string("2D_Q91"),
-                  EssBuildMode::kRecost)
-    ->Arg(40)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive3D_Q96, std::string("3D_Q96"),
-                  EssBuildMode::kExhaustive)
+BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive3D_Q96, std::string("3D_Q96"))
     ->Arg(16)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EssBuild, Exact3D_Q96, std::string("3D_Q96"),
-                  EssBuildMode::kExact)
-    ->Arg(16)->Unit(benchmark::kMillisecond);
-// A kExact build that falls back (every 4D suite query does) makes the
-// same optimizer calls as its Exhaustive twin; the gap between the two is
-// the builder's serial grid bookkeeping.
-BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive4D_Q91, std::string("4D_Q91"),
-                  EssBuildMode::kExhaustive)
+BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive4D_Q91, std::string("4D_Q91"))
     ->Arg(10)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EssBuild, Exact4D_Q91, std::string("4D_Q91"),
-                  EssBuildMode::kExact)
-    ->Arg(10)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive5D_Q91, std::string("5D_Q91"),
-                  EssBuildMode::kExhaustive)
-    ->Arg(8)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_EssBuild, Exact5D_Q91, std::string("5D_Q91"),
-                  EssBuildMode::kExact)
+BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive5D_Q91, std::string("5D_Q91"))
     ->Arg(8)->Unit(benchmark::kMillisecond);
 
 // Guard on the fault layer's disabled-path overhead: FaultInjector::Armed()

@@ -19,7 +19,7 @@ constexpr const char* kSiteNames[fault_site::kNumSites] = {
     "exec.morsel.scan",    // kExecMorselScan
     "exec.spill.run",      // kExecSpillRun
     "optimizer.dp",        // kOptimizerDp
-    "ess.corner_opt",      // kEssCornerOpt
+    "",                    // kRetiredSite
     "io.ess_load",         // kIoEssLoad
     "oracle.cost_model",   // kOracleCostModel
     "shard.straggler",     // kShardStraggler
@@ -48,6 +48,7 @@ struct StreamState {
 thread_local StreamState t_stream;
 
 bool MatchSite(const std::string& pattern, const char* name) {
+  if (*name == '\0') return false;  // kRetiredSite
   if (!pattern.empty() && pattern.back() == '*') {
     return std::strncmp(name, pattern.c_str(), pattern.size() - 1) == 0;
   }
@@ -291,7 +292,6 @@ void RobustnessReport::Merge(const RobustnessReport& o) {
   corruptions += o.corruptions;
   engine_degradations += o.engine_degradations;
   serial_degradations += o.serial_degradations;
-  sweep_degradations += o.sweep_degradations;
   escalations += o.escalations;
   pcm_violations += o.pcm_violations;
   contour_clamps += o.contour_clamps;
@@ -307,8 +307,8 @@ void RobustnessReport::Merge(const RobustnessReport& o) {
 
 bool RobustnessReport::Any() const {
   return transient_retries || permanent_faults || cost_spikes || corruptions ||
-         engine_degradations || serial_degradations || sweep_degradations ||
-         escalations || pcm_violations || contour_clamps || retries_exhausted ||
+         engine_degradations || serial_degradations || escalations ||
+         pcm_violations || contour_clamps || retries_exhausted ||
          shard_stragglers || shard_lost_chunks || feedback_degradations ||
          page_fault_degradations || retried_cost != 0.0 || spike_cost != 0.0;
 }
@@ -329,7 +329,6 @@ std::string RobustnessReport::Summary() const {
   add("corruptions", corruptions);
   add("degrade_engine", engine_degradations);
   add("degrade_serial", serial_degradations);
-  add("degrade_sweep", sweep_degradations);
   add("escalations", escalations);
   add("pcm_violations", pcm_violations);
   add("contour_clamps", contour_clamps);

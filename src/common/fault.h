@@ -20,12 +20,11 @@
 // counters, making each unit's draw sequence self-contained.
 //
 // Degradation ladder (implemented by the consumers, reported here):
-// batch engine -> tuple engine, chunk-parallel -> single-thread, ESS
-// refinement -> exhaustive sweep, spill binary search -> clamped linear
-// scan. Transient faults are retried with the faulted attempt's lost work
-// charged to cost_used, keeping the doubling-sequence MSO accounting of
-// the discovery algorithms valid; the charges are surfaced per run in a
-// RobustnessReport.
+// batch engine -> tuple engine, chunk-parallel -> single-thread, spill
+// binary search -> clamped linear scan. Transient faults are retried with
+// the faulted attempt's lost work charged to cost_used, keeping the
+// doubling-sequence MSO accounting of the discovery algorithms valid; the
+// charges are surfaced per run in a RobustnessReport.
 
 #ifndef ROBUSTQP_COMMON_FAULT_H_
 #define ROBUSTQP_COMMON_FAULT_H_
@@ -81,7 +80,8 @@ enum Site : int {
   kExecMorselScan,      // exec.morsel.scan (fault => degrade to serial)
   kExecSpillRun,        // exec.spill.run (spill-mode executions)
   kOptimizerDp,         // optimizer.dp
-  kEssCornerOpt,        // ess.corner_opt (fault => degrade to sweep)
+  kRetiredSite,         // names no site; holds its number so every later
+                        // site keeps the number Evaluate hashes into draws
   kIoEssLoad,           // io.ess_load
   kOracleCostModel,     // oracle.cost_model (kCorrupt perturbs costs)
   kShardStraggler,      // shard.straggler (speculative re-dispatch of a shard)
@@ -121,8 +121,6 @@ struct RobustnessReport {
   int64_t engine_degradations = 0;
   /// Chunk-parallel scans degraded to single-thread.
   int64_t serial_degradations = 0;
-  /// ESS refinement builds degraded to the exhaustive sweep.
-  int64_t sweep_degradations = 0;
   /// Budget doublings past the last contour needed to reach completion.
   int64_t escalations = 0;
   /// PCM violations detected (non-monotone spill costs) and clamped.

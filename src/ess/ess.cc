@@ -3,13 +3,81 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 
+#include "common/fault.h"
 #include "common/status.h"
-#include "ess/ess_builder.h"
+#include "common/thread_pool.h"
 
 namespace robustqp {
+
+namespace {
+
+/// The sweep of Section 2.2: one optimizer call per grid location. The
+/// calls are pure and fan out on a pool; the plans are interned afterwards
+/// in ascending linear order, so the pool and both surfaces are identical
+/// at any thread count. With an armed FaultInjector each location draws
+/// from its own stream, keyed to the location rather than the thread, and
+/// retries transient optimizer faults up to kMaxFaultAttempts times.
+Status Sweep(const Ess& ess, int num_threads, PlanPool* pool,
+             std::vector<double>* cost, std::vector<const Plan*>* plan) {
+  const int64_t total = ess.num_locations();
+  const Optimizer& optimizer = ess.optimizer();
+  const bool armed = FaultInjector::Armed();
+  std::vector<std::unique_ptr<Plan>> raw(static_cast<size_t>(total));
+  auto work = [&](int64_t begin, int64_t end) {
+    for (int64_t lin = begin; lin < end; ++lin) {
+      const size_t i = static_cast<size_t>(lin);
+      const EssPoint q = ess.SelAt(ess.FromLinear(lin));
+      if (!armed) {
+        raw[i] = optimizer.Optimize(q);
+      } else {
+        FaultStreamScope scope(static_cast<uint64_t>(lin));
+        Status st;
+        for (int attempt = 0; attempt < kMaxFaultAttempts; ++attempt) {
+          Result<std::unique_ptr<Plan>> r = optimizer.TryOptimize(q);
+          if (r.ok()) {
+            raw[i] = r.MoveValue();
+            break;
+          }
+          st = r.status();
+          if (!st.IsTransient()) break;
+        }
+        if (raw[i] == nullptr) {
+          // ParallelFor converts this to the Status returned below.
+          throw std::runtime_error(st.ok() ? "optimizer retries exhausted"
+                                           : st.ToString());
+        }
+      }
+      // The stored cost is the plan's recosted total, computed before
+      // interning.
+      (*cost)[i] = optimizer.PlanCost(*raw[i], q);
+    }
+  };
+  const int threads = num_threads > 0 ? std::min(num_threads, 16)
+                                      : ThreadPool::DefaultThreads();
+  if (threads > 1 && total >= 256) {
+    ThreadPool workers(threads);
+    RQP_RETURN_NOT_OK(ParallelFor(&workers, total,
+                                  [&](int /*worker*/, int64_t begin,
+                                      int64_t end) { work(begin, end); }));
+  } else {
+    try {
+      work(0, total);
+    } catch (const std::exception& e) {
+      return Status::Internal(std::string("task failed: ") + e.what());
+    }
+  }
+  for (size_t i = 0; i < raw.size(); ++i) {
+    (*plan)[i] = pool->Intern(std::move(raw[i]));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 int DefaultPointsPerDim(int dims) {
   switch (dims) {
@@ -227,14 +295,9 @@ Result<std::unique_ptr<Ess>> Ess::TryBuild(const Catalog& catalog,
           " locations exceeds " + std::to_string(kMaxEssLocations));
     }
   }
-  const auto finite_above_one = [](double v) {
-    return std::isfinite(v) && v > 1.0;
-  };
-  if (!finite_above_one(config.contour_cost_ratio)) {
+  if (!std::isfinite(config.contour_cost_ratio) ||
+      config.contour_cost_ratio <= 1.0) {
     return Status::InvalidArgument("contour cost ratio must be finite and > 1");
-  }
-  if (!finite_above_one(config.recost_lambda)) {
-    return Status::InvalidArgument("recost lambda must be finite and > 1");
   }
 
   auto ess = std::unique_ptr<Ess>(new Ess());
@@ -247,7 +310,9 @@ Result<std::unique_ptr<Ess>> Ess::TryBuild(const Catalog& catalog,
   ess->cost_.assign(static_cast<size_t>(locations), 0.0);
   ess->plan_.assign(static_cast<size_t>(locations), nullptr);
 
-  RQP_RETURN_NOT_OK(EssBuilder(ess.get()).Run());
+  RQP_RETURN_NOT_OK(Sweep(*ess, config.num_threads, &ess->pool_, &ess->cost_,
+                          &ess->plan_));
+  ess->build_stats_.optimizer_calls = ess->optimizer_->num_optimize_calls();
   ess->ComputeContoursAndFrontiers();
   return ess;
 }

@@ -33,27 +33,6 @@ using GridLoc = std::vector<int>;
 /// suite's largest grid (32,768 locations).
 constexpr int64_t kMaxEssLocations = int64_t{1} << 20;
 
-/// How the optimal-cost / optimal-plan surfaces are constructed.
-enum class EssBuildMode {
-  /// One optimizer call per grid location (the paper's Section 2.2 sweep).
-  kExhaustive,
-  /// Recursive grid refinement: optimize only at the corners of coarse
-  /// cells, recost the corner plans at interior locations, and recurse
-  /// only where corner plans disagree, down to small leaf cells that are
-  /// recost-filled and then repaired by neighbourhood relaxation and
-  /// junction re-optimization (see EssBuilder). Produces surfaces
-  /// identical to the exhaustive sweep at a fraction of the optimizer
-  /// calls; validated bit-for-bit by golden and fuzz tests.
-  kExact,
-  /// Graefe-style approximate surface: like kExact, but a cell is also
-  /// accepted without corner agreement when the PCM bound
-  /// OptCost(top corner) <= lambda * OptCost(bottom corner) certifies the
-  /// recosted minimum to within factor lambda of the true optimum. The
-  /// realized bound is reported in BuildStats::max_deviation_bound and
-  /// inflates the MSO guarantee by at most that factor.
-  kRecost,
-};
-
 /// The built ESS for one query: optimal-plan / optimal-cost surfaces over
 /// the grid plus contour structure. Immutable after Build.
 class Ess {
@@ -69,65 +48,29 @@ class Ess {
     double contour_cost_ratio = 2.0;
     /// Cost model flavour for the underlying optimizer.
     CostModel cost_model = CostModel::PostgresFlavour();
-    /// Worker threads for EssBuilder's optimizer batches (the exhaustive
-    /// sweep, refinement corner levels, the fallback sweep); 0 = hardware
+    /// Worker threads for the build's optimizer sweep; 0 = hardware
     /// concurrency. Surfaces are identical at any value.
     int num_threads = 0;
-    /// Surface construction strategy; see EssBuildMode.
-    EssBuildMode build_mode = EssBuildMode::kExhaustive;
-    /// Certification factor for kRecost (must be > 1): cells whose corner
-    /// optimal costs span at most this ratio are recosted, not refined.
-    double recost_lambda = 2.0;
-    /// Refinement escape hatch: once the builder's optimizer-call count
-    /// exceeds this fraction of the grid size, refinement is abandoned
-    /// and the remaining locations are optimized by a parallel exhaustive
-    /// sweep (recorded in BuildStats::fell_back) — on surfaces with many
-    /// small plan regions, refinement's corner tracing can approach one
-    /// call per location while paying the cell bookkeeping on top. 1.0
-    /// disables the fallback.
-    double refine_fallback_fraction = 0.5;
   };
 
   /// Construction statistics of the surface build.
   struct BuildStats {
-    /// Full optimizer (DP) invocations consumed by the build.
+    /// Full optimizer (DP) invocations consumed by the build: one per grid
+    /// location (a transient optimizer.dp fault fails before the DP runs).
     int64_t optimizer_calls = 0;
-    /// Grid locations whose cost/plan came from a direct optimizer call.
-    int64_t exact_points = 0;
-    /// Grid locations whose cost/plan came from recosting corner plans
-    /// rather than an optimizer call.
-    int64_t recosted_points = 0;
-    /// Refinement cells accepted via a certificate (corner agreement or
-    /// the kRecost PCM bound).
-    int64_t cells_certified = 0;
-    /// Refinement cells split because certification failed.
-    int64_t cells_refined = 0;
-    /// Sound PCM-derived upper bound on max_q recost(q) / OptCost(q) over
-    /// all recosted locations (1.0 when nothing was recosted). In kExact
-    /// mode the corner-agreement certificate additionally pins every
-    /// recosted plan to the optimal one, so the surface is exact even
-    /// when this conservative bound exceeds 1.
-    double max_deviation_bound = 1.0;
-    /// True iff a refinement build crossed
-    /// Config::refine_fallback_fraction of the grid in optimizer calls
-    /// and finished as an exhaustive sweep (the surface is then exact in
-    /// every build mode).
-    bool fell_back = false;
   };
 
-  /// Builds the surface per `config.build_mode` through EssBuilder (one
-  /// sweep over every location for kExhaustive, grid refinement
-  /// otherwise). Aborts on build failure: an invalid config, or a fault
-  /// from an armed FaultInjector.
+  /// Builds the surface by one optimizer call per grid location (the
+  /// sweep of Section 2.2). Aborts on build failure: an invalid config, or
+  /// a fault from an armed FaultInjector.
   static std::unique_ptr<Ess> Build(const Catalog& catalog, const Query& query,
                                     const Config& config);
 
   /// Build variant that surfaces failures as a Status instead of aborting:
   /// InvalidArgument for fewer than 2 points per dimension, a grid past
-  /// kMaxEssLocations, or a contour_cost_ratio or recost_lambda that is
-  /// not finite and > 1 (checked before any allocation); injected
-  /// permanent optimizer faults and exhausted transient retries
-  /// otherwise.
+  /// kMaxEssLocations, or a contour_cost_ratio that is not finite and > 1
+  /// (checked before any allocation); injected permanent optimizer faults
+  /// and exhausted transient retries otherwise.
   static Result<std::unique_ptr<Ess>> TryBuild(const Catalog& catalog,
                                                const Query& query,
                                                const Config& config);
@@ -194,8 +137,6 @@ class Ess {
                                            const Query& query);
 
  private:
-  friend class EssBuilder;
-
   Ess() = default;
 
   /// Derives strides; call after dims_/axis_ are set.

@@ -5,6 +5,7 @@
 // Section 7 deployment mode of offline contour construction for canned
 // queries.
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -22,15 +23,18 @@ namespace robustqp {
 namespace {
 
 constexpr const char kMagic[] = "RQPESS";
-// Version 2 adds the build-mode / recost-lambda pair and the BuildStats
-// line; version-1 streams (no stats) still load with default stats.
-// Version 3 appends the exhaustive-fallback flag to the BuildStats line;
-// v1/v2 streams load with fell_back = false.
+// Version 2 added a build-mode / recost-lambda line and a BuildStats line;
+// version-1 streams (neither line) still load with default stats.
+// Version 3 appended an exhaustive-fallback flag to the BuildStats line.
 // Version 4 appends an FNV-1a checksum trailer line ("CKSUM <hex>")
 // covering every preceding byte, so truncation and bit corruption are
 // detected before any parsed value is trusted; v1-v3 streams load
 // without a trailer.
-constexpr int kVersion = 4;
+// Version 5 drops the build-mode line and cuts the BuildStats line to the
+// optimizer-call count: every surface is the exact sweep. A v2-v4 stream
+// of mode 0 or 1 (exhaustive, exact) holds an exact surface and loads;
+// mode 2 held an approximate recosted surface and is refused.
+constexpr int kVersion = 5;
 
 constexpr const char kChecksumTag[] = "CKSUM ";
 
@@ -144,13 +148,7 @@ Status Ess::Save(std::ostream& out) const {
      << " " << p.nlj_materialize_tuple << " " << p.nlj_pair << " "
      << p.join_output_tuple << " " << p.index_probe << " " << p.index_fetch
      << " " << p.sort_tuple << " " << p.merge_tuple << "\n";
-  os << static_cast<int>(config_.build_mode) << " " << config_.recost_lambda
-     << "\n";
-  os << build_stats_.optimizer_calls << " " << build_stats_.exact_points << " "
-     << build_stats_.recosted_points << " " << build_stats_.cells_certified
-     << " " << build_stats_.cells_refined << " "
-     << build_stats_.max_deviation_bound << " "
-     << (build_stats_.fell_back ? 1 : 0) << "\n";
+  os << build_stats_.optimizer_calls << "\n";
 
   const std::vector<const Plan*>& plans = pool_.plans();
   os << plans.size() << "\n";
@@ -208,10 +206,14 @@ Result<std::unique_ptr<Ess>> Ess::Load(std::istream& raw_is,
         return Status::InvalidArgument(
             "truncated ESS stream: checksum trailer missing");
       }
-      std::istringstream trailer(
-          text.substr(pos + sizeof(kChecksumTag) - 1));
+      // The trailer is exactly "CKSUM <hex>\n": a damaged final byte must
+      // not pass as trailing whitespace.
+      const char* digits = text.data() + pos + sizeof(kChecksumTag) - 1;
+      const char* stop = text.data() + text.size();
       uint64_t want = 0;
-      if (!(trailer >> std::hex >> want)) {
+      const std::from_chars_result r = std::from_chars(digits, stop, want, 16);
+      if (r.ec != std::errc() || r.ptr == digits || stop - r.ptr != 1 ||
+          *r.ptr != '\n') {
         return Status::InvalidArgument("malformed ESS checksum trailer");
       }
       text.resize(pos);
@@ -274,33 +276,33 @@ Result<std::unique_ptr<Ess>> Ess::Load(std::istream& raw_is,
   }
   ess->config_.cost_model = CostModel(p);
 
-  if (version >= 2) {
+  if (version >= 2 && version <= 4) {
     int mode = 0;
-    if (!(is >> mode >> ess->config_.recost_lambda)) {
+    double lambda = 0.0;
+    if (!(is >> mode >> lambda)) {
       return Status::Internal("truncated build-mode header");
     }
-    if (mode < 0 || mode > static_cast<int>(EssBuildMode::kRecost) ||
-        ess->config_.recost_lambda <= 1.0) {
+    if (mode == 2) {
+      return Status::InvalidArgument(
+          "ESS stream holds an approximate recosted surface");
+    }
+    if (mode != 0 && mode != 1) {
       return Status::InvalidArgument("corrupt build-mode header");
     }
-    ess->config_.build_mode = static_cast<EssBuildMode>(mode);
-    BuildStats& s = ess->build_stats_;
-    if (!(is >> s.optimizer_calls >> s.exact_points >> s.recosted_points >>
-          s.cells_certified >> s.cells_refined >> s.max_deviation_bound)) {
+  }
+  if (version >= 2) {
+    if (!(is >> ess->build_stats_.optimizer_calls)) {
       return Status::Internal("truncated build stats");
     }
-    if (s.optimizer_calls < 0 || s.exact_points < 0 || s.recosted_points < 0 ||
-        s.cells_certified < 0 || s.cells_refined < 0 ||
-        !std::isfinite(s.max_deviation_bound) ||
-        s.max_deviation_bound < 1.0) {
+    if (ess->build_stats_.optimizer_calls < 0) {
       return Status::InvalidArgument("corrupt build stats");
     }
-    if (version >= 3) {
-      int fell_back = 0;
-      if (!(is >> fell_back) || (fell_back != 0 && fell_back != 1)) {
-        return Status::Internal("truncated fallback flag");
-      }
-      s.fell_back = fell_back != 0;
+    // The refinement counters of v2-v4 (and v3-v4's fallback flag)
+    // describe how a stream's surface was built, not the surface.
+    const int legacy_fields = version == 2 ? 5 : version <= 4 ? 6 : 0;
+    std::string field;
+    for (int i = 0; i < legacy_fields; ++i) {
+      if (!(is >> field)) return Status::Internal("truncated build stats");
     }
   }
 

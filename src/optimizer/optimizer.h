@@ -84,7 +84,7 @@ class Optimizer {
   const Query& query() const { return *query_; }
 
   /// Number of full DP searches (Optimize, OptimizeConstrainedSpill)
-  /// served by this instance so far. Cheap relaxed counter; EssBuilder
+  /// served by this instance so far. Cheap relaxed counter; the ESS build
   /// and the benches read it to report how many optimizer invocations a
   /// surface construction needed.
   int64_t num_optimize_calls() const {

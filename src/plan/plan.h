@@ -86,11 +86,6 @@ class Plan {
   const std::string& display_name() const { return display_name_; }
   void set_display_name(std::string name) { display_name_ = std::move(name); }
 
-  /// Position in the owning PlanPool's interning order; -1 for a plan no
-  /// pool holds. Lets per-plan side tables be plain vectors.
-  int pool_index() const { return pool_index_; }
-  void set_pool_index(int index) { pool_index_ = index; }
-
   /// ESS dimensions of the query's epps in the execution total order of
   /// Section 3.1.3 (inter-pipeline order first, upstream-before-downstream
   /// within a pipeline). Only epp joins appear; an epp absent from the plan
@@ -121,7 +116,6 @@ class Plan {
   std::vector<PlanNode*> nodes_;
   std::string signature_;
   std::string display_name_;
-  int pool_index_ = -1;
   std::vector<int> epp_execution_order_;
 };
 

@@ -7,7 +7,6 @@ const Plan* PlanPool::Intern(std::unique_ptr<Plan> plan) {
   if (it != plans_.end()) return it->second.get();
   plan->set_display_name(
       std::string("P").append(std::to_string(plans_.size() + 1)));
-  plan->set_pool_index(static_cast<int>(plans_.size()));
   const Plan* raw = plan.get();
   plans_.emplace(plan->signature(), std::move(plan));
   order_.push_back(raw);

@@ -3,10 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "common/status.h"
@@ -47,19 +47,33 @@ const DiscoveryAlgorithm* ContextCache::Entry::Algorithm(
 std::string ContextCache::Key(const std::string& id, const Ess::Config& c,
                               Encoding encoding, bool use_compression,
                               StorageBackend backend) {
-  std::ostringstream os;
-  os << id << "|" << c.min_sel << "|" << c.points_per_dim << "|"
-     << c.contour_cost_ratio << "|" << c.cost_model.params().scan_tuple << ","
-     << c.cost_model.params().hash_build_tuple << ","
-     << c.cost_model.params().hash_probe_tuple << ","
-     << c.cost_model.params().nlj_materialize_tuple << ","
-     << c.cost_model.params().nlj_pair << ","
-     << c.cost_model.params().join_output_tuple << "|"
-     << static_cast<int>(c.build_mode) << "|" << c.recost_lambda << "|"
-     << c.refine_fallback_fraction << "|" << EncodingName(encoding) << "|"
-     << (use_compression ? "fused" : "decode") << "|"
-     << StorageBackendName(backend);
-  return os.str();
+  // std::to_chars writes each number in its shortest round-trip form, so
+  // two configs share a key only if every field is equal.
+  std::string key;
+  key.reserve(id.size() + 192);
+  key += id;
+  char buf[32];
+  const auto put = [&](char sep, auto value) {
+    key += sep;
+    key.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  put('|', c.min_sel);
+  put('|', c.points_per_dim);
+  put('|', c.contour_cost_ratio);
+  const CostParams& p = c.cost_model.params();
+  char sep = '|';
+  for (const double v : {p.scan_tuple, p.hash_build_tuple, p.hash_probe_tuple,
+                         p.nlj_materialize_tuple, p.nlj_pair,
+                         p.join_output_tuple, p.index_probe, p.index_fetch,
+                         p.sort_tuple, p.merge_tuple}) {
+    put(sep, v);
+    sep = ',';
+  }
+  key += '|';
+  key += EncodingName(encoding);
+  key += use_compression ? "|fused|" : "|decode|";
+  key += StorageBackendName(backend);
+  return key;
 }
 
 namespace {

@@ -31,8 +31,6 @@ Ess::Config RequestOptions::ToEssConfig() const {
   config.contour_cost_ratio = contour_cost_ratio;
   config.cost_model = cost_model;
   config.num_threads = ess_threads;
-  config.build_mode = ess_build_mode;
-  config.recost_lambda = recost_lambda;
   return config;
 }
 

@@ -70,8 +70,6 @@ struct RequestOptions {
   // --- ESS construction (the Ess::Config fields front-ends expose) ---
   int points_per_dim = 0;  // 0 = DefaultPointsPerDim(D)
   double contour_cost_ratio = 2.0;
-  EssBuildMode ess_build_mode = EssBuildMode::kExhaustive;
-  double recost_lambda = 2.0;
   /// Threads for the ESS build / evaluation sweeps; 0 = all cores.
   int ess_threads = 0;
   CostModel cost_model = CostModel::PostgresFlavour();

@@ -151,21 +151,11 @@ Status ParseSubmitLine(const std::string& line, ServiceRequest* out) {
         return Status::InvalidArgument("malformed ratio: " + value);
       }
     } else if (key == "build") {
-      if (value == "exhaustive") {
-        req.options.ess_build_mode = EssBuildMode::kExhaustive;
-      } else if (value == "exact") {
-        req.options.ess_build_mode = EssBuildMode::kExact;
-      } else if (value.rfind("recost:", 0) == 0) {
-        req.options.ess_build_mode = EssBuildMode::kRecost;
-        if (!ParseFiniteDouble(value.substr(7), &req.options.recost_lambda) ||
-            req.options.recost_lambda <= 1.0) {
-          return Status::InvalidArgument(
-              "recost lambda must be a finite number > 1: " + value);
-        }
-      } else {
-        return Status::InvalidArgument(
-            "unknown build mode " + value +
-            " (want exhaustive|exact|recost:<lambda>)");
+      // Every ESS is the exact sweep; both names are accepted for the
+      // clients that send them, and select nothing.
+      if (value != "exhaustive" && value != "exact") {
+        return Status::InvalidArgument("unknown build mode " + value +
+                                       " (want exhaustive|exact)");
       }
     } else if (key == "compression") {
       // One knob for the storage layout: auto|on, raw|off, packed, vbyte,

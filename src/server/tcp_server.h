@@ -30,8 +30,9 @@
 // any value), points (a whole integer in [0, kMaxEssLocations]; 0 = the
 // per-D default; 1 or a points^D grid past kMaxEssLocations is refused
 // with InvalidArgument when the ESS is built), ratio (a finite number;
-// <= 1 is refused the same way), build (exhaustive|exact|recost:<l>, l a
-// finite number > 1), compression
+// <= 1 is refused the same way), build (exhaustive|exact — both name the
+// one exact sweep and select nothing; accepted for existing clients),
+// compression
 // (auto|raw|packed|vbyte|dict|on|off — the catalog's storage encoding;
 // raw also disables fused execution), fused (0|1 — decode-then-filter
 // override on encoded columns), storage (resident|mmap — catalog

@@ -201,16 +201,9 @@ TEST_F(EssTest, OptimalPlanIsActuallyOptimalAmongPool) {
 }
 
 TEST_F(EssTest, ExhaustiveSurfaceIsOneOptimizeCallPerLocation) {
-  // The fixture is a kExhaustive build: every location must hold exactly
-  // what a direct optimizer call there returns, and nothing was recosted.
-  const Ess::BuildStats& stats = ess_->build_stats();
-  EXPECT_EQ(stats.optimizer_calls, ess_->num_locations());
-  EXPECT_EQ(stats.exact_points, ess_->num_locations());
-  EXPECT_EQ(stats.recosted_points, 0);
-  EXPECT_EQ(stats.cells_certified, 0);
-  EXPECT_EQ(stats.cells_refined, 0);
-  EXPECT_EQ(stats.max_deviation_bound, 1.0);
-  EXPECT_FALSE(stats.fell_back);
+  // Every location must hold exactly what a direct optimizer call there
+  // returns.
+  EXPECT_EQ(ess_->build_stats().optimizer_calls, ess_->num_locations());
   for (int64_t lin = 0; lin < ess_->num_locations(); ++lin) {
     const EssPoint q = ess_->SelAt(ess_->FromLinear(lin));
     const std::unique_ptr<Plan> direct = ess_->optimizer().Optimize(q);
@@ -265,10 +258,6 @@ TEST(EssConfigTest, TryBuildRejectsUnbuildableConfigs) {
     SCOPED_TRACE(bad);
     c = base;
     c.contour_cost_ratio = bad;
-    EXPECT_EQ(code(q2, c), StatusCode::kInvalidArgument);
-    c = base;
-    c.build_mode = EssBuildMode::kRecost;
-    c.recost_lambda = bad;
     EXPECT_EQ(code(q2, c), StatusCode::kInvalidArgument);
   }
 }

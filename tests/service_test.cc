@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -96,6 +97,52 @@ TEST(ContextCacheLruTest, EvictionAndStatsGoldens) {
   EXPECT_EQ(s.misses, 4);
   EXPECT_EQ(s.evictions, 2);
   EXPECT_EQ(s.size, 2u);
+}
+
+// The key writes every double exactly and includes every CostParams
+// field, so a nearby ratio or a cost model that differs in one parameter
+// is a different context, never a hit on another's contours.
+TEST(ContextCacheLruTest, KeyNeverAliasesNearbyConfigs) {
+  ContextCache cache(ContextCache::Options{/*capacity=*/8});
+  Ess::Config two = SmallOptions().ToEssConfig();
+  two.contour_cost_ratio = 2.0;
+  Ess::Config near = two;
+  near.contour_cost_ratio = 2.0000001;
+  bool hit = true;
+  ASSERT_TRUE(cache.Get("2D_Q91", two, &hit).ok());
+  EXPECT_FALSE(hit);
+  const auto got = cache.Get("2D_Q91", near, &hit);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ((*got)->ess->config().contour_cost_ratio, 2.0000001);
+  near.contour_cost_ratio = std::nextafter(2.0, 3.0);
+  EXPECT_NE(ContextCache::Key("2D_Q91", near), ContextCache::Key("2D_Q91", two));
+
+  Ess::Config fetch = two;
+  CostParams p = two.cost_model.params();
+  p.index_fetch *= 1.5;
+  fetch.cost_model = CostModel(p);
+  ASSERT_TRUE(cache.Get("2D_Q91", fetch, &hit).ok());
+  EXPECT_FALSE(hit);
+  ASSERT_TRUE(cache.Get("2D_Q91", two, &hit).ok());
+  EXPECT_TRUE(hit);
+
+  const std::string base = ContextCache::Key("2D_Q91", two);
+  for (double CostParams::*field :
+       {&CostParams::scan_tuple, &CostParams::hash_build_tuple,
+        &CostParams::hash_probe_tuple, &CostParams::nlj_materialize_tuple,
+        &CostParams::nlj_pair, &CostParams::join_output_tuple,
+        &CostParams::index_probe, &CostParams::index_fetch,
+        &CostParams::sort_tuple, &CostParams::merge_tuple}) {
+    Ess::Config c = two;
+    CostParams q = c.cost_model.params();
+    q.*field = std::nextafter(q.*field, 10.0);
+    c.cost_model = CostModel(q);
+    EXPECT_NE(ContextCache::Key("2D_Q91", c), base);
+  }
+  Ess::Config sel = two;
+  sel.min_sel = std::nextafter(sel.min_sel, 1.0);
+  EXPECT_NE(ContextCache::Key("2D_Q91", sel), base);
 }
 
 TEST(ContextCacheLruTest, EvictionDoesNotInvalidateHolders) {
@@ -469,7 +516,7 @@ TEST(TcpProtocolTest, ParseSubmitLineRoundTrip) {
   ASSERT_TRUE(ParseSubmitLine(
                   "SUBMIT query=3D_Q15 mode=ab qa=0.1,0.2,0.3 budget=500 "
                   "deadline_ms=2000 threads=2 shards=4 points=6 "
-                  "ratio=1.5 build=recost:2.5 faults=exec.*:p=0.01 seed=9",
+                  "ratio=1.5 build=exact faults=exec.*:p=0.01 seed=9",
                   &req)
                   .ok());
   EXPECT_EQ(req.query_id, "3D_Q15");
@@ -481,10 +528,34 @@ TEST(TcpProtocolTest, ParseSubmitLineRoundTrip) {
   EXPECT_EQ(req.options.num_shards, 4);
   EXPECT_EQ(req.options.points_per_dim, 6);
   EXPECT_EQ(req.options.contour_cost_ratio, 1.5);
-  EXPECT_EQ(req.options.ess_build_mode, EssBuildMode::kRecost);
-  EXPECT_EQ(req.options.recost_lambda, 2.5);
   EXPECT_EQ(req.options.fault_spec, "exec.*:p=0.01");
   EXPECT_EQ(req.options.fault_seed, 9u);
+}
+
+// Every ESS is the exact sweep: build=exhaustive and build=exact are kept
+// for the clients that send them and select the same context; any other
+// value, the retired recost:<lambda> included, is refused.
+TEST(TcpProtocolTest, BuildKeyNamesTheOneSweep) {
+  ServiceRequest plain, exhaustive, exact;
+  ASSERT_TRUE(ParseSubmitLine("SUBMIT query=2D_Q91 points=8", &plain).ok());
+  ASSERT_TRUE(ParseSubmitLine("SUBMIT query=2D_Q91 points=8 build=exhaustive",
+                              &exhaustive)
+                  .ok());
+  ASSERT_TRUE(
+      ParseSubmitLine("SUBMIT query=2D_Q91 points=8 build=exact", &exact).ok());
+  const std::string key =
+      ContextCache::Key("2D_Q91", plain.options.ToEssConfig());
+  EXPECT_EQ(ContextCache::Key("2D_Q91", exhaustive.options.ToEssConfig()), key);
+  EXPECT_EQ(ContextCache::Key("2D_Q91", exact.options.ToEssConfig()), key);
+
+  for (const char* bad : {"recost:2", "recost:1.5", "refine", "EXACT", ""}) {
+    ServiceRequest req;
+    ServiceResponse resp;
+    resp.status = ParseSubmitLine(
+        std::string("SUBMIT query=2D_Q91 build=").append(bad), &req);
+    EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(FormatResponseLine(resp).rfind("ERR code=2 ", 0), 0u) << bad;
+  }
 }
 
 TEST(TcpProtocolTest, ParseSubmitLineRejectsMalformedInput) {
@@ -602,7 +673,7 @@ TEST(TcpProtocolTest, ParseSubmitLineFuzzGivesOkOrStableErr) {
   const std::vector<std::string> valid = {
       "SUBMIT query=3D_Q15 mode=ab qa=0.1,0.2,0.3 budget=500 "
       "deadline_ms=2000 threads=2 shards=4 points=6 ratio=1.5 "
-      "build=recost:2.5 faults=exec.*:p=0.01 seed=9",
+      "build=exhaustive faults=exec.*:p=0.01 seed=9",
       "SUBMIT query=4D_Q91 mode=pb use_engine=1 threads=1 storage=mmap "
       "compression=dict fused=0 feedback=1",
       "SUBMIT query=2D_Q91 mode=sb points=8 build=exact",

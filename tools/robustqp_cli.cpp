@@ -83,9 +83,6 @@ void PrintUsage() {
       "                         composes exactly across shards\n"
       "  --points <n>           ESS grid points per dimension (default auto)\n"
       "  --ratio <r>            inter-contour cost ratio (default 2.0)\n"
-      "  --ess-build-mode <m>   exhaustive | exact | recost:<lambda>\n"
-      "                         (grid-refinement surface construction;\n"
-      "                         default exhaustive)\n"
       "  --compression <c>      auto | raw | packed | vbyte | dict | on | off\n"
       "                         catalog storage encoding (default auto:\n"
       "                         dictionary for low-cardinality columns,\n"
@@ -163,28 +160,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       const char* v = next();
       if (v == nullptr) return false;
       out->req.contour_cost_ratio = std::atof(v);
-    } else if (arg == "--ess-build-mode") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const std::string mode = v;
-      if (mode == "exhaustive") {
-        out->req.ess_build_mode = EssBuildMode::kExhaustive;
-      } else if (mode == "exact") {
-        out->req.ess_build_mode = EssBuildMode::kExact;
-      } else if (mode.rfind("recost", 0) == 0) {
-        out->req.ess_build_mode = EssBuildMode::kRecost;
-        if (mode.size() > 7 && mode[6] == ':') {
-          out->req.recost_lambda = std::atof(mode.c_str() + 7);
-        }
-        if (out->req.recost_lambda <= 1.0) {
-          std::cerr << "recost lambda must be > 1\n";
-          return false;
-        }
-      } else {
-        std::cerr << "unknown --ess-build-mode " << mode
-                  << " (want exhaustive | exact | recost:<lambda>)\n";
-        return false;
-      }
     } else if (arg == "--compression") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -373,21 +348,10 @@ int Run(const CliOptions& opts) {
   std::cout << opts.query << ": D=" << ess.dims() << ", grid " << ess.points()
             << "^D, " << ess.num_contours() << " contours, POSP "
             << ess.pool().size() << " plans\n";
-  const Ess::BuildStats& bs = ess.build_stats();
-  if (bs.optimizer_calls > 0) {
-    std::cout << "ESS build: " << bs.optimizer_calls << " optimizer calls for "
-              << ess.num_locations() << " locations";
-    if (bs.recosted_points > 0) {
-      std::cout << " (" << bs.exact_points << " exact, " << bs.recosted_points
-                << " recosted, " << bs.cells_certified << " cells certified, "
-                << bs.cells_refined << " refined";
-      if (ess.config().build_mode == EssBuildMode::kRecost) {
-        std::cout << ", deviation bound " << bs.max_deviation_bound;
-      }
-      std::cout << ")";
-    }
-    if (bs.fell_back) std::cout << " [fell back to exhaustive sweep]";
-    std::cout << "\n";
+  const int64_t optimizer_calls = ess.build_stats().optimizer_calls;
+  if (optimizer_calls > 0) {
+    std::cout << "ESS build: " << optimizer_calls << " optimizer calls for "
+              << ess.num_locations() << " locations\n";
   }
   std::cout << "true location (snapped to grid): (";
   for (int d = 0; d < ess.dims(); ++d) {
