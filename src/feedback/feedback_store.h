@@ -128,7 +128,7 @@ class FeedbackStore {
   FeedbackStore& operator=(const FeedbackStore&) = delete;
 
   /// The store key for a suite query with a D-dimensional ESS. Encodings,
-  /// engines and build modes deliberately do NOT key the store: the
+  /// engines and ESS grids deliberately do NOT key the store: the
   /// data's true selectivities are identical across all of them, so their
   /// observations pool. The *storage backend* ("resident" / "mmap") DOES
   /// key it: a mapped catalog can be an externally built store (e.g.

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/oracle.h"
 #include "core/spillbound.h"
@@ -247,13 +248,17 @@ TEST_F(EssIoTest, FuzzTruncationAlwaysRejected) {
 }
 
 TEST_F(EssIoTest, FuzzBitFlipsAlwaysRejected) {
-  // Single-bit corruption anywhere in a checksummed stream — header, plan bodies,
-  // grid data, or the trailer itself — must be rejected cleanly.
+  // Single-bit corruption anywhere in a checksummed stream — header, plan
+  // bodies, grid data, or the trailer itself, its final newline included —
+  // must be rejected cleanly.
   std::stringstream buffer;
   ASSERT_TRUE(ess_->Save(buffer).ok());
   const std::string full = buffer.str();
   const size_t stride = std::max<size_t>(1, full.size() / 128);
-  for (size_t pos = 0; pos < full.size(); pos += stride) {
+  std::vector<size_t> positions;
+  for (size_t pos = 0; pos < full.size(); pos += stride) positions.push_back(pos);
+  positions.push_back(full.size() - 1);
+  for (const size_t pos : positions) {
     for (const int bit : {0, 3, 6}) {
       std::string flipped = full;
       flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));

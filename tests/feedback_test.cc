@@ -105,7 +105,7 @@ void SeedStore(FeedbackStore* store, const std::string& key, const Ess& ess,
 // ---------------------------------------------------------------------------
 
 TEST(FeedbackStoreTest, KeyPoolsAcrossPlatformKnobs) {
-  // Engines/encodings/build modes deliberately do NOT key the store —
+  // Engines/encodings/ESS grids deliberately do NOT key the store —
   // only query shape, ESS dimensionality, and the storage backend do
   // (mmap catalogs are rebuilt from disk, so their calibrations must not
   // leak into resident serving and vice versa).
