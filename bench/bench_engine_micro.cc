@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -294,27 +295,44 @@ void BM_PlanCosting(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanCosting)->Unit(benchmark::kNanosecond);
 
+// One full ESS build (the sweep of one optimizer call per grid location).
+// us_per_location is the wall time of a build divided by its locations,
+// comparable across grid sizes and queries.
 void BM_EssBuild(benchmark::State& state, const std::string& id) {
-  const Catalog& catalog = SharedCatalog();
+  const Catalog& catalog = IsJobQuery(id) ? *ContextCache::JobCatalog()
+                                          : SharedCatalog();
   const Query q = MakeSuiteQuery(id);
   int64_t opt_calls = 0;
   int64_t locations = 0;
+  double build_us = 0.0;
   for (auto _ : state) {
     Ess::Config config;
     config.points_per_dim = static_cast<int>(state.range(0));
     config.num_threads = bench::Threads();
+    const auto start = std::chrono::steady_clock::now();
     auto ess = Ess::Build(catalog, q, config);
+    build_us += std::chrono::duration<double, std::micro>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
     opt_calls = ess->build_stats().optimizer_calls;
     locations = ess->num_locations();
     benchmark::DoNotOptimize(locations);
   }
   state.counters["opt_calls"] = static_cast<double>(opt_calls);
   state.counters["locations"] = static_cast<double>(locations);
+  state.counters["us_per_location"] =
+      build_us / (static_cast<double>(state.iterations()) *
+                  static_cast<double>(locations));
 }
 BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive2D_Q91, std::string("2D_Q91"))
     ->Arg(10)->Arg(20)->Arg(40)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive3D_Q96, std::string("3D_Q96"))
     ->Arg(16)->Unit(benchmark::kMillisecond);
+// context_churn's grids.
+BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive3D_Q15, std::string("3D_Q15"))
+    ->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive4D_JOB_Q1a, std::string("4D_JOB_Q1a"))
+    ->Arg(10)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive4D_Q91, std::string("4D_Q91"))
     ->Arg(10)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive5D_Q91, std::string("5D_Q91"))

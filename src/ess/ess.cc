@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/fault.h"
@@ -16,63 +18,101 @@ namespace robustqp {
 
 namespace {
 
+/// FNV-1a over a PlanKey's words.
+struct PlanKeyHash {
+  size_t operator()(const PlanKey& key) const {
+    uint64_t h = 1469598103934665603ull;
+    for (const uint64_t word : key) h = (h ^ word) * 1099511628211ull;
+    return static_cast<size_t>(h ^ (h >> 32));
+  }
+};
+
 /// The sweep of Section 2.2: one optimizer call per grid location. The
-/// calls are pure and fan out on a pool; the plans are interned afterwards
-/// in ascending linear order, so the pool and both surfaces are identical
-/// at any thread count. With an armed FaultInjector each location draws
-/// from its own stream, keyed to the location rather than the thread, and
-/// retries transient optimizer faults up to kMaxFaultAttempts times.
+/// calls are pure and, on grids of kSweepFanOutLocations or more, fan out
+/// on a pool. A worker identifies each location's winner by its PlanKey
+/// and builds one Plan per distinct key it meets; each location is costed
+/// on that plan and keeps a pointer to it. The plans are interned
+/// afterwards in ascending linear order, so the pool and both surfaces are
+/// identical at any thread count. With an armed FaultInjector each
+/// location draws from its own stream, keyed to the location rather than
+/// the thread, and retries transient optimizer faults up to
+/// kMaxFaultAttempts times.
 Status Sweep(const Ess& ess, int num_threads, PlanPool* pool,
              std::vector<double>* cost, std::vector<const Plan*>* plan) {
   const int64_t total = ess.num_locations();
+  const int dims = ess.dims();
   const Optimizer& optimizer = ess.optimizer();
+  const LogAxis& axis = ess.axis();
   const bool armed = FaultInjector::Armed();
-  std::vector<std::unique_ptr<Plan>> raw(static_cast<size_t>(total));
-  auto work = [&](int64_t begin, int64_t end) {
+  const int threads = num_threads > 0 ? std::min(num_threads, 16)
+                                      : ThreadPool::DefaultThreads();
+  const int workers =
+      threads > 1 && total >= kSweepFanOutLocations ? threads : 1;
+
+  // A distinct winner of one worker; `interned` is its pool instance.
+  struct Winner {
+    std::unique_ptr<Plan> plan;
+    const Plan* interned = nullptr;
+  };
+  struct WorkerWinners {
+    std::unordered_map<PlanKey, size_t, PlanKeyHash> index;
+    std::deque<Winner> winners;  // stable addresses for `winner_of`
+  };
+  std::vector<WorkerWinners> per_worker(static_cast<size_t>(workers));
+  std::vector<Winner*> winner_of(static_cast<size_t>(total));
+
+  auto work = [&](int worker, int64_t begin, int64_t end) {
+    WorkerWinners& mine = per_worker[static_cast<size_t>(worker)];
+    // The location is decoded by an odometer (the last dimension is the
+    // linear index's least significant digit) into reused scratch.
+    GridLoc loc = ess.FromLinear(begin);
+    EssPoint q = ess.SelAt(loc);
+    PlanKey key;
     for (int64_t lin = begin; lin < end; ++lin) {
       const size_t i = static_cast<size_t>(lin);
-      const EssPoint q = ess.SelAt(ess.FromLinear(lin));
       if (!armed) {
-        raw[i] = optimizer.Optimize(q);
+        optimizer.OptimizeKey(q, &key);
       } else {
         FaultStreamScope scope(static_cast<uint64_t>(lin));
         Status st;
         for (int attempt = 0; attempt < kMaxFaultAttempts; ++attempt) {
-          Result<std::unique_ptr<Plan>> r = optimizer.TryOptimize(q);
-          if (r.ok()) {
-            raw[i] = r.MoveValue();
-            break;
-          }
-          st = r.status();
+          st = optimizer.TryOptimizeKey(q, &key);
           if (!st.IsTransient()) break;
         }
-        if (raw[i] == nullptr) {
-          // ParallelFor converts this to the Status returned below.
-          throw std::runtime_error(st.ok() ? "optimizer retries exhausted"
-                                           : st.ToString());
-        }
+        // ParallelFor converts this to the Status returned below.
+        if (!st.ok()) throw std::runtime_error(st.ToString());
       }
-      // The stored cost is the plan's recosted total, computed before
-      // interning.
-      (*cost)[i] = optimizer.PlanCost(*raw[i], q);
+      const auto [it, inserted] =
+          mine.index.try_emplace(key, mine.winners.size());
+      if (inserted) mine.winners.push_back({optimizer.PlanFromKey(key)});
+      Winner& winner = mine.winners[it->second];
+      // The stored cost is the plan's recosted total.
+      (*cost)[i] = optimizer.PlanCost(*winner.plan, q);
+      winner_of[i] = &winner;
+      for (int d = dims - 1; d >= 0; --d) {
+        int& v = loc[static_cast<size_t>(d)];
+        if (++v == axis.points()) v = 0;
+        q[static_cast<size_t>(d)] = axis.value(v);
+        if (v != 0) break;
+      }
     }
   };
-  const int threads = num_threads > 0 ? std::min(num_threads, 16)
-                                      : ThreadPool::DefaultThreads();
-  if (threads > 1 && total >= 256) {
-    ThreadPool workers(threads);
-    RQP_RETURN_NOT_OK(ParallelFor(&workers, total,
-                                  [&](int /*worker*/, int64_t begin,
-                                      int64_t end) { work(begin, end); }));
+  if (workers > 1) {
+    ThreadPool pool_threads(workers);
+    RQP_RETURN_NOT_OK(ParallelFor(&pool_threads, total, work));
   } else {
     try {
-      work(0, total);
+      work(0, 0, total);
     } catch (const std::exception& e) {
       return Status::Internal(std::string("task failed: ") + e.what());
     }
   }
-  for (size_t i = 0; i < raw.size(); ++i) {
-    (*plan)[i] = pool->Intern(std::move(raw[i]));
+  for (size_t i = 0; i < winner_of.size(); ++i) {
+    Winner& winner = *winner_of[i];
+    if (winner.interned == nullptr) {
+      winner.interned = pool->Intern(std::move(winner.plan));
+    }
+    (*plan)[i] = winner.interned;
   }
   return Status::OK();
 }

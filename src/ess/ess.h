@@ -33,6 +33,11 @@ using GridLoc = std::vector<int>;
 /// suite's largest grid (32,768 locations).
 constexpr int64_t kMaxEssLocations = int64_t{1} << 20;
 
+/// Smallest grid whose sweep fans out on a thread pool (when the build has
+/// more than one thread). A location costs a few microseconds, so smaller
+/// grids sweep inline: spawning a pool would cost more than it saves.
+constexpr int64_t kSweepFanOutLocations = int64_t{1} << 15;
+
 /// The built ESS for one query: optimal-plan / optimal-cost surfaces over
 /// the grid plus contour structure. Immutable after Build.
 class Ess {

@@ -14,14 +14,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 /// One DP cell: the cheapest subtree covering `mask` whose execution-order
-/// state is `state`.
+/// state is `state`. Its right child covers `mask ^ left_mask`.
 struct Optimizer::DpCell {
   double cost = kInf;
   PlanOp op = PlanOp::kSeqScan;
-  uint64_t left_mask = 0;
   int left_state = 0;
-  uint64_t right_mask = 0;
   int right_state = 0;
+  uint64_t left_mask = 0;
 };
 
 struct Optimizer::DpArena {
@@ -31,6 +30,7 @@ struct Optimizer::DpArena {
   std::vector<double> sort_term;  // CostModel::SortTerm(card[mask])
   int states = 1;                 // DP states per mask of the last RunDp
   std::vector<DpCell> dp;
+  PlanKey key;  // Optimize's winner key, reused across calls
 };
 
 Optimizer::DpArena& Optimizer::ThreadArena() {
@@ -46,8 +46,13 @@ Optimizer::Optimizer(const Catalog* catalog, const Query* query,
       cost_model_(cost_model),
       num_tables_(query->num_tables()),
       num_states_(query->num_epps() + 1) {
+  RQP_CHECK(num_tables_ >= 1 && num_tables_ <= 60);  // PlanKey packs masks
+  // Per join index: the bitmask of its two query tables that can be the
+  // probed inner of an index nested-loop join (a hash index exists on the
+  // join column).
+  std::vector<uint64_t> inlj_inner_mask;
   join_masks_.reserve(query->joins().size());
-  inlj_inner_mask_.reserve(query->joins().size());
+  inlj_inner_mask.reserve(query->joins().size());
   for (int j = 0; j < query->num_joins(); ++j) {
     join_masks_.push_back(query->JoinTableMask(j));
     const JoinPredicate& jp = query->joins()[static_cast<size_t>(j)];
@@ -58,7 +63,7 @@ Optimizer::Optimizer(const Catalog* catalog, const Query* query,
     if (catalog->FindIndex(jp.right_table, jp.right_column) != nullptr) {
       inner |= uint64_t{1} << query->TableIndex(jp.right_table);
     }
-    inlj_inner_mask_.push_back(inner);
+    inlj_inner_mask.push_back(inner);
   }
   table_filters_.resize(static_cast<size_t>(num_tables_));
   for (int f = 0; f < static_cast<int>(query->filters().size()); ++f) {
@@ -98,6 +103,53 @@ Optimizer::Optimizer(const Catalog* catalog, const Query* query,
     connected_[mask] = (reach == mask) ? 1 : 0;
   }
   mask_join_offsets_[full + 1] = static_cast<int32_t>(mask_join_list_.size());
+
+  // The DP's splits: per connected mask of two or more tables, every
+  // unordered split into connected halves joined by at least one edge, in
+  // the order the DP tries them.
+  for (uint64_t mask = 1; mask <= full; ++mask) {
+    if (!connected_[mask] || (mask & (mask - 1)) == 0) continue;
+    dp_masks_.push_back(mask);
+    split_offsets_.push_back(static_cast<int32_t>(splits_.size()));
+    for (uint64_t s1 = (mask - 1) & mask; s1 != 0; s1 = (s1 - 1) & mask) {
+      const uint64_t s2 = mask ^ s1;
+      if (s1 > s2) continue;  // each unordered split once
+      if (!connected_[s1] || !connected_[s2]) continue;
+      Split split;
+      split.s1 = s1;
+      split.s2 = s2;
+      split.epp_begin = static_cast<int32_t>(split_epp_dims_.size());
+      int num_cross = 0;
+      for (int32_t k = mask_join_offsets_[mask];
+           k < mask_join_offsets_[mask + 1]; ++k) {
+        const int j = mask_join_list_[static_cast<size_t>(k)];
+        const uint64_t jm = join_masks_[static_cast<size_t>(j)];
+        if ((jm & s1) == 0 || (jm & s2) == 0) continue;
+        ++num_cross;
+        split.single_cross = j;
+        const int dim = query->EppDimensionOfJoin(j);
+        if (dim >= 0) split_epp_dims_.push_back(dim);
+      }
+      split.epp_end = static_cast<int32_t>(split_epp_dims_.size());
+      if (num_cross == 0) continue;
+      if (num_cross > 1) {
+        split.single_cross = -1;
+      } else {
+        // Index nested-loop: the inner is a single table indexed on the
+        // crossing join's column.
+        const uint64_t indexed =
+            inlj_inner_mask[static_cast<size_t>(split.single_cross)];
+        if ((s2 & (s2 - 1)) == 0 && (indexed & s2) != 0) {
+          split.inlj_inner2 = static_cast<int16_t>(std::countr_zero(s2));
+        }
+        if ((s1 & (s1 - 1)) == 0 && (indexed & s1) != 0) {
+          split.inlj_inner1 = static_cast<int16_t>(std::countr_zero(s1));
+        }
+      }
+      splits_.push_back(split);
+    }
+  }
+  split_offsets_.push_back(static_cast<int32_t>(splits_.size()));
 }
 
 void Optimizer::ComputeCards(const EssPoint& q, DpArena* arena) const {
@@ -148,11 +200,12 @@ void Optimizer::ComputeCards(const EssPoint& q, DpArena* arena) const {
   }
 }
 
+template <bool kConstrained>
 void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
                       DpArena* arena) const {
   const int n = num_tables_;
   const uint64_t full = (uint64_t{1} << n) - 1;
-  const int S = unlearned != nullptr ? num_states_ : 1;
+  const int S = kConstrained ? num_states_ : 1;
   arena->states = S;
 
   ComputeCards(q, arena);
@@ -172,65 +225,63 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
   for (int t = 0; t < n; ++t) {
     const uint64_t m = uint64_t{1} << t;
     int leaf_state = 0;
-    for (int f : table_filters_[static_cast<size_t>(t)]) {
-      const int dim = query_->EppDimensionOfFilter(f);
-      if (dim >= 0 && unlearned != nullptr &&
-          (*unlearned)[static_cast<size_t>(dim)]) {
-        leaf_state = dim + 1;
-        break;
+    if constexpr (kConstrained) {
+      for (int f : table_filters_[static_cast<size_t>(t)]) {
+        const int dim = query_->EppDimensionOfFilter(f);
+        if (dim >= 0 && (*unlearned)[static_cast<size_t>(dim)]) {
+          leaf_state = dim + 1;
+          break;
+        }
       }
     }
     cell(m, leaf_state).cost = cost_model_.ScanCost(estimator_.RawRows(t));
     cell(m, leaf_state).op = PlanOp::kSeqScan;
   }
 
-  // Joins, by increasing mask (every strict submask precedes its mask).
-  for (uint64_t mask = 1; mask <= full; ++mask) {
-    if (!connected_[mask] || (mask & (mask - 1)) == 0) continue;
-
-    // First-unlearned epp among the predicates evaluated at this node
-    // (crossing edges are collected in join-index order at reconstruction,
-    // so take the smallest-index epp edge fully inside `mask`... the node
-    // evaluates exactly the edges crossing the split; computed per split
-    // below).
-    for (uint64_t s1 = (mask - 1) & mask; s1 != 0; s1 = (s1 - 1) & mask) {
-      const uint64_t s2 = mask ^ s1;
-      if (s1 > s2) continue;  // each unordered split once; orders handled below
-      if (!connected_[s1] || !connected_[s2]) continue;
-
-      // Predicates evaluated at this node: edges crossing (s1, s2). Only
-      // the joins contained in `mask` (precomputed CSR list) can cross.
+  // Joins, by increasing mask (every strict submask precedes its mask),
+  // over the precomputed splits.
+  for (size_t mi = 0; mi < dp_masks_.size(); ++mi) {
+    const uint64_t mask = dp_masks_[mi];
+    const double out = card[mask];
+    for (int32_t k = split_offsets_[mi]; k < split_offsets_[mi + 1]; ++k) {
+      const Split& sp = splits_[static_cast<size_t>(k)];
+      const uint64_t s1 = sp.s1;
+      const uint64_t s2 = sp.s2;
+      // The node evaluates the edges crossing (s1, s2); its own state is
+      // the first unlearned epp among them, in join-index order.
       int node_first = 0;  // state encoding: 0 = none, d+1 = dim d
-      int num_cross = 0;
-      int single_cross = -1;
-      for (int32_t k = mask_join_offsets_[mask];
-           k < mask_join_offsets_[mask + 1]; ++k) {
-        const int j = mask_join_list_[static_cast<size_t>(k)];
-        const uint64_t jm = join_masks_[static_cast<size_t>(j)];
-        if ((jm & s1) != 0 && (jm & s2) != 0) {
-          ++num_cross;
-          single_cross = j;
-          if (node_first == 0 && unlearned != nullptr) {
-            const int dim = query_->EppDimensionOfJoin(j);
-            if (dim >= 0 && (*unlearned)[static_cast<size_t>(dim)]) {
-              node_first = dim + 1;
-            }
+      if constexpr (kConstrained) {
+        for (int32_t e = sp.epp_begin; e < sp.epp_end; ++e) {
+          const int dim = split_epp_dims_[static_cast<size_t>(e)];
+          if ((*unlearned)[static_cast<size_t>(dim)]) {
+            node_first = dim + 1;
+            break;
           }
         }
       }
-      if (num_cross == 0) continue;
 
-      // Index nested-loop applicability: exactly one crossing predicate,
-      // the inner a single indexed table. Cross-product selectivity of
-      // the edge for the pre-filter fetch estimate.
-      double cross_sel = 1.0;
-      if (num_cross == 1) {
-        cross_sel = js[static_cast<size_t>(single_cross)];
+      // Local cost of each physical alternative: {HJ, NLJ} x {s1 left, s2
+      // left}, sort-merge (operand-symmetric, one orientation suffices),
+      // and index nested-loop with s2 or s1 as the probed inner. Fetches
+      // are pre-filter: outer x raw inner x edge selectivity.
+      const double hj12 = cost_model_.HashJoinCost(card[s1], card[s2], out);
+      const double hj21 = cost_model_.HashJoinCost(card[s2], card[s1], out);
+      const double nl12 = cost_model_.NLJoinCost(card[s1], card[s2], out);
+      const double nl21 = cost_model_.NLJoinCost(card[s2], card[s1], out);
+      const double smj = cost_model_.SortMergeJoinCost(
+          card[s1], card[s2], out, sort_term[s1], sort_term[s2]);
+      double inl12 = 0.0;
+      double inl21 = 0.0;
+      if (sp.inlj_inner2 >= 0) {
+        const double fetched = card[s1] * estimator_.RawRows(sp.inlj_inner2) *
+                               js[static_cast<size_t>(sp.single_cross)];
+        inl12 = cost_model_.IndexNLJoinCost(card[s1], fetched, out);
       }
-      const auto inlj_ok = [&](uint64_t inner) {
-        return num_cross == 1 && (inner & (inner - 1)) == 0 &&
-               (inlj_inner_mask_[static_cast<size_t>(single_cross)] & inner) != 0;
-      };
+      if (sp.inlj_inner1 >= 0) {
+        const double fetched = card[s2] * estimator_.RawRows(sp.inlj_inner1) *
+                               js[static_cast<size_t>(sp.single_cross)];
+        inl21 = cost_model_.IndexNLJoinCost(card[s2], fetched, out);
+      }
 
       for (int st1 = 0; st1 < S; ++st1) {
         const double c1 = cell(s1, st1).cost;
@@ -238,81 +289,45 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
         for (int st2 = 0; st2 < S; ++st2) {
           const double c2 = cell(s2, st2).cost;
           if (c2 == kInf) continue;
-
-          // Physical alternatives: {HJ, NLJ} x {s1 left, s2 left}, plus
-          // index nested-loop joins where applicable.
-          struct Alt {
-            PlanOp op;
-            uint64_t lm;
-            int ls;
-            double lc;
-            uint64_t rm;
-            int rs;
-            double rc;
+          // The subtree's state: the first unlearned epp in execution
+          // order (first child, second child, this node).
+          const auto first = [node_first](int a, int b) {
+            return a != 0 ? a : (b != 0 ? b : node_first);
           };
-          Alt alts[7];
-          int num_alts = 0;
-          alts[num_alts++] = {PlanOp::kHashJoin, s1, st1, c1, s2, st2, c2};
-          alts[num_alts++] = {PlanOp::kHashJoin, s2, st2, c2, s1, st1, c1};
-          alts[num_alts++] = {PlanOp::kNLJoin, s1, st1, c1, s2, st2, c2};
-          alts[num_alts++] = {PlanOp::kNLJoin, s2, st2, c2, s1, st1, c1};
-          // Sort-merge cost is operand-symmetric; one orientation suffices.
-          alts[num_alts++] = {PlanOp::kSortMergeJoin, s1, st1, c1, s2, st2, c2};
-          if (inlj_ok(s2)) {
-            alts[num_alts++] = {PlanOp::kIndexNLJoin, s1, st1, c1, s2, st2, 0.0};
-          }
-          if (inlj_ok(s1)) {
-            alts[num_alts++] = {PlanOp::kIndexNLJoin, s2, st2, c2, s1, st1, 0.0};
-          }
-          for (int ai = 0; ai < num_alts; ++ai) {
-            const Alt& a = alts[ai];
-            double local;
-            // Execution order of the children determines whose unlearned
-            // epp comes first: (first child, second child, this node).
-            int first_state, second_state;
-            if (a.op == PlanOp::kHashJoin || a.op == PlanOp::kSortMergeJoin) {
-              // Left child executes first (hash build / first sort run).
-              local = a.op == PlanOp::kHashJoin
-                          ? cost_model_.HashJoinCost(card[a.lm], card[a.rm],
-                                                     card[mask])
-                          : cost_model_.SortMergeJoinCost(
-                                card[a.lm], card[a.rm], card[mask],
-                                sort_term[a.lm], sort_term[a.rm]);
-              first_state = a.ls;
-              second_state = a.rs;
-            } else if (a.op == PlanOp::kNLJoin) {
-              // Right child is the materialized inner (blocking).
-              local = cost_model_.NLJoinCost(card[a.lm], card[a.rm], card[mask]);
-              first_state = a.rs;
-              second_state = a.ls;
-            } else {
-              // Index nested-loop: probe the right table's index with the
-              // left (outer) stream; the right scan never runs, so its
-              // cost does not accrue (a.rc == 0) — but its error-prone
-              // filters still resolve during probing, after the outer's.
-              // Fetches are pre-filter: outer x raw inner x edge sel.
-              int inner_table = 0;
-              while ((a.rm & (uint64_t{1} << inner_table)) == 0) ++inner_table;
-              const double fetched =
-                  card[a.lm] * estimator_.RawRows(inner_table) * cross_sel;
-              local = cost_model_.IndexNLJoinCost(card[a.lm], fetched, card[mask]);
-              first_state = a.ls;
-              second_state = a.rs;
-            }
-            const int state = first_state != 0
-                                  ? first_state
-                                  : (second_state != 0 ? second_state
-                                                       : node_first);
-            const double total = a.lc + a.rc + local;
+          const auto offer = [&](int state, double total, PlanOp op,
+                                 uint64_t lm, int ls, int rs) {
             DpCell& best = cell(mask, state);
             if (total < best.cost) {
               best.cost = total;
-              best.op = a.op;
-              best.left_mask = a.lm;
-              best.left_state = a.ls;
-              best.right_mask = a.rm;
-              best.right_state = a.rs;
+              best.op = op;
+              best.left_state = ls;
+              best.right_state = rs;
+              best.left_mask = lm;
             }
+          };
+          // Hash and sort-merge joins run the left child first (hash
+          // build / first sort run); a nested-loop join materializes its
+          // right child (the inner) first. An index nested-loop join's
+          // probed inner is never scanned, so its cost does not accrue,
+          // but its error-prone filters resolve during probing, after the
+          // outer's.
+          offer(first(st1, st2), c1 + c2 + hj12, PlanOp::kHashJoin, s1, st1,
+                st2);
+          offer(first(st2, st1), c2 + c1 + hj21, PlanOp::kHashJoin, s2, st2,
+                st1);
+          offer(first(st2, st1), c1 + c2 + nl12, PlanOp::kNLJoin, s1, st1,
+                st2);
+          offer(first(st1, st2), c2 + c1 + nl21, PlanOp::kNLJoin, s2, st2,
+                st1);
+          offer(first(st1, st2), c1 + c2 + smj, PlanOp::kSortMergeJoin, s1,
+                st1, st2);
+          if (sp.inlj_inner2 >= 0) {
+            offer(first(st1, st2), c1 + inl12, PlanOp::kIndexNLJoin, s1, st1,
+                  st2);
+          }
+          if (sp.inlj_inner1 >= 0) {
+            offer(first(st2, st1), c2 + inl21, PlanOp::kIndexNLJoin, s2, st2,
+                  st1);
           }
         }
       }
@@ -320,47 +335,70 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
   }
 }
 
-std::unique_ptr<PlanNode> Optimizer::Reconstruct(const DpArena& arena,
-                                                 uint64_t mask,
-                                                 int state) const {
+void Optimizer::AppendKey(const DpArena& arena, uint64_t mask, int state,
+                          PlanKey* key) const {
   const DpCell& c = arena.dp[mask * static_cast<uint64_t>(arena.states) +
                              static_cast<uint64_t>(state)];
   RQP_CHECK(c.cost != kInf);
+  if ((mask & (mask - 1)) == 0) return;  // a scan: its mask names it
+  key->push_back((c.left_mask << 3) | static_cast<uint64_t>(c.op));
+  AppendKey(arena, c.left_mask, c.left_state, key);
+  AppendKey(arena, mask ^ c.left_mask, c.right_state, key);
+}
+
+std::unique_ptr<PlanNode> Optimizer::NodeFromKey(const PlanKey& key,
+                                                 uint64_t mask,
+                                                 size_t* pos) const {
   auto node = std::make_unique<PlanNode>();
   if ((mask & (mask - 1)) == 0) {
-    // Single table.
-    int t = 0;
-    while ((mask & (uint64_t{1} << t)) == 0) ++t;
+    const int t = std::countr_zero(mask);
     node->op = PlanOp::kSeqScan;
     node->table_idx = t;
     node->filter_indices = table_filters_[static_cast<size_t>(t)];
     return node;
   }
-  node->op = c.op;
-  node->left = Reconstruct(arena, c.left_mask, c.left_state);
-  node->right = Reconstruct(arena, c.right_mask, c.right_state);
-  for (int j = 0; j < query_->num_joins(); ++j) {
+  RQP_CHECK(*pos < key.size());
+  const uint64_t word = key[(*pos)++];
+  const uint64_t left = word >> 3;
+  RQP_CHECK(left != 0 && (left & ~mask) == 0 && left != mask);
+  node->op = static_cast<PlanOp>(word & 7);
+  node->left = NodeFromKey(key, left, pos);
+  node->right = NodeFromKey(key, mask ^ left, pos);
+  for (int32_t k = mask_join_offsets_[mask]; k < mask_join_offsets_[mask + 1];
+       ++k) {
+    const int j = mask_join_list_[static_cast<size_t>(k)];
     const uint64_t jm = join_masks_[static_cast<size_t>(j)];
-    if ((jm & mask) != jm) continue;
-    if ((jm & c.left_mask) != 0 && (jm & c.right_mask) != 0) {
-      node->join_indices.push_back(j);
-    }
+    if ((jm & left) != 0 && (jm & ~left) != 0) node->join_indices.push_back(j);
   }
   return node;
 }
 
-std::unique_ptr<Plan> Optimizer::Optimize(const EssPoint& q) const {
+std::unique_ptr<Plan> Optimizer::PlanFromKey(const PlanKey& key) const {
+  size_t pos = 0;
+  std::unique_ptr<PlanNode> root =
+      NodeFromKey(key, (uint64_t{1} << num_tables_) - 1, &pos);
+  RQP_CHECK(pos == key.size());
+  return std::make_unique<Plan>(query_, std::move(root));
+}
+
+void Optimizer::OptimizeKey(const EssPoint& q, PlanKey* key) const {
   RQP_CHECK(static_cast<int>(q.size()) == query_->num_epps());
   optimize_calls_.fetch_add(1, std::memory_order_relaxed);
   DpArena& arena = ThreadArena();
   // With no unlearned epps every subtree has state 0, so the single-state
   // DP finds the same winners as the (mask, state) one.
-  RunDp(q, nullptr, &arena);
-  const uint64_t full = (uint64_t{1} << num_tables_) - 1;
-  return std::make_unique<Plan>(query_, Reconstruct(arena, full, 0));
+  RunDp<false>(q, nullptr, &arena);
+  key->clear();
+  AppendKey(arena, (uint64_t{1} << num_tables_) - 1, 0, key);
 }
 
-Result<std::unique_ptr<Plan>> Optimizer::TryOptimize(const EssPoint& q) const {
+std::unique_ptr<Plan> Optimizer::Optimize(const EssPoint& q) const {
+  PlanKey& key = ThreadArena().key;
+  OptimizeKey(q, &key);
+  return PlanFromKey(key);
+}
+
+Status Optimizer::TryOptimizeKey(const EssPoint& q, PlanKey* key) const {
   if (FaultInjector::Armed()) {
     const FaultAction act =
         FaultInjector::Global().Evaluate(fault_site::kOptimizerDp);
@@ -373,7 +411,8 @@ Result<std::unique_ptr<Plan>> Optimizer::TryOptimize(const EssPoint& q) const {
         break;  // spikes/corruption are not meaningful for plan search
     }
   }
-  return Optimize(q);
+  OptimizeKey(q, key);
+  return Status::OK();
 }
 
 std::unique_ptr<Plan> Optimizer::OptimizeConstrainedSpill(
@@ -381,13 +420,15 @@ std::unique_ptr<Plan> Optimizer::OptimizeConstrainedSpill(
   RQP_CHECK(dim >= 0 && dim < query_->num_epps());
   optimize_calls_.fetch_add(1, std::memory_order_relaxed);
   DpArena& arena = ThreadArena();
-  RunDp(q, &unlearned, &arena);
+  RunDp<true>(q, &unlearned, &arena);
   const uint64_t full = (uint64_t{1} << num_tables_) - 1;
   const int state = dim + 1;
   const DpCell& c = arena.dp[full * static_cast<uint64_t>(num_states_) +
                              static_cast<uint64_t>(state)];
   if (c.cost == kInf) return nullptr;
-  return std::make_unique<Plan>(query_, Reconstruct(arena, full, state));
+  arena.key.clear();
+  AppendKey(arena, full, state, &arena.key);
+  return PlanFromKey(arena.key);
 }
 
 // Computes per-node rows and cumulative costs. Cardinalities are kept as

@@ -6,6 +6,10 @@
 //                         ESS location q (the repeated-optimizer-call
 //                         primitive from which the ESS / POSP / contours
 //                         are constructed, Section 2.2);
+//  * OptimizeKey(q)     — the same DP, returning only the winner's exact
+//                         PlanKey; PlanFromKey builds the plan. The ESS
+//                         sweep builds one Plan per distinct key, not one
+//                         per grid location;
 //  * OptimizeConstrainedSpill(q, j) — least-cost plan whose spill node is
 //                         epp j (the engine extension the paper adds for
 //                         AlignedBound, Section 6.1);
@@ -16,11 +20,18 @@
 // The constrained search runs the same DP over states (mask, first
 // unlearned epp in the subtree's execution order), which is exact because
 // the spill dimension composes bottom-up from child states.
+//
+// Everything in the DP that does not depend on q is built once, in the
+// constructor: the connected table subsets in ascending mask order and,
+// per subset, the list of its (s1, s2) splits into two connected halves
+// with their crossing joins and index-NL applicability. Every DP call
+// walks that one list, so a call costs only its q-dependent arithmetic.
 
 #ifndef ROBUSTQP_OPTIMIZER_OPTIMIZER_H_
 #define ROBUSTQP_OPTIMIZER_OPTIMIZER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -43,6 +54,13 @@ struct PlanCosting {
   double total_cost() const { return cost.empty() ? 0.0 : cost[0]; }
 };
 
+/// Exact identity of a DP winner: one word per join node in pre-order,
+/// `(left child's table mask << 3) | PlanOp`. The full table mask, the
+/// left masks and the ops determine the whole tree (right child = mask ^
+/// left, join predicates = the edges crossing the split), so equal keys
+/// of one Optimizer name the same plan.
+using PlanKey = std::vector<uint64_t>;
+
 /// The query optimizer. Immutable after construction; all methods are
 /// const and thread-safe.
 class Optimizer {
@@ -53,11 +71,19 @@ class Optimizer {
   /// The optimal plan at ESS location `q` (one selectivity per epp).
   std::unique_ptr<Plan> Optimize(const EssPoint& q) const;
 
-  /// Optimize behind the optimizer.dp fault site: with an armed
+  /// Optimize without building the plan: one optimizer call whose winner's
+  /// key is written to `*key` (reused storage). PlanFromKey(*key) is the
+  /// plan Optimize(q) returns.
+  void OptimizeKey(const EssPoint& q, PlanKey* key) const;
+
+  /// OptimizeKey behind the optimizer.dp fault site: with an armed
   /// FaultInjector a drawn transient fault returns Unavailable (the ESS
-  /// builders retry), a permanent one Internal. Identical to Optimize when
-  /// injection is disarmed.
-  Result<std::unique_ptr<Plan>> TryOptimize(const EssPoint& q) const;
+  /// sweep retries), a permanent one Internal, both before the DP runs.
+  /// Identical to OptimizeKey when injection is disarmed.
+  Status TryOptimizeKey(const EssPoint& q, PlanKey* key) const;
+
+  /// Builds the plan a key of this optimizer names.
+  std::unique_ptr<Plan> PlanFromKey(const PlanKey& key) const;
 
   /// The least-cost plan at `q` whose spill dimension — the first epp of
   /// its Section 3.1.3 execution order that is flagged true in
@@ -98,6 +124,25 @@ class Optimizer {
   /// hot ESS-construction loop never allocates.
   struct DpArena;
 
+  /// One way to join a connected mask from two connected halves s1 < s2
+  /// with at least one join edge between them.
+  struct Split {
+    uint64_t s1 = 0;
+    uint64_t s2 = 0;
+    /// The one join crossing (s1, s2), or -1 when several cross.
+    int32_t single_cross = -1;
+    /// Table index of s2 (resp. s1) when it can be the probed inner of an
+    /// index nested-loop join (one crossing join, a single table with an
+    /// index on its join column), else -1.
+    int16_t inlj_inner2 = -1;
+    int16_t inlj_inner1 = -1;
+    /// Range of split_epp_dims_: the epp dimensions of the crossing joins,
+    /// in join-index order (the constrained DP's node state is the first
+    /// unlearned one).
+    int32_t epp_begin = 0;
+    int32_t epp_end = 0;
+  };
+
   static DpArena& ThreadArena();
 
   /// Fills the arena's per-table filtered rows, per-join selectivities,
@@ -106,15 +151,19 @@ class Optimizer {
   void ComputeCards(const EssPoint& q, DpArena* arena) const;
 
   /// Runs the (mask, state) DP into `arena` (resized as needed). With
-  /// `unlearned` there are D+1 states: state 0 = no unlearned epp in the
-  /// subtree, state d+1 = first unlearned epp is dimension d. Without it
-  /// (plain Optimize) only state 0 is reachable, so the DP keeps one
-  /// state per mask.
+  /// `kConstrained` there are D+1 states: state 0 = no unlearned epp in
+  /// the subtree, state d+1 = first unlearned epp is dimension d. Without
+  /// it (plain Optimize) only state 0 is reachable, so the DP keeps one
+  /// state per mask and `unlearned` is unused.
+  template <bool kConstrained>
   void RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
              DpArena* arena) const;
 
-  std::unique_ptr<PlanNode> Reconstruct(const DpArena& arena, uint64_t mask,
-                                        int state) const;
+  /// Appends the key of the arena's winner for (mask, state).
+  void AppendKey(const DpArena& arena, uint64_t mask, int state,
+                 PlanKey* key) const;
+  std::unique_ptr<PlanNode> NodeFromKey(const PlanKey& key, uint64_t mask,
+                                        size_t* pos) const;
 
   double CostNode(const PlanNode& node, const EssPoint& q,
                   PlanCosting* out) const;
@@ -131,10 +180,6 @@ class Optimizer {
   int num_states_;  // query->num_epps() + 1
   std::vector<uint64_t> join_masks_;            // per join index
   std::vector<std::vector<int>> table_filters_;  // filters per table index
-  /// Per join index: query-table id usable as the probed inner of an
-  /// index nested-loop join (a hash index exists on its join column), or
-  /// -1. Both sides may qualify; we store a bitmask of the two table ids.
-  std::vector<uint64_t> inlj_inner_mask_;
 
   // q-independent per-mask structure, hoisted out of RunDp so repeated
   // optimizer calls (the ESS sweep) only redo the q-dependent work.
@@ -145,6 +190,14 @@ class Optimizer {
   /// mask_join_offsets_[m + 1])` have both sides inside mask m.
   std::vector<int32_t> mask_join_offsets_;
   std::vector<int32_t> mask_join_list_;
+  /// The connected masks of two or more tables, ascending (every strict
+  /// submask precedes its mask), and in CSR layout their splits:
+  /// `splits_[split_offsets_[i] .. split_offsets_[i + 1])` are those of
+  /// `dp_masks_[i]`, in the order the DP tries them (s1 descending).
+  std::vector<uint64_t> dp_masks_;
+  std::vector<int32_t> split_offsets_;
+  std::vector<Split> splits_;
+  std::vector<int> split_epp_dims_;
 
   mutable std::atomic<int64_t> optimize_calls_{0};
 };

@@ -41,18 +41,18 @@ void ExpectIdenticalSurfaces(const Ess& a, const Ess& b) {
 TEST(EssBuilderTest, SweepIsDeterministicAtAnyThreadCount) {
   // The sweep's optimizer calls run in parallel; interning in ascending
   // linear order must make the surface, the plan-pool order and the call
-  // count independent of the thread count. 20x20 = 400 locations is past
-  // the 256-location threshold below which the build runs serially.
+  // count independent of the thread count. 182x182 = 33,124 locations is
+  // past kSweepFanOutLocations, below which the build runs inline.
   const std::shared_ptr<Catalog> catalog = ContextCache::TpcdsCatalog();
   const Query query = MakeSuiteQuery("2D_Q91");
   Ess::Config config;
-  config.points_per_dim = 20;
+  config.points_per_dim = 182;
   config.min_sel = 1e-4;
   config.num_threads = 1;
   auto serial = Ess::Build(*catalog, query, config);
   config.num_threads = 4;
   auto parallel = Ess::Build(*catalog, query, config);
-  ASSERT_GE(serial->num_locations(), 256);
+  ASSERT_GE(serial->num_locations(), kSweepFanOutLocations);
 
   ExpectIdenticalSurfaces(*serial, *parallel);
   ASSERT_EQ(serial->pool().size(), parallel->pool().size());
@@ -176,12 +176,18 @@ const SweepGolden kSweepGoldens[] = {
      1024, 0, 0},
     {"5D_Q19", 4, true, 0x9fd9249befd8593aull, 295, 0x22714b08381dafe3ull,
      1024, 1075, 51},
+    // 8^5 = 32,768 locations: at the fan-out cutoff, so at threads=4 this
+    // is the one row whose sweep runs on a thread pool.
+    {"5D_Q19", 8, false, 0xc0a9c9860eceb844ull, 733, 0x1abbf40a660444acull,
+     32768, 0, 0},
+    {"5D_Q19", 8, true, 0xc0a9c9860eceb844ull, 733, 0x1abbf40a660444acull,
+     32768, 34463, 1695},
 };
 
-void ExpectSweepGoldens(const std::string& id) {
+void ExpectSweepGoldens(const std::string& id, int points) {
   int checked = 0;
   for (const SweepGolden& want : kSweepGoldens) {
-    if (id != want.query) continue;
+    if (id != want.query || points != want.points) continue;
     for (int threads : {1, 4}) {
       const SweepGolden got =
           RecordSweep(want.query, want.points, want.faulted, threads);
@@ -199,10 +205,11 @@ void ExpectSweepGoldens(const std::string& id) {
   EXPECT_EQ(checked, 4);  // {clean, faulted} x {1, 4} threads
 }
 
-TEST(EssBuilderGoldenTest, Q96_3D_16) { ExpectSweepGoldens("3D_Q96"); }
-TEST(EssBuilderGoldenTest, Q91_4D_6) { ExpectSweepGoldens("4D_Q91"); }
-TEST(EssBuilderGoldenTest, JobQ1a_4D_8) { ExpectSweepGoldens("4D_JOB_Q1a"); }
-TEST(EssBuilderGoldenTest, Q19_5D_4) { ExpectSweepGoldens("5D_Q19"); }
+TEST(EssBuilderGoldenTest, Q96_3D_16) { ExpectSweepGoldens("3D_Q96", 16); }
+TEST(EssBuilderGoldenTest, Q91_4D_6) { ExpectSweepGoldens("4D_Q91", 6); }
+TEST(EssBuilderGoldenTest, JobQ1a_4D_8) { ExpectSweepGoldens("4D_JOB_Q1a", 8); }
+TEST(EssBuilderGoldenTest, Q19_5D_4) { ExpectSweepGoldens("5D_Q19", 4); }
+TEST(EssBuilderGoldenTest, Q19_5D_8) { ExpectSweepGoldens("5D_Q19", 8); }
 
 }  // namespace
 }  // namespace robustqp

@@ -6,13 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/log_grid.h"
 #include "common/rng.h"
 #include "optimizer/optimizer.h"
+#include "server/context_cache.h"
 #include "test_util.h"
+#include "workloads/queries.h"
 
 namespace robustqp {
 namespace {
@@ -296,6 +304,104 @@ TEST_F(OptimizerTest, ConstrainedSpillOnFilterDim) {
   EXPECT_EQ(got->SpillDimension(unlearned), 2);
   EXPECT_NEAR(opt.PlanCost(*got, inj), best, best * 1e-9);
 }
+
+// --- Constrained-DP pins -------------------------------------------------
+//
+// OptimizeConstrainedSpill (AlignedBound's search) over a 4-point grid of
+// suite queries, for every spill dimension and several unlearned subsets:
+// all dimensions, the target alone, the target with the even or the odd
+// dimensions, and every dimension but the target (no plan can spill
+// there). The digest folds in, per call in that order, the winner's
+// signature and the bits of its PlanCost, or a marker for no plan, so any
+// change to winners, ties or cost bits moves the recorded values.
+
+struct ConstrainedGolden {
+  const char* query;
+  uint64_t digest;
+  int64_t plans;  // calls that returned a plan
+};
+
+ConstrainedGolden RecordConstrained(const char* id) {
+  const std::shared_ptr<Catalog> catalog = IsJobQuery(id)
+                                               ? ContextCache::JobCatalog()
+                                               : ContextCache::TpcdsCatalog();
+  const Query query = MakeSuiteQuery(id);
+  const Optimizer opt(catalog.get(), &query);
+  const int dims = query.num_epps();
+  const LogAxis axis(1e-4, 4);
+  uint64_t digest = 1469598103934665603ull;
+  const auto fold = [&digest](const void* data, size_t len) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      digest ^= bytes[i];
+      digest *= 1099511628211ull;
+    }
+  };
+  int64_t plans = 0;
+  std::vector<int> loc(static_cast<size_t>(dims), 0);
+  EssPoint q(static_cast<size_t>(dims));
+  while (true) {
+    for (int d = 0; d < dims; ++d) {
+      q[static_cast<size_t>(d)] = axis.value(loc[static_cast<size_t>(d)]);
+    }
+    for (int dim = 0; dim < dims; ++dim) {
+      for (int subset = 0; subset < 5; ++subset) {
+        std::vector<bool> unlearned(static_cast<size_t>(dims));
+        for (int d = 0; d < dims; ++d) {
+          const bool in = subset == 0 || (subset == 2 && d % 2 == 0) ||
+                          (subset == 3 && d % 2 == 1);
+          unlearned[static_cast<size_t>(d)] =
+              subset == 4 ? d != dim : (in || d == dim);
+        }
+        const std::unique_ptr<Plan> plan =
+            opt.OptimizeConstrainedSpill(q, dim, unlearned);
+        if (plan == nullptr) {
+          fold("-", 1);
+          continue;
+        }
+        ++plans;
+        const double cost = opt.PlanCost(*plan, q);
+        fold(plan->signature().data(), plan->signature().size());
+        fold(&cost, sizeof(cost));
+      }
+    }
+    int d = dims - 1;
+    while (d >= 0 && ++loc[static_cast<size_t>(d)] == axis.points()) {
+      loc[static_cast<size_t>(d)] = 0;
+      --d;
+    }
+    if (d < 0) break;
+  }
+  return ConstrainedGolden{id, digest, plans};
+}
+
+const ConstrainedGolden kConstrainedGoldens[] = {
+    {"4D_Q91", 0x6f230bc587aea0f4ull, 4096},
+    {"4D_JOB_Q1a", 0x16cc6ec59e8696caull, 4096},
+    {"5D_Q19", 0x3e79b3fbc59de90cull, 20480},
+};
+
+void ExpectConstrainedGolden(const std::string& id) {
+  int checked = 0;
+  for (const ConstrainedGolden& want : kConstrainedGoldens) {
+    if (id != want.query) continue;
+    const ConstrainedGolden got = RecordConstrained(want.query);
+    std::ostringstream recorded;
+    recorded << "{\"" << got.query << "\", 0x" << std::hex << got.digest
+             << "ull, " << std::dec << got.plans << "}";
+    SCOPED_TRACE(recorded.str());
+    EXPECT_EQ(got.digest, want.digest);
+    EXPECT_EQ(got.plans, want.plans);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 1);
+}
+
+TEST(ConstrainedSpillGoldenTest, Q91_4D) { ExpectConstrainedGolden("4D_Q91"); }
+TEST(ConstrainedSpillGoldenTest, JobQ1a_4D) {
+  ExpectConstrainedGolden("4D_JOB_Q1a");
+}
+TEST(ConstrainedSpillGoldenTest, Q19_5D) { ExpectConstrainedGolden("5D_Q19"); }
 
 // --- PCM property (parameterized sweep) ---------------------------------
 

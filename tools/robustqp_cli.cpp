@@ -287,9 +287,22 @@ int Run(const CliOptions& opts) {
     query_ptr = loaded_query.get();
     std::cout << "(loaded ESS from " << opts.load_ess << ")\n";
   } else {
+    // --faults is armed for the build too, so optimizer.dp faults reach the
+    // sweep's retry path. Each path below re-Configures the same spec and
+    // seed, which resets every stream and stat: discovery draws exactly
+    // what it would after a clean build.
+    if (!opts.req.fault_spec.empty()) {
+      const Status st = FaultInjector::Global().Configure(opts.req.fault_spec,
+                                                          opts.req.fault_seed);
+      if (!st.ok()) {
+        std::cerr << "bad --faults spec: " << st.ToString() << "\n";
+        return ExitCodeFor(StatusCode::kInvalidArgument);
+      }
+    }
     Result<std::shared_ptr<const ContextCache::Entry>> entry =
         context_cache.Get(opts.query, config, opts.req.encoding,
                           opts.req.use_compression, opts.req.storage);
+    FaultInjector::Disarm();
     if (!entry.ok()) {
       std::cerr << "context build failed: " << entry.status().ToString()
                 << "\n";
