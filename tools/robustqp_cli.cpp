@@ -288,9 +288,9 @@ int Run(const CliOptions& opts) {
     std::cout << "(loaded ESS from " << opts.load_ess << ")\n";
   } else {
     // --faults is armed for the build too, so optimizer.dp faults reach the
-    // sweep's retry path. Each path below re-Configures the same spec and
-    // seed, which resets every stream and stat: discovery draws exactly
-    // what it would after a clean build.
+    // sweep's retry path. Every path below that runs discovery
+    // re-Configures the same spec and seed, which resets every stream and
+    // stat: discovery draws exactly what it would after a clean build.
     if (!opts.req.fault_spec.empty()) {
       const Status st = FaultInjector::Global().Configure(opts.req.fault_spec,
                                                           opts.req.fault_seed);
