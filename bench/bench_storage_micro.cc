@@ -104,7 +104,7 @@ void BM_FilterEncoded(benchmark::State& state, Encoding enc, int mode,
   Table table(schema, policy);
   for (int64_t v : LowCardData()) table.column(0).AppendInt(v);
   RQP_CHECK(table.Finalize().ok());
-  RQP_CHECK((mode != 0) == table.column(0).encoded());
+  RQP_CHECK((mode != 0) == (table.column(0).enc().mode() != Encoding::kRaw));
   std::vector<int64_t> sel;
   kernels::FilterScratch scratch;
   int64_t pass = 0;
@@ -179,7 +179,7 @@ void BM_GatherEncoded(benchmark::State& state, Encoding enc, bool random) {
                                   : r * 4 + rng.UniformInt(0, 3));
   }
   RQP_CHECK(table.Finalize().ok());
-  RQP_CHECK(table.column(0).encoded());
+  RQP_CHECK(table.column(0).enc().mode() != Encoding::kRaw);
   constexpr int64_t kGathered = 1 << 16;
   std::vector<int64_t> rows(static_cast<size_t>(kGathered));
   for (int64_t i = 0; i < kGathered; ++i) {
@@ -257,7 +257,7 @@ void BM_TpcdsLowCardScan(benchmark::State& state, bool encoded) {
   const Table& table = *catalog.FindTable("store_sales")->table;
   const int col = table.schema().FindColumn("ss_quantity");
   RQP_CHECK(col >= 0);
-  RQP_CHECK(table.column(col).encoded() == encoded);
+  RQP_CHECK((table.column(col).enc().mode() != Encoding::kRaw) == encoded);
   const int64_t rows = table.num_rows();
   std::vector<int64_t> sel;
   kernels::FilterScratch scratch;

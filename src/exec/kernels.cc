@@ -58,10 +58,10 @@ bool CompareVal(double x, CompareOp op, double value) {
 }
 
 /// Dispatches op once and hands `emit` a 0-indexed bool lambda over a
-/// plain value array (int values compared after the double cast, exactly
-/// like the tuple engine).
-template <typename T, typename Fn>
-void WithArrayPred(const T* v, CompareOp op, double value, Fn&& emit) {
+/// value array — a plain pointer or any indexable view (int values
+/// compared after the double cast, exactly like the tuple engine).
+template <typename Array, typename Fn>
+void WithArrayPred(Array v, CompareOp op, double value, Fn&& emit) {
   switch (op) {
     case CompareOp::kLt:
       emit([=](int64_t i) { return static_cast<double>(v[i]) < value; });
@@ -81,51 +81,16 @@ void WithArrayPred(const T* v, CompareOp op, double value, Fn&& emit) {
   }
 }
 
-/// Branch-free predicate application over a contiguous range, dispatched
-/// on type+op once so the inner loops compare raw values. `emit` is
-/// called as emit(pred) with a row-indexed bool lambda.
-template <typename Fn>
-void WithRawPred(const ColumnData& col, CompareOp op, double value, Fn&& emit) {
-  if (col.type() == DataType::kInt64) {
-    const int64_t* v = col.ints().data();
-    switch (op) {
-      case CompareOp::kLt:
-        emit([=](int64_t r) { return static_cast<double>(v[r]) < value; });
-        return;
-      case CompareOp::kLe:
-        emit([=](int64_t r) { return static_cast<double>(v[r]) <= value; });
-        return;
-      case CompareOp::kGt:
-        emit([=](int64_t r) { return static_cast<double>(v[r]) > value; });
-        return;
-      case CompareOp::kGe:
-        emit([=](int64_t r) { return static_cast<double>(v[r]) >= value; });
-        return;
-      case CompareOp::kEq:
-        emit([=](int64_t r) { return static_cast<double>(v[r]) == value; });
-        return;
-    }
-  } else {
-    const double* v = col.doubles().data();
-    switch (op) {
-      case CompareOp::kLt:
-        emit([=](int64_t r) { return v[r] < value; });
-        return;
-      case CompareOp::kLe:
-        emit([=](int64_t r) { return v[r] <= value; });
-        return;
-      case CompareOp::kGt:
-        emit([=](int64_t r) { return v[r] > value; });
-        return;
-      case CompareOp::kGe:
-        emit([=](int64_t r) { return v[r] >= value; });
-        return;
-      case CompareOp::kEq:
-        emit([=](int64_t r) { return v[r] == value; });
-        return;
-    }
+/// The values of a kRaw double block: one bit-cast word per row, read
+/// through memcpy (a plain load after optimization).
+struct RawDoubleWords {
+  const uint64_t* w;
+  double operator[](int64_t i) const {
+    double d;
+    std::memcpy(&d, w + i, sizeof(d));
+    return d;
   }
-}
+};
 
 /// Sparse/dense survivor emission for a 0-indexed predicate over [0, n);
 /// row ids written to out are base + i. Returns the survivor count.
@@ -295,6 +260,25 @@ int64_t FilterDecoded(const ColumnData& col, CompareOp op, double value,
   return w;
 }
 
+/// Filters in-block indices [i0, i0+m) of a kRaw block in place over its
+/// value words (no decode copy); row ids written are base + i.
+int64_t FilterRawBlock(const ColumnData& col, const uint64_t* words,
+                       int64_t i0, int64_t m, int64_t base, CompareOp op,
+                       double value, double est_selectivity, int64_t* out,
+                       FilterScratch* scratch) {
+  int64_t w = 0;
+  const auto emit = [&](auto pred) {
+    w = EmitPred(m, base, est_selectivity, out, scratch, pred);
+  };
+  if (col.type() == DataType::kInt64) {
+    WithArrayPred(reinterpret_cast<const int64_t*>(words) + i0, op, value,
+                  emit);
+  } else {
+    WithArrayPred(RawDoubleWords{words + i0}, op, value, emit);
+  }
+  return w;
+}
+
 }  // namespace
 
 ZoneMatch ClassifyZones(const ColumnData& col, CompareOp op, double value,
@@ -328,76 +312,53 @@ int64_t FilterRange(const ColumnData& col, CompareOp op, double value,
   if (n <= 0) return 0;
   int64_t* out = sel->data();
   int64_t w = 0;
-  if (col.encoded()) {
-    // Encoded path: per block within [r0, r1), fused filtering when
-    // allowed and exact, decode-then-filter otherwise. Identical
-    // survivors either way.
-    FilterScratch local;
-    if (scratch == nullptr) scratch = &local;
-    const EncodedColumn& enc = col.enc();
-    const bool dict = enc.mode() == Encoding::kDict;
-    for (int64_t s0 = r0; s0 < r1;) {
-      const int64_t b = s0 / EncodedColumn::kBlockRows;
-      const int64_t base = b * EncodedColumn::kBlockRows;
-      const int64_t s1 = std::min<int64_t>(r1, base + enc.block_rows(b));
-      int64_t got = -1;
-      if (fused && dict) {
-        const std::vector<uint8_t>& pass = DictPass(scratch, enc, op, value);
-        const EncodedColumn::PackedView view = enc.packed_view(b);
-        const int64_t m = s1 - s0;
-        const uint8_t* p = pass.data();
-        if (view.width == 0) {
-          // Single-code block: the one dictionary entry decides all rows.
-          got = 0;
-          if (p[0] != 0) {
-            for (int64_t i = 0; i < m; ++i) out[w + i] = s0 + i;
-            got = m;
-          }
-        } else {
-          got = WithLaneArray(view, s0 - base, m, scratch,
-                              [&](auto tag, const uint8_t* lanes) {
-                                using T = decltype(tag);
-                                return EmitLanePred<T>(
-                                    lanes, m, s0, scratch, out + w,
-                                    [p](T x) { return p[x] != 0; });
-                              });
+  // Per block within [r0, r1): kRaw blocks filter their words in place;
+  // compressed blocks take fused filtering when allowed and exact, and
+  // decode-then-filter otherwise. Identical survivors either way.
+  FilterScratch local;
+  if (scratch == nullptr) scratch = &local;
+  const EncodedColumn& enc = col.enc();
+  const bool dict = enc.mode() == Encoding::kDict;
+  for (int64_t s0 = r0; s0 < r1;) {
+    const int64_t b = s0 / EncodedColumn::kBlockRows;
+    const int64_t base = b * EncodedColumn::kBlockRows;
+    const int64_t s1 = std::min<int64_t>(r1, base + enc.block_rows(b));
+    const Encoding kind = enc.block_kind(b);
+    int64_t got = -1;
+    if (kind == Encoding::kRaw) {
+      got = FilterRawBlock(col, enc.packed_view(b).words, s0 - base, s1 - s0,
+                           s0, op, value, est_selectivity, out + w, scratch);
+    } else if (fused && dict) {
+      const std::vector<uint8_t>& pass = DictPass(scratch, enc, op, value);
+      const EncodedColumn::PackedView view = enc.packed_view(b);
+      const int64_t m = s1 - s0;
+      const uint8_t* p = pass.data();
+      if (view.width == 0) {
+        // Single-code block: the one dictionary entry decides all rows.
+        got = 0;
+        if (p[0] != 0) {
+          for (int64_t i = 0; i < m; ++i) out[w + i] = s0 + i;
+          got = m;
         }
-      } else if (fused && enc.block_kind(b) == Encoding::kPacked) {
-        got = FilterPackedInt64(enc.packed_view(b), base, s0 - base, s1 - base,
-                                op, value, est_selectivity, out + w, scratch);
+      } else {
+        got = WithLaneArray(view, s0 - base, m, scratch,
+                            [&](auto tag, const uint8_t* lanes) {
+                              using T = decltype(tag);
+                              return EmitLanePred<T>(
+                                  lanes, m, s0, scratch, out + w,
+                                  [p](T x) { return p[x] != 0; });
+                            });
       }
-      if (got < 0) {
-        got = FilterDecoded(col, op, value, s0, s1, est_selectivity, out + w,
-                            scratch);
-      }
-      w += got;
-      s0 = s1;
+    } else if (fused && kind == Encoding::kPacked) {
+      got = FilterPackedInt64(enc.packed_view(b), base, s0 - base, s1 - base,
+                              op, value, est_selectivity, out + w, scratch);
     }
-    sel->resize(static_cast<size_t>(w));
-    return w;
-  }
-  if (scratch != nullptr && est_selectivity >= kDensePathSelectivity) {
-    // Dense path: predicate into a byte mask (no loop-carried dependency,
-    // auto-vectorizes), then branch-free compaction of the mask.
-    scratch->mask.resize(static_cast<size_t>(n));
-    uint8_t* m = scratch->mask.data();
-    WithRawPred(col, op, value, [&](auto pred) {
-      for (int64_t i = 0; i < n; ++i) {
-        m[i] = pred(r0 + i) ? 1 : 0;
-      }
-    });
-    for (int64_t i = 0; i < n; ++i) {
-      out[w] = r0 + i;
-      w += m[i];
+    if (got < 0) {
+      got = FilterDecoded(col, op, value, s0, s1, est_selectivity, out + w,
+                          scratch);
     }
-  } else {
-    // Sparse path: direct branch-free survivor store.
-    WithRawPred(col, op, value, [&](auto pred) {
-      for (int64_t r = r0; r < r1; ++r) {
-        out[w] = r;
-        w += pred(r) ? 1 : 0;
-      }
-    });
+    w += got;
+    s0 = s1;
   }
   sel->resize(static_cast<size_t>(w));
   return w;
@@ -408,27 +369,16 @@ int64_t FilterRefine(const ColumnData& col, CompareOp op, double value,
   const int64_t n = static_cast<int64_t>(sel->size());
   int64_t* s = sel->data();
   int64_t w = 0;
-  if (col.encoded()) {
-    // Gather the survivors' values a block run at a time (a vbyte point
-    // read alone costs up to 64 varint decodes), then compact.
-    FilterScratch local;
-    if (scratch == nullptr) scratch = &local;
-    scratch->decoded_d.resize(static_cast<size_t>(n));
-    col.enc().GatherNumeric(s, n, scratch->decoded_d.data());
-    WithArrayPred(scratch->decoded_d.data(), op, value, [&](auto pred) {
-      for (int64_t i = 0; i < n; ++i) {
-        s[w] = s[i];
-        w += pred(i) ? 1 : 0;
-      }
-    });
-    sel->resize(static_cast<size_t>(w));
-    return w;
-  }
-  WithRawPred(col, op, value, [&](auto pred) {
+  // Gather the survivors' values a block run at a time (a vbyte point
+  // read alone costs up to 64 varint decodes), then compact.
+  FilterScratch local;
+  if (scratch == nullptr) scratch = &local;
+  scratch->decoded_d.resize(static_cast<size_t>(n));
+  col.enc().GatherNumeric(s, n, scratch->decoded_d.data());
+  WithArrayPred(scratch->decoded_d.data(), op, value, [&](auto pred) {
     for (int64_t i = 0; i < n; ++i) {
-      const int64_t r = s[i];
-      s[w] = r;
-      w += pred(r) ? 1 : 0;
+      s[w] = s[i];
+      w += pred(i) ? 1 : 0;
     }
   });
   sel->resize(static_cast<size_t>(w));
@@ -611,7 +561,7 @@ MinMaxStats ColumnMinMax(const ColumnData& col) {
   s.min = std::numeric_limits<double>::infinity();
   s.max = -std::numeric_limits<double>::infinity();
   if (s.rows == 0) return s;
-  if (col.encoded() && col.enc().mode() == Encoding::kDict) {
+  if (col.enc().mode() == Encoding::kDict) {
     // Dictionary extremes: first-appearance interning guarantees every
     // entry occurs in the column, so the dictionary *is* the value set.
     const EncodedColumn& enc = col.enc();
@@ -652,17 +602,7 @@ void Gather(const ColumnData& col, const int64_t* sel, int64_t n,
 
 void GatherInto(const ColumnData& col, const int64_t* sel, int64_t n,
                 double* o) {
-  if (col.encoded()) {
-    col.enc().GatherNumeric(sel, n, o);
-    return;
-  }
-  if (col.type() == DataType::kInt64) {
-    const int64_t* v = col.ints().data();
-    for (int64_t i = 0; i < n; ++i) o[i] = static_cast<double>(v[sel[i]]);
-  } else {
-    const double* v = col.doubles().data();
-    for (int64_t i = 0; i < n; ++i) o[i] = v[sel[i]];
-  }
+  col.enc().GatherNumeric(sel, n, o);
 }
 
 void GatherRange(const ColumnData& col, int64_t r0, int64_t r1,
@@ -670,18 +610,7 @@ void GatherRange(const ColumnData& col, int64_t r0, int64_t r1,
   const int64_t n = r1 - r0;
   out->resize(static_cast<size_t>(n > 0 ? n : 0));
   if (n <= 0) return;
-  double* o = out->data();
-  if (col.encoded()) {
-    col.enc().DecodeRange(r0, r1, o);
-    return;
-  }
-  if (col.type() == DataType::kInt64) {
-    const int64_t* v = col.ints().data();
-    for (int64_t i = 0; i < n; ++i) o[i] = static_cast<double>(v[r0 + i]);
-  } else {
-    std::memcpy(o, col.doubles().data() + r0,
-                static_cast<size_t>(n) * sizeof(double));
-  }
+  col.enc().DecodeRange(r0, r1, out->data());
 }
 
 int64_t CompactWhere(const double* vals, CompareOp op, double value,

@@ -18,9 +18,12 @@
 //    which wins when most rows pass (the predicate loop has no
 //    loop-carried dependency, so the compiler can SIMD it).
 //
-// Encoded columns (storage/encoding.h) add a third axis — how much to
-// decode before filtering:
+// Every column is block-encoded (storage/encoding.h), which adds a third
+// axis — how much to decode before filtering:
 //
+//  * *in place* for kRaw value blocks: the predicate runs over the
+//    block's words directly (int64 verbatim, doubles bit-cast), with no
+//    decode copy;
 //  * *filter-on-compressed* for frame-of-reference packed blocks: when
 //    the predicate constant maps exactly into unsigned code space
 //    (MapPredicateToCodes — sound only while block values and constant
@@ -35,10 +38,11 @@
 //    filter rows by code-lane lookup — O(cardinality) predicate work per
 //    (column, predicate) instead of O(rows);
 //  * *decode-then-filter* fallback for vbyte blocks and unmappable
-//    constants: block-decode into scratch, then the raw kernels above.
+//    constants: block-decode into scratch, then the value kernels above.
 //
-// All three produce bit-identical selection vectors to the raw kernels
-// by construction; exec_batch_test differential fuzz enforces it.
+// All paths produce bit-identical selection vectors to a scalar loop
+// over the values by construction; exec_batch_test differential fuzz and
+// storage_encoding_test enforce it.
 //
 // The flat join table stores unique keys in open-addressed slots (linear
 // probing, power-of-two capacity, build-once so no tombstones) with
@@ -109,9 +113,10 @@ inline constexpr double kDensePathSelectivity = 0.20;
 /// picks the dense vs sparse variant; pass a running observed pass rate,
 /// or 0.5 when unknown. Returns the survivor count.
 ///
-/// Encoded columns take the fused filter-on-compressed / dictionary
-/// rewrite paths when `fused` is true and the exactness conditions hold,
-/// and decode-then-filter otherwise; the selection vector is identical
+/// kRaw blocks are filtered in place whatever `fused` says. Compressed
+/// blocks take the fused filter-on-compressed / dictionary rewrite paths
+/// when `fused` is true and the exactness conditions hold, and
+/// decode-then-filter otherwise; the selection vector is identical
 /// either way (`fused` exists for differential testing and as the
 /// Executor::Options::use_compression toggle).
 int64_t FilterRange(const ColumnData& col, CompareOp op, double value,
@@ -120,7 +125,7 @@ int64_t FilterRange(const ColumnData& col, CompareOp op, double value,
                     bool fused = true);
 
 /// Compacts `*sel` in place to the ids satisfying `col OP value`
-/// (branch-free). Encoded columns gather the survivors' values through
+/// (branch-free). The survivors' values are gathered through
 /// EncodedColumn::GatherNumeric into `scratch` first (a local buffer when
 /// null). Returns the new count.
 int64_t FilterRefine(const ColumnData& col, CompareOp op, double value,
@@ -196,8 +201,8 @@ MinMaxStats ColumnMinMax(const ColumnData& col);
 // ---------------------------------------------------------------------------
 
 /// Overwrites `*out` with col[sel[0..n)] as doubles (GetNumeric
-/// semantics). Encoded columns go through EncodedColumn::GatherNumeric,
-/// which decodes a block run of row ids at a time.
+/// semantics), through EncodedColumn::GatherNumeric, which decodes a
+/// block run of row ids at a time.
 void Gather(const ColumnData& col, const int64_t* sel, int64_t n,
             std::vector<double>* out);
 

@@ -257,29 +257,6 @@ Status WriteTableFile(const Table& table, const std::vector<ColumnStats>& stats,
   if (static_cast<int>(stats.size()) != ncols) {
     return Status::InvalidArgument("stats/schema column count mismatch");
   }
-  // The file format is block-addressed, so raw-vector columns (the kRaw
-  // policy) are encoded into kRaw value blocks on the fly — same bytes a
-  // sink-mode raw column would produce.
-  std::vector<std::unique_ptr<EncodedColumn>> synthesized;
-  std::vector<const EncodedColumn*> encs;
-  synthesized.resize(static_cast<size_t>(ncols));
-  for (int c = 0; c < ncols; ++c) {
-    const ColumnData& col = table.column(c);
-    if (col.encoded()) {
-      encs.push_back(&col.enc());
-      continue;
-    }
-    auto tmp = std::make_unique<EncodedColumn>(col.type(), Encoding::kRaw, 1);
-    if (col.type() == DataType::kInt64) {
-      for (int64_t v : col.ints()) tmp->AppendInt(v);
-    } else {
-      for (double v : col.doubles()) tmp->AppendDouble(v);
-    }
-    tmp->Finish();
-    encs.push_back(tmp.get());
-    synthesized[static_cast<size_t>(c)] = std::move(tmp);
-  }
-
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os.is_open()) {
     return Status::Internal("cannot create column file '" + path + "'");
@@ -287,7 +264,7 @@ Status WriteTableFile(const Table& table, const std::vector<ColumnStats>& stats,
   os.write(kHeadMagic, sizeof(kHeadMagic));
   std::vector<RunExtent> runs(static_cast<size_t>(ncols));
   for (int c = 0; c < ncols; ++c) {
-    const EncodedColumn& e = *encs[static_cast<size_t>(c)];
+    const EncodedColumn& e = table.column(c).enc();
     RunExtent& run = runs[static_cast<size_t>(c)];
     run.word_off = AlignTo8(&os);
     run.n_words = e.payload_words().size();
@@ -307,7 +284,7 @@ Status WriteTableFile(const Table& table, const std::vector<ColumnStats>& stats,
   footer.U32(static_cast<uint32_t>(ncols));
   for (int c = 0; c < ncols; ++c) {
     WriteColumnFooter(&footer, table.schema().column(c),
-                      *encs[static_cast<size_t>(c)], runs[static_cast<size_t>(c)],
+                      table.column(c).enc(), runs[static_cast<size_t>(c)],
                       table.column(c).zones(), table.column(c).chunk_zones(),
                       stats[static_cast<size_t>(c)]);
   }

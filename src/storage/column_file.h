@@ -72,10 +72,10 @@ enum class StorageBackend : uint8_t {
 const char* StorageBackendName(StorageBackend b);
 bool ParseStorageBackend(const std::string& token, StorageBackend* out);
 
-/// Serializes a finalized table (encoded columns, zone maps) and its
-/// statistics to `path`. Columns must be encoded (raw-vector columns are
-/// encoded into kRaw value blocks on the fly; the file format is
-/// block-addressed).
+/// Serializes a finalized table (each column's blocks verbatim, zone
+/// maps) and its statistics to `path`. Every column is already
+/// block-addressed — uncompressed columns as kRaw value blocks — so
+/// nothing is re-encoded on the way out.
 Status WriteTableFile(const Table& table, const std::vector<ColumnStats>& stats,
                       const std::string& path);
 

@@ -172,13 +172,10 @@ EncodedColumn::EncodedColumn(DataType type, Encoding requested,
     // provides the rank order every numeric consumer sees.
     mode_ = Encoding::kDict;
   } else if (requested == Encoding::kRaw) {
-    // kRaw value blocks (one 64-bit word per row). Resident tables store
-    // raw columns as plain vectors instead; this layout serves sink-mode
-    // and mapped columns, where every column must be block-addressed.
-    mode_ = Encoding::kRaw;
+    mode_ = Encoding::kRaw;  // kRaw value blocks: one 64-bit word per row
   } else if (type_ == DataType::kDouble) {
     // Doubles have no frame-of-reference layout; anything but dictionary
-    // falls back to raw (handled by AbandonDict + owner demotion).
+    // falls back to kRaw value blocks (AbandonDict).
     mode_ = Encoding::kDict;
   } else if (requested == Encoding::kAuto || requested == Encoding::kDict) {
     mode_ = Encoding::kDict;
@@ -237,7 +234,7 @@ void EncodedColumn::AppendDouble(double v) {
     if (it == dict_map_.end()) {
       if (static_cast<int64_t>(dict_d_.size()) >= dict_cap_) {
         AbandonDict();
-        raw_d_.push_back(v);
+        stage_d_.push_back(v);
       } else {
         const uint32_t code = static_cast<uint32_t>(dict_d_.size());
         dict_d_.push_back(v);
@@ -247,15 +244,13 @@ void EncodedColumn::AppendDouble(double v) {
     } else {
       stage_c_.push_back(it->second);
     }
-    if (static_cast<int64_t>(stage_c_.size()) >= kBlockRows) FlushStage();
-  } else if (mode_ == Encoding::kRaw &&
-             (sink_ != nullptr || requested_ == Encoding::kRaw)) {
-    stage_d_.push_back(v);  // kRaw value blocks (sink/mapped layout)
-    if (static_cast<int64_t>(stage_d_.size()) >= kBlockRows) FlushStage();
   } else {
-    raw_d_.push_back(v);  // dictionary overflowed earlier
+    stage_d_.push_back(v);  // kRaw value blocks
   }
   ++num_rows_;
+  if (static_cast<int64_t>(stage_c_.size() + stage_d_.size()) >= kBlockRows) {
+    FlushStage();
+  }
 }
 
 void EncodedColumn::AppendString(const std::string& v) {
@@ -470,20 +465,19 @@ void EncodedColumn::AbandonDict() {
   std::vector<uint64_t> old_words;
   old_blocks.swap(blocks_);
   old_words.swap(words_);
-  std::vector<int64_t> tmp_i;
-  std::vector<double> tmp_d;
-  if (type_ == DataType::kInt64) {
+  const bool ints = type_ == DataType::kInt64;
+  if (ints) {
     mode_ = (requested_ == Encoding::kPacked || requested_ == Encoding::kVbyte)
                 ? requested_
                 : Encoding::kAuto;
-    tmp_i.resize(static_cast<size_t>(kBlockRows));
   } else {
     mode_ = Encoding::kRaw;
-    raw_d_.reserve(static_cast<size_t>(num_rows_));
   }
+  std::vector<int64_t> tmp_i(ints ? static_cast<size_t>(kBlockRows) : 0);
+  std::vector<double> tmp_d(ints ? 0 : static_cast<size_t>(kBlockRows));
   for (const Block& blk : old_blocks) {
     const uint64_t* w = old_words.data() + blk.word_off;
-    if (type_ == DataType::kInt64) {
+    if (ints) {
       for (int64_t i = 0; i < blk.rows; ++i) {
         tmp_i[static_cast<size_t>(i)] =
             dict_i_[bitpack::Extract(w, i, blk.width)];
@@ -491,16 +485,19 @@ void EncodedColumn::AbandonDict() {
       EncodeAdaptiveBlock(tmp_i.data(), blk.rows);
     } else {
       for (int64_t i = 0; i < blk.rows; ++i) {
-        raw_d_.push_back(dict_d_[bitpack::Extract(w, i, blk.width)]);
+        tmp_d[static_cast<size_t>(i)] =
+            dict_d_[bitpack::Extract(w, i, blk.width)];
       }
+      EncodeRawBlock(tmp_d.data(), blk.rows);
     }
   }
-  // Staging codes become staged values (ints) or raw values (doubles).
-  if (type_ == DataType::kInt64) {
+  // Staging codes become staged values.
+  if (ints) {
     stage_i_.reserve(stage_c_.size() + 1);
     for (uint32_t c : stage_c_) stage_i_.push_back(dict_i_[c]);
   } else {
-    for (uint32_t c : stage_c_) raw_d_.push_back(dict_d_[c]);
+    stage_d_.reserve(stage_c_.size() + 1);
+    for (uint32_t c : stage_c_) stage_d_.push_back(dict_d_[c]);
   }
   stage_c_.clear();
   stage_c_.shrink_to_fit();
@@ -811,7 +808,9 @@ void EncodedColumn::GatherBlock(const Block& blk, int64_t base,
 EncodedColumn::PackedView EncodedColumn::packed_view(int64_t b) const {
   const Block& blk = blocks_[static_cast<size_t>(b)];
   PackedView v;
-  v.words = blk.width > 0 ? wp_ + blk.word_off : nullptr;
+  // kRaw blocks hold their values whatever the directory's width says.
+  v.words = blk.width > 0 || blk.kind == Encoding::kRaw ? wp_ + blk.word_off
+                                                         : nullptr;
   v.width = blk.width;
   v.ref = blk.kind == Encoding::kDict ? 0 : blk.ref;
   v.range = blk.range;
@@ -915,7 +914,7 @@ size_t EncodedColumn::MemoryBytes() const {
          dict_d_.size() * sizeof(double) + dict_str +
          (rank_of_code_.size() + sorted_codes_.size()) * sizeof(uint32_t) +
          stage_i_.size() * sizeof(int64_t) + stage_d_.size() * sizeof(double) +
-         stage_c_.size() * sizeof(uint32_t) + raw_d_.size() * sizeof(double);
+         stage_c_.size() * sizeof(uint32_t);
 }
 
 }  // namespace robustqp

@@ -3,8 +3,8 @@
 // as the zone maps, so a pruned block is also a skipped decode and an
 // aligned batch-engine morsel never straddles more than two blocks.
 //
-// Three physical encodings, chosen per column (and, for the two integer
-// layouts, per block):
+// Three compressed encodings, chosen per column (and, for the two
+// integer layouts, per block), plus the uncompressed kRaw value block:
 //
 //  * *packed* — frame-of-reference bit-packing: each block stores its
 //    minimum as the reference and every value as an unsigned delta in
@@ -41,7 +41,8 @@
 // data arrives — start dictionary-coded, fall back (re-encoding the
 // already-flushed blocks block-by-block) when the cardinality cap is
 // exceeded, and pick packed vs vbyte greedily per block by encoded size.
-// Double columns that are not dictionary-friendly stay raw.
+// Double columns that are not dictionary-friendly fall back to kRaw
+// value blocks the same way.
 //
 // Two out-of-core extensions (see storage/column_file.h):
 //  * a *block sink* — attach with set_sink() before the first append and
@@ -57,12 +58,11 @@
 //    payload words/bytes demand-page zero-copy into the same decode and
 //    fused-filter kernels resident columns use.
 //
-// kRaw *blocks* (distinct from the kRaw column policy, which means plain
-// std::vector storage) hold one 64-bit word per row — int64 values
-// verbatim, doubles bit-cast — and exist only in sink/mapped columns, so
-// a mapped table never needs raw-vector accessors. The fused filter
-// declines kRaw blocks and takes the decode path, which preserves count
-// parity with the resident raw layout.
+// kRaw *blocks* hold one 64-bit word per row — int64 values verbatim,
+// doubles bit-cast. They are the whole of the uncompressed layout: the
+// forced kRaw policy, double columns whose dictionary overflowed, and
+// sink-mode doubles all store them, resident and mapped alike. The filter
+// kernels compare a kRaw block's words in place, with no decode copy.
 //
 // Everything here is physical-layer machinery. The execution engines
 // charge scan_tuple / filter_in / filter_pass for every logical row of
@@ -86,7 +86,8 @@
 namespace robustqp {
 
 /// Physical column layout. kAuto is a *request* (adaptive choice); the
-/// others force one layout. kRaw means plain value vectors.
+/// others force one layout. kRaw means uncompressed kRaw value blocks
+/// (one 64-bit word per row).
 enum class Encoding : uint8_t {
   kAuto,
   kRaw,
@@ -103,13 +104,13 @@ const char* EncodingName(Encoding e);
 /// leaves *out alone) on anything else.
 bool ParseEncoding(const std::string& token, Encoding* out);
 
-/// Per-table encoding choice applied by Table::Finalize(policy) and the
-/// streaming Table(schema, policy) constructor. `kind` is the default for
-/// every column; `per_column` overrides by column name. Auto consults the
+/// Per-table encoding choice applied by the streaming Table(schema, policy)
+/// constructor. `kind` is the default for every column; `per_column`
+/// overrides by column name. Auto consults the
 /// same cardinality/range signals stats_builder reports: a column stays
 /// dictionary-coded while its running distinct count is within
 /// `dict_max_card`, otherwise integers pick packed/vbyte per block by
-/// encoded size and doubles fall back to raw.
+/// encoded size and doubles fall back to kRaw value blocks.
 struct EncodingPolicy {
   Encoding kind = Encoding::kAuto;
   int64_t dict_max_card = 4096;
@@ -241,8 +242,8 @@ class EncodedColumn {
 
   /// Current column-level layout: kDict while dictionary-coded, kAuto for
   /// adaptive per-block packed/vbyte, kPacked / kVbyte when forced, kRaw
-  /// only for a double column whose dictionary overflowed (the owner is
-  /// expected to demote such a column back to a raw vector).
+  /// for kRaw value blocks (forced, sink-mode doubles, or a double column
+  /// whose dictionary overflowed).
   Encoding mode() const { return mode_; }
 
   void AppendInt(int64_t v);
@@ -314,9 +315,10 @@ class EncodedColumn {
   // ---- Fused-kernel access ----
 
   /// Per-block code layout for the fused filter kernels. Valid for
-  /// packed blocks and for every dictionary block (where codes index the
-  /// dictionary and ref is 0). words is null when width == 0 (constant
-  /// block: every code is 0).
+  /// packed blocks, for every dictionary block (where codes index the
+  /// dictionary and ref is 0) and for kRaw blocks (one value word per
+  /// row). words is null for a packed or dictionary block of width 0
+  /// (constant block: every code is 0).
   struct PackedView {
     const uint64_t* words;
     int width;
@@ -371,10 +373,6 @@ class EncodedColumn {
     return rank_of_code_[static_cast<size_t>(c)];
   }
 
-  /// kRaw-mode double payload (dictionary overflow fallback); the owner
-  /// moves this out and drops the EncodedColumn.
-  std::vector<double>&& TakeRawDoubles() { return std::move(raw_d_); }
-
   /// Encoded footprint in bytes (payload + dictionary + block directory +
   /// skip tables). Mapped payloads count too: the footprint is what the
   /// file backs, whether or not it is currently paged in.
@@ -417,7 +415,7 @@ class EncodedColumn {
   void EncodeDictCodeBlock(const uint32_t* codes, int64_t n);
   /// Dictionary cardinality cap exceeded: re-encode flushed blocks
   /// block-by-block (bounded extra memory), switch ints to adaptive
-  /// packed/vbyte and doubles to the raw fallback.
+  /// packed/vbyte and doubles to kRaw value blocks.
   void AbandonDict();
 
   DataType type_;
@@ -432,10 +430,10 @@ class EncodedColumn {
   // dictionary mode (the dictionary itself holds the values).
   std::vector<int64_t> stage_i_;
   std::vector<uint32_t> stage_c_;
-  std::vector<double> stage_d_;  // sink-mode doubles (kRaw value blocks)
+  std::vector<double> stage_d_;  // kRaw-mode doubles
 
   std::vector<Block> blocks_;
-  std::vector<uint64_t> words_;  // packed payloads (word-aligned per block)
+  std::vector<uint64_t> words_;  // packed/dict/raw payloads (word-aligned)
   std::vector<uint8_t> bytes_;   // vbyte payloads
   std::vector<uint64_t> skips_;  // vbyte skip tables (absolute byte offsets)
 
@@ -467,8 +465,6 @@ class EncodedColumn {
   // inverse.
   std::vector<uint32_t> rank_of_code_;
   std::vector<uint32_t> sorted_codes_;
-
-  std::vector<double> raw_d_;  // double dictionary-overflow fallback
 };
 
 }  // namespace robustqp

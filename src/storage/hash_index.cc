@@ -34,14 +34,10 @@ HashIndex::HashIndex(const Table& table, int column_idx)
   const uint64_t mask = static_cast<uint64_t>(cap) - 1;
 
   // Pass 1: intern keys (first-touch order), count rows per key, and
-  // replace each row's key by its key ordinal. Encoded columns decode in
-  // block runs (a vbyte point read costs up to 64 varint decodes).
+  // replace each row's key by its key ordinal. Keys decode in block runs
+  // (a vbyte point read costs up to 64 varint decodes).
   std::vector<int64_t> row_key(static_cast<size_t>(n));
-  if (col.encoded()) {
-    col.enc().DecodeRange(0, n, row_key.data());
-  } else {
-    std::copy(col.ints().begin(), col.ints().begin() + n, row_key.begin());
-  }
+  col.enc().DecodeRange(0, n, row_key.data());
   std::vector<int64_t> counts;
   for (int64_t r = 0; r < n; ++r) {
     const int64_t key = row_key[static_cast<size_t>(r)];

@@ -15,16 +15,10 @@ ColumnStats ComputeColumnStats(const ColumnData& col) {
 
   // NaN rows are excluded before sorting (NaN breaks the comparator's
   // strict weak ordering) and carry no ordering information anyway.
-  // Encoded columns decode a block at a time (GetNumeric on a vbyte
-  // block costs up to 64 varint decodes per row).
+  // Columns decode a block at a time (GetNumeric on a vbyte block costs
+  // up to 64 varint decodes per row).
   std::vector<double> sorted(static_cast<size_t>(n));
-  if (col.encoded()) {
-    col.enc().DecodeRange(0, n, sorted.data());
-  } else {
-    for (int64_t i = 0; i < n; ++i) {
-      sorted[static_cast<size_t>(i)] = col.GetNumeric(i);
-    }
-  }
+  col.enc().DecodeRange(0, n, sorted.data());
   sorted.erase(std::remove_if(sorted.begin(), sorted.end(),
                               [](double v) { return std::isnan(v); }),
                sorted.end());

@@ -6,61 +6,14 @@
 
 namespace robustqp {
 
-ColumnData::ColumnData(DataType type) : type_(type) {
-  if (type_ == DataType::kString) {
-    // No raw string layout: strings intern into an (unbounded) dictionary
-    // from the first append.
-    enc_ = std::make_unique<EncodedColumn>(type, Encoding::kDict, 1);
-  }
-}
-
 ColumnData::ColumnData(DataType type, Encoding encoding, int64_t dict_max_card)
-    : type_(type) {
-  if (type_ == DataType::kString) {
-    enc_ = std::make_unique<EncodedColumn>(type, Encoding::kDict, 1);
-  } else if (encoding != Encoding::kRaw) {
-    enc_ = std::make_unique<EncodedColumn>(type, encoding, dict_max_card);
-  }
-}
-
-void ColumnData::Encode(Encoding encoding, int64_t dict_max_card) {
-  if (encoding == Encoding::kRaw || enc_ != nullptr) return;
-  auto enc = std::make_unique<EncodedColumn>(type_, encoding, dict_max_card);
-  if (type_ == DataType::kInt64) {
-    for (int64_t v : ints_) enc->AppendInt(v);
-  } else {
-    for (double v : doubles_) enc->AppendDouble(v);
-  }
-  enc_ = std::move(enc);
-  FinishEncoding();
-  if (enc_ != nullptr) {
-    ints_ = {};
-    doubles_ = {};
-  }
-}
-
-void ColumnData::FinishEncoding() {
-  if (enc_ == nullptr || enc_->finished()) return;
-  enc_->Finish();
-  if (enc_->mode() == Encoding::kRaw) {
-    // Double column whose dictionary overflowed: the encoder kept the
-    // values raw, so keep them as a plain vector and drop the wrapper.
-    doubles_ = std::move(enc_->TakeRawDoubles());
-    enc_.reset();
-  }
-}
-
-size_t ColumnData::MemoryBytes() const {
-  if (enc_ != nullptr) return enc_->MemoryBytes();
-  return ints_.size() * sizeof(int64_t) + doubles_.size() * sizeof(double);
-}
+    : type_(type),
+      enc_(std::make_unique<EncodedColumn>(type, encoding, dict_max_card)) {}
 
 void ColumnData::AdoptEncoded(std::unique_ptr<EncodedColumn> enc,
                               ZoneMap zones, ZoneMap chunk_zones) {
   RQP_CHECK(enc != nullptr && enc->finished());
   enc_ = std::move(enc);
-  ints_ = {};
-  doubles_ = {};
   zones_ = std::move(zones);
   chunk_zones_ = std::move(chunk_zones);
 }
@@ -73,43 +26,20 @@ void ColumnData::BuildZoneMap() {
   zones_.max.assign(static_cast<size_t>(blocks),
                     -std::numeric_limits<double>::infinity());
   zones_.has_nan.assign(static_cast<size_t>(blocks), 0);
-  std::vector<double> decoded;
-  if (enc_ != nullptr) decoded.resize(static_cast<size_t>(kZoneBlockRows));
+  std::vector<double> decoded(static_cast<size_t>(kZoneBlockRows));
   for (int64_t b = 0; b < blocks; ++b) {
-    const int64_t r0 = b * kZoneBlockRows;
-    const int64_t r1 = std::min<int64_t>(n, r0 + kZoneBlockRows);
+    enc_->DecodeInto(b, decoded.data());
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    if (enc_ != nullptr) {
-      enc_->DecodeInto(b, decoded.data());
-      const double* v = decoded.data();
-      bool nan = false;
-      for (int64_t r = 0; r < r1 - r0; ++r) {
-        const double x = v[r];
-        nan |= std::isnan(x);
-        lo = x < lo ? x : lo;
-        hi = x > hi ? x : hi;
-      }
-      if (type_ == DataType::kDouble) {
-        zones_.has_nan[static_cast<size_t>(b)] = nan ? 1 : 0;
-      }
-    } else if (type_ == DataType::kInt64) {
-      const int64_t* v = ints_.data();
-      for (int64_t r = r0; r < r1; ++r) {
-        const double x = static_cast<double>(v[r]);
-        lo = x < lo ? x : lo;
-        hi = x > hi ? x : hi;
-      }
-    } else {
-      const double* v = doubles_.data();
-      bool nan = false;
-      for (int64_t r = r0; r < r1; ++r) {
-        const double x = v[r];
-        nan |= std::isnan(x);
-        // NaN fails both comparisons, so min/max skip it implicitly.
-        lo = x < lo ? x : lo;
-        hi = x > hi ? x : hi;
-      }
+    bool nan = false;
+    for (int64_t r = 0; r < enc_->block_rows(b); ++r) {
+      const double x = decoded[static_cast<size_t>(r)];
+      nan |= std::isnan(x);
+      // NaN fails both comparisons, so min/max skip it implicitly.
+      lo = x < lo ? x : lo;
+      hi = x > hi ? x : hi;
+    }
+    if (type_ == DataType::kDouble) {
       zones_.has_nan[static_cast<size_t>(b)] = nan ? 1 : 0;
     }
     zones_.min[static_cast<size_t>(b)] = lo;
@@ -136,12 +66,8 @@ void ColumnData::BuildZoneMap() {
   }
 }
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {
-  columns_.reserve(static_cast<size_t>(schema_.num_columns()));
-  for (int i = 0; i < schema_.num_columns(); ++i) {
-    columns_.push_back(std::make_unique<ColumnData>(schema_.column(i).type));
-  }
-}
+Table::Table(TableSchema schema)
+    : Table(std::move(schema), EncodingPolicy::Raw()) {}
 
 Table::Table(TableSchema schema, const EncodingPolicy& policy)
     : schema_(std::move(schema)) {
@@ -169,14 +95,6 @@ Status Table::Finalize() {
   num_rows_ = n;
   for (const auto& col : columns_) col->BuildZoneMap();
   return Status::OK();
-}
-
-Status Table::Finalize(const EncodingPolicy& policy) {
-  for (int i = 0; i < schema_.num_columns(); ++i) {
-    columns_[static_cast<size_t>(i)]->Encode(
-        policy.For(schema_.column(i).name), policy.dict_max_card);
-  }
-  return Finalize();
 }
 
 Status Table::FinalizeAdopted() {

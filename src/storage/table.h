@@ -1,14 +1,15 @@
 // In-memory columnar storage. A Table owns one column per schema entry;
-// each column is either a raw value vector or a compressed EncodedColumn
-// (storage/encoding.h: frame-of-reference bit-packing, vbyte varints, or
-// dictionary codes in independently decodable 4096-row blocks). The
-// Volcano executor and all per-row consumers go through GetInt /
-// GetDouble / GetNumeric, which dispatch on the storage form; the batch
-// engine's kernels additionally use the block views for fused
-// filter-on-compressed paths. This plays the role of the heap/buffer-pool
-// layer of the paper's PostgreSQL substrate — the discovery algorithms
-// only need a scannable relation with countable cardinalities, which this
-// provides at laptop scale (and, encoded, at 10^7..10^8-row scale).
+// every column's payload is an EncodedColumn (storage/encoding.h) of
+// independently decodable 4096-row blocks: frame-of-reference
+// bit-packing, vbyte varints, dictionary codes, or kRaw value blocks
+// (one 64-bit word per row, the uncompressed layout). The Volcano
+// executor and all per-row consumers go through GetInt / GetDouble /
+// GetNumeric; the batch engine's kernels additionally use the block
+// views for fused filter-on-compressed paths. This plays the role of the
+// heap/buffer-pool layer of the paper's PostgreSQL substrate — the
+// discovery algorithms only need a scannable relation with countable
+// cardinalities, which this provides at laptop scale (and, encoded, at
+// 10^7..10^8-row scale).
 //
 // Finalize() additionally builds per-block *zone maps* (min/max over
 // kZoneBlockRows-row blocks, in GetNumeric double semantics) for every
@@ -17,12 +18,10 @@
 // logical cost accounting still charges pruned blocks as scanned, so zone
 // maps — like compression — are a pure physical-layer speedup.
 //
-// Two ways to get an encoded table:
-//  * build raw, then Finalize(policy) — re-encodes each column per the
-//    EncodingPolicy and drops the raw vectors;
-//  * construct Table(schema, policy) and append as usual — values stream
-//    straight into the encoders one block at a time, so the raw column is
-//    never materialized (what the workload generators do).
+// A table's layout is fixed at construction: Table(schema, policy)
+// streams appended values straight into each column's encoder one block
+// at a time, so no column is ever materialized as a plain vector;
+// Table(schema) is the kRaw policy.
 
 #ifndef ROBUSTQP_STORAGE_TABLE_H_
 #define ROBUSTQP_STORAGE_TABLE_H_
@@ -69,52 +68,26 @@ struct ZoneMap {
   int64_t num_blocks() const { return static_cast<int64_t>(min.size()); }
 };
 
-/// A single column of values: raw vectors, or an EncodedColumn once an
-/// encoding policy is applied (streaming constructor or Encode()).
+/// A single column of values, held as one EncodedColumn.
 class ColumnData {
  public:
-  /// String columns are always dictionary-encoded (there is no raw string
-  /// vector), whatever the policy says; both constructors honor that.
-  explicit ColumnData(DataType type);
   /// Streaming-encoded column: appends go straight into the encoder
-  /// (kRaw behaves exactly like the plain constructor for numerics).
-  ColumnData(DataType type, Encoding encoding, int64_t dict_max_card);
+  /// (kRaw value blocks by default). String columns are always
+  /// dictionary-encoded, whatever `encoding` says (EncodedColumn's rule).
+  explicit ColumnData(DataType type, Encoding encoding = Encoding::kRaw,
+                      int64_t dict_max_card = 1);
 
   DataType type() const { return type_; }
-  int64_t size() const {
-    if (enc_ != nullptr) return enc_->size();
-    return type_ == DataType::kInt64 ? static_cast<int64_t>(ints_.size())
-                                     : static_cast<int64_t>(doubles_.size());
-  }
+  int64_t size() const { return enc_->size(); }
 
-  /// True once the column's payload lives in an EncodedColumn.
-  bool encoded() const { return enc_ != nullptr; }
   const EncodedColumn& enc() const { return *enc_; }
 
-  void AppendInt(int64_t v) {
-    if (enc_ != nullptr) {
-      enc_->AppendInt(v);
-    } else {
-      ints_.push_back(v);
-    }
-  }
-  void AppendDouble(double v) {
-    if (enc_ != nullptr) {
-      enc_->AppendDouble(v);
-    } else {
-      doubles_.push_back(v);
-    }
-  }
+  void AppendInt(int64_t v) { enc_->AppendInt(v); }
+  void AppendDouble(double v) { enc_->AppendDouble(v); }
   void AppendString(const std::string& v) { enc_->AppendString(v); }
 
-  int64_t GetInt(int64_t row) const {
-    return enc_ != nullptr ? enc_->GetInt(row)
-                           : ints_[static_cast<size_t>(row)];
-  }
-  double GetDouble(int64_t row) const {
-    return enc_ != nullptr ? enc_->GetDouble(row)
-                           : doubles_[static_cast<size_t>(row)];
-  }
+  int64_t GetInt(int64_t row) const { return enc_->GetInt(row); }
+  double GetDouble(int64_t row) const { return enc_->GetDouble(row); }
   /// String value (string columns only).
   const std::string& GetString(int64_t row) const {
     return enc_->GetString(row);
@@ -129,23 +102,12 @@ class ColumnData {
                                      : GetDouble(row);
   }
 
-  /// Raw payloads — only meaningful (non-empty) when !encoded(); the
-  /// kernels branch on encoded() before touching these.
-  const std::vector<int64_t>& ints() const { return ints_; }
-  const std::vector<double>& doubles() const { return doubles_; }
-
-  /// Re-encodes the current (raw) values with the given layout and drops
-  /// the raw vectors. kRaw and already-encoded columns are left alone.
-  void Encode(Encoding encoding, int64_t dict_max_card);
-
-  /// Seals a streaming encoder (no-op otherwise). A double column whose
-  /// dictionary overflowed is demoted back to a raw vector here, so
-  /// encoded() afterwards implies a genuinely compressed layout.
-  void FinishEncoding();
+  /// Seals the encoder (no-op once sealed).
+  void FinishEncoding() { enc_->Finish(); }
 
   /// Logical payload footprint in bytes (values + dictionaries + block
-  /// directories; excludes the zone map, which raw and encoded share).
-  size_t MemoryBytes() const;
+  /// directories; excludes the zone map, which every layout shares).
+  size_t MemoryBytes() const { return enc_->MemoryBytes(); }
 
   /// The zone map, valid after Table::Finalize() (empty before).
   const ZoneMap& zones() const { return zones_; }
@@ -167,8 +129,6 @@ class ColumnData {
 
  private:
   DataType type_;
-  std::vector<int64_t> ints_;
-  std::vector<double> doubles_;
   std::unique_ptr<EncodedColumn> enc_;
   ZoneMap zones_;
   ZoneMap chunk_zones_;
@@ -177,9 +137,11 @@ class ColumnData {
 /// An immutable (once built) columnar table.
 class Table {
  public:
+  /// Uncompressed table: the kRaw policy (kRaw value blocks; strings
+  /// are dictionary-coded regardless).
   explicit Table(TableSchema schema);
   /// Streaming-encoded table: every column encodes per `policy` as rows
-  /// are appended (raw columns for kRaw policy entries).
+  /// are appended.
   Table(TableSchema schema, const EncodingPolicy& policy);
 
   const TableSchema& schema() const { return schema_; }
@@ -195,12 +157,6 @@ class Table {
   /// Must be called after bulk-appending values.
   Status Finalize();
 
-  /// Finalize plus re-encoding: applies `policy` to every still-raw
-  /// column (auto picks dictionary / packed / vbyte from the data, the
-  /// same cardinality and range signals stats_builder reports), then
-  /// builds zone maps over the encoded blocks.
-  Status Finalize(const EncodingPolicy& policy);
-
   /// Seals a table assembled from adopted (already-finished) columns:
   /// validates lengths and records the row count, but neither re-encodes
   /// nor rebuilds zone maps — the mapped open path supplies those from
@@ -215,7 +171,7 @@ class Table {
   /// scans of this table are subject to the storage.page_fault site.
   bool IsMapped() const {
     for (const auto& c : columns_) {
-      if (c->encoded() && c->enc().is_mapped()) return true;
+      if (c->enc().is_mapped()) return true;
     }
     return false;
   }

@@ -530,7 +530,7 @@ ExecInstance MakeZoneInstance(uint64_t seed,
                               {"fk2", DataType::kInt64},
                               {"c0", DataType::kInt64},
                               {"d0", DataType::kDouble}});
-    auto table = std::make_shared<Table>(schema);
+    auto table = std::make_shared<Table>(schema, policy);
     const double inf = std::numeric_limits<double>::infinity();
     for (int64_t r = 0; r < fact_rows; ++r) {
       table->column(0).AppendInt(r + 1);
@@ -544,7 +544,7 @@ ExecInstance MakeZoneInstance(uint64_t seed,
       if (rng.Bernoulli(0.005)) d = -0.0;
       table->column(4).AppendDouble(d);
     }
-    RQP_CHECK(table->Finalize(policy).ok());
+    RQP_CHECK(table->Finalize().ok());
     auto stats = ComputeTableStats(*table);
     RQP_CHECK(inst.catalog->AddTable(std::move(table), std::move(stats)).ok());
   }
@@ -552,12 +552,12 @@ ExecInstance MakeZoneInstance(uint64_t seed,
     const std::string name = "t" + std::to_string(t + 1);
     TableSchema schema(name, {{"k" + std::to_string(t + 1), DataType::kInt64},
                               {"a" + std::to_string(t + 1), DataType::kInt64}});
-    auto table = std::make_shared<Table>(schema);
+    auto table = std::make_shared<Table>(schema, policy);
     for (int64_t r = 0; r < dim_rows[t]; ++r) {
       table->column(0).AppendInt(r + 1);
       table->column(1).AppendInt(rng.UniformInt(1, 20));
     }
-    RQP_CHECK(table->Finalize(policy).ok());
+    RQP_CHECK(table->Finalize().ok());
     auto stats = ComputeTableStats(*table);
     RQP_CHECK(inst.catalog->AddTable(std::move(table), std::move(stats)).ok());
     RQP_CHECK(

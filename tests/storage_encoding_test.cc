@@ -12,10 +12,12 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -340,10 +342,12 @@ TEST(EncodedColumnTest, DoubleDictOverflowFallsBackToRaw) {
   }
   col.Finish();
   EXPECT_EQ(col.mode(), Encoding::kRaw);
-  std::vector<double> raw = col.TakeRawDoubles();
-  ASSERT_EQ(raw.size(), ref.size());
+  ASSERT_EQ(col.size(), static_cast<int64_t>(ref.size()));
+  for (int64_t b = 0; b < col.num_blocks(); ++b) {
+    ASSERT_EQ(col.block_kind(b), Encoding::kRaw) << "block " << b;
+  }
   for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(Bits(raw[i]), Bits(ref[i]));
+    ASSERT_EQ(Bits(col.GetDouble(static_cast<int64_t>(i))), Bits(ref[i]));
   }
 }
 
@@ -428,17 +432,15 @@ TEST(EncodedColumnTest, CompressionActuallyCompresses) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming table vs encode-at-finalize equivalence
+// Streaming-encoded table vs the uncompressed (kRaw block) layout
 // ---------------------------------------------------------------------------
 
-TEST(TableEncodingTest, StreamingMatchesFinalizeEncoding) {
+TEST(TableEncodingTest, StreamingMatchesRawBlocks) {
   TableSchema schema("t", {{"k", DataType::kInt64},
                            {"g", DataType::kInt64},
                            {"v", DataType::kDouble}});
-  EncodingPolicy policy = EncodingPolicy::Auto();
-
-  Table streamed(schema, policy);
-  Table raw_then(schema);
+  Table streamed(schema, EncodingPolicy::Auto());
+  Table raw(schema);
   Rng rng(71);
   const int64_t n = 3 * kZoneBlockRows + 123;
   for (int64_t i = 0; i < n; ++i) {
@@ -448,16 +450,17 @@ TEST(TableEncodingTest, StreamingMatchesFinalizeEncoding) {
     streamed.column(0).AppendInt(k);
     streamed.column(1).AppendInt(g);
     streamed.column(2).AppendDouble(v);
-    raw_then.column(0).AppendInt(k);
-    raw_then.column(1).AppendInt(g);
-    raw_then.column(2).AppendDouble(v);
+    raw.column(0).AppendInt(k);
+    raw.column(1).AppendInt(g);
+    raw.column(2).AppendDouble(v);
   }
   ASSERT_TRUE(streamed.Finalize().ok());
-  ASSERT_TRUE(raw_then.Finalize(policy).ok());
-  ASSERT_EQ(streamed.num_rows(), raw_then.num_rows());
+  ASSERT_TRUE(raw.Finalize().ok());
+  ASSERT_EQ(streamed.num_rows(), raw.num_rows());
   for (int c = 0; c < schema.num_columns(); ++c) {
     const ColumnData& a = streamed.column(c);
-    const ColumnData& b = raw_then.column(c);
+    const ColumnData& b = raw.column(c);
+    ASSERT_EQ(b.enc().mode(), Encoding::kRaw) << "col " << c;
     for (int64_t r = 0; r < n; ++r) {
       if (a.type() == DataType::kInt64) {
         ASSERT_EQ(a.GetInt(r), b.GetInt(r)) << "col " << c << " row " << r;
@@ -466,7 +469,7 @@ TEST(TableEncodingTest, StreamingMatchesFinalizeEncoding) {
             << "col " << c << " row " << r;
       }
     }
-    // Zone maps built over encoded blocks must agree too.
+    // Zone maps built over either layout's blocks must agree too.
     ASSERT_EQ(a.zones().num_blocks(), b.zones().num_blocks());
     for (int64_t z = 0; z < a.zones().num_blocks(); ++z) {
       EXPECT_EQ(Bits(a.zones().min[static_cast<size_t>(z)]),
@@ -475,14 +478,7 @@ TEST(TableEncodingTest, StreamingMatchesFinalizeEncoding) {
                 Bits(b.zones().max[static_cast<size_t>(z)]));
     }
   }
-  // And both must be far smaller than the raw equivalent for these columns.
-  Table raw(schema);
-  for (int64_t i = 0; i < n; ++i) {
-    raw.column(0).AppendInt(streamed.column(0).GetInt(i));
-    raw.column(1).AppendInt(streamed.column(1).GetInt(i));
-    raw.column(2).AppendDouble(streamed.column(2).GetDouble(i));
-  }
-  ASSERT_TRUE(raw.Finalize().ok());
+  // And the encoded table must be far smaller than the raw equivalent.
   EXPECT_LT(streamed.MemoryBytes(), raw.MemoryBytes());
 }
 
@@ -597,10 +593,10 @@ TEST(FusedFilterTest, MatchesRawForEveryEncodingAndOp) {
                        Encoding::kDict}) {
     EncodingPolicy policy;
     policy.kind = enc;
-    Table table(schema);
+    Table table(schema, policy);
     for (int64_t v : vals) table.column(0).AppendInt(v);
-    ASSERT_TRUE(table.Finalize(policy).ok());
-    ASSERT_TRUE(table.column(0).encoded());
+    ASSERT_TRUE(table.Finalize().ok());
+    ASSERT_NE(table.column(0).enc().mode(), Encoding::kRaw);
 
     kernels::FilterScratch s_raw, s_fused, s_decode;
     std::vector<int64_t> sel_raw, sel_fused, sel_decode;
@@ -648,17 +644,17 @@ TEST(FusedFilterTest, DoubleDictWithNaNMatchesRaw) {
     vals.push_back(pool[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))]);
   }
+  EncodingPolicy policy;
+  policy.kind = Encoding::kDict;
   Table raw(schema);
-  Table dict(schema);
+  Table dict(schema, policy);
   for (double v : vals) {
     raw.column(0).AppendDouble(v);
     dict.column(0).AppendDouble(v);
   }
-  EncodingPolicy policy;
-  policy.kind = Encoding::kDict;
   ASSERT_TRUE(raw.Finalize().ok());
-  ASSERT_TRUE(dict.Finalize(policy).ok());
-  ASSERT_TRUE(dict.column(0).encoded());
+  ASSERT_TRUE(dict.Finalize().ok());
+  ASSERT_EQ(dict.column(0).enc().mode(), Encoding::kDict);
 
   kernels::FilterScratch s_raw, s_enc;
   std::vector<int64_t> sel_raw, sel_enc;
@@ -702,16 +698,16 @@ TEST(ColumnMinMaxTest, AgreesWithNaiveAcrossEncodings) {
   TableSchema schema("t", {{"a", DataType::kInt64}, {"d", DataType::kDouble}});
   for (Encoding enc : {Encoding::kRaw, Encoding::kAuto, Encoding::kPacked,
                        Encoding::kDict}) {
-    Table table(schema);
+    EncodingPolicy policy;
+    policy.kind = enc;
+    Table table(schema, policy);
     for (int64_t i = 0; i < n; ++i) {
       table.column(0).AppendInt(rng.UniformInt(-30, 30));
       table.column(1).AppendDouble(rng.Bernoulli(0.02)
                                        ? kNaN
                                        : rng.UniformDouble(-100, 100));
     }
-    EncodingPolicy policy;
-    policy.kind = enc;
-    ASSERT_TRUE(table.Finalize(policy).ok());
+    ASSERT_TRUE(table.Finalize().ok());
     for (int c = 0; c < 2; ++c) {
       const kernels::MinMaxStats got = kernels::ColumnMinMax(table.column(c));
       const kernels::MinMaxStats want = NaiveMinMax(table.column(c), n);
@@ -922,11 +918,9 @@ TEST(GatherNumericTest, ResidentAndMappedColumnsMatchPointReads) {
     const ColumnData& mcol = mapped.table->column(c);
     ExpectGatherMatchesPointReads(resident, name + " resident");
     ExpectGatherMatchesPointReads(mcol, name + " mapped");
-    ASSERT_TRUE(mcol.encoded()) << name;
+    ASSERT_TRUE(mcol.enc().is_mapped()) << name;
     ExpectGatherMatchesPointReads(mcol.enc(), name + " mapped encoded");
-    if (resident.encoded()) {
-      ExpectGatherMatchesPointReads(resident.enc(), name + " resident encoded");
-    }
+    ExpectGatherMatchesPointReads(resident.enc(), name + " resident encoded");
     for (int64_t r = 0; r < table->num_rows(); r += 97) {
       ASSERT_EQ(Bits(resident.GetNumeric(r)), Bits(mcol.GetNumeric(r)))
           << name << " row " << r;
@@ -934,6 +928,268 @@ TEST(GatherNumericTest, ResidentAndMappedColumnsMatchPointReads) {
   }
   EXPECT_EQ(table->column(3).enc().block_kind(0), Encoding::kVbyte);
   EXPECT_EQ(mapped.table->column(0).enc().block_kind(0), Encoding::kRaw);
+}
+
+// ---------------------------------------------------------------------------
+// kRaw value blocks: in-place filter, refine, gathers and min/max vs a
+// scalar loop over the appended values, resident and mapped
+// ---------------------------------------------------------------------------
+
+/// A two-block-plus-tail table of kRaw int and double columns whose values
+/// hit the adversarial cases: INT64_MIN/MAX and the ±2^53 exactness edge,
+/// NaN, ±0.0 and ±inf.
+struct RawBlockFixture {
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::unique_ptr<Table> table;
+  MappedTable mapped;
+};
+
+void BuildRawBlockFixture(RawBlockFixture* f) {
+  Rng rng(97);
+  const int64_t n = 2 * kZoneBlockRows + 1234;  // partial tail block
+  const std::vector<int64_t> int_pool = {kI64Min, kI64Max, kI64Min + 1,
+                                         kI64Max - 1, int64_t{1} << 53,
+                                         -(int64_t{1} << 53) - 1, 0, -1};
+  const std::vector<double> dbl_pool = {kNaN, -0.0, 0.0, kInf, -kInf, 1.5};
+  for (int64_t i = 0; i < n; ++i) {
+    f->ints.push_back(
+        rng.Bernoulli(0.1)
+            ? int_pool[static_cast<size_t>(rng.UniformInt(
+                  0, static_cast<int64_t>(int_pool.size()) - 1))]
+            : rng.UniformInt(-50, 50));
+    f->doubles.push_back(
+        rng.Bernoulli(0.2)
+            ? dbl_pool[static_cast<size_t>(rng.UniformInt(
+                  0, static_cast<int64_t>(dbl_pool.size()) - 1))]
+            : rng.UniformDouble(-10, 10));
+  }
+  TableSchema schema("raw", {{"i", DataType::kInt64},
+                             {"d", DataType::kDouble}});
+  f->table = std::make_unique<Table>(schema);
+  for (int64_t i = 0; i < n; ++i) {
+    f->table->column(0).AppendInt(f->ints[static_cast<size_t>(i)]);
+    f->table->column(1).AppendDouble(f->doubles[static_cast<size_t>(i)]);
+  }
+  ASSERT_TRUE(f->table->Finalize().ok());
+
+  char tmpl[] = "/tmp/rqp_rawblk_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string path = std::string(dir) + "/raw.rqp";
+  ASSERT_TRUE(
+      WriteTableFile(*f->table, ComputeTableStats(*f->table), path).ok());
+  ASSERT_TRUE(OpenMappedTable(path, &f->mapped).ok());
+  std::remove(path.c_str());
+  rmdir(dir);
+}
+
+/// Appended value of row r of fixture column c, as GetNumeric yields it.
+double RawValue(const RawBlockFixture& f, int c, int64_t r) {
+  return c == 0 ? static_cast<double>(f.ints[static_cast<size_t>(r)])
+                : f.doubles[static_cast<size_t>(r)];
+}
+
+TEST(RawBlockTest, KernelsMatchScalarLoopResidentAndMapped) {
+  RawBlockFixture f;
+  BuildRawBlockFixture(&f);
+  if (HasFatalFailure()) return;
+  const int64_t n = f.table->num_rows();
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, n},                                       // whole column
+      {100, kZoneBlockRows + 7},                    // mid-block to mid-block
+      {kZoneBlockRows, 2 * kZoneBlockRows},         // one aligned block
+      {2 * kZoneBlockRows + 5, n},                  // inside the tail block
+      {kZoneBlockRows - 1, kZoneBlockRows + 1},     // straddles a boundary
+      {17, 17}};                                    // empty
+  const std::vector<std::vector<double>> consts = {
+      // int column: beyond both ends of the domain, the cast extremes, the
+      // ±2^53 edge, fractions, NaN.
+      {-1e19, static_cast<double>(kI64Min), -9007199254740993.0, -5.0, -0.0,
+       0.5, 7.0, 9007199254740992.0, static_cast<double>(kI64Max), 1e19,
+       kNaN},
+      {-kInf, -1.0, -0.0, 0.0, 1.5, 3.25, kInf, kNaN}};
+  const CompareOp ops[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                           CompareOp::kGe, CompareOp::kEq};
+
+  for (int c = 0; c < 2; ++c) {
+    for (const bool mapped : {false, true}) {
+      const ColumnData& col =
+          mapped ? f.mapped.table->column(c) : f.table->column(c);
+      const std::string what = std::string(c == 0 ? "int" : "double") +
+                               (mapped ? " mapped" : " resident");
+      ASSERT_EQ(col.enc().is_mapped(), mapped) << what;
+      ASSERT_EQ(col.enc().mode(), Encoding::kRaw) << what;
+      for (int64_t b = 0; b < col.enc().num_blocks(); ++b) {
+        ASSERT_EQ(col.enc().block_kind(b), Encoding::kRaw) << what;
+      }
+
+      kernels::FilterScratch scratch;
+      std::vector<int64_t> sel;
+      for (CompareOp op : ops) {
+        for (double k : consts[static_cast<size_t>(c)]) {
+          for (const auto& [r0, r1] : ranges) {
+            std::vector<int64_t> want;
+            for (int64_t r = r0; r < r1; ++r) {
+              if (NaiveSatisfies(RawValue(f, c, r), op, k)) want.push_back(r);
+            }
+            for (double est : {0.01, 0.5}) {  // sparse and dense regimes
+              for (const bool fused : {true, false}) {
+                kernels::FilterRange(col, op, k, r0, r1, est, &sel, &scratch,
+                                     fused);
+                ASSERT_EQ(sel, want)
+                    << what << " op=" << static_cast<int>(op) << " c=" << k
+                    << " [" << r0 << "," << r1 << ") est=" << est
+                    << " fused=" << fused;
+              }
+            }
+          }
+          // FilterRefine over an ascending every-third-row selection.
+          std::vector<int64_t> refine, want;
+          for (int64_t r = 0; r < n; r += 3) {
+            refine.push_back(r);
+            if (NaiveSatisfies(RawValue(f, c, r), op, k)) want.push_back(r);
+          }
+          kernels::FilterRefine(col, op, k, &refine, &scratch);
+          ASSERT_EQ(refine, want)
+              << what << " refine op=" << static_cast<int>(op) << " c=" << k;
+        }
+      }
+
+      // GatherInto over every row-list shape; GatherRange over the ranges.
+      for (const auto& [shape, rows] : GatherRowLists(n, 5)) {
+        std::vector<double> got(rows.size());
+        kernels::GatherInto(col, rows.data(),
+                            static_cast<int64_t>(rows.size()), got.data());
+        for (size_t j = 0; j < rows.size(); ++j) {
+          ASSERT_EQ(Bits(got[j]), Bits(RawValue(f, c, rows[j])))
+              << what << " " << shape << " position " << j;
+        }
+      }
+      for (const auto& [r0, r1] : ranges) {
+        std::vector<double> got;
+        kernels::GatherRange(col, r0, r1, &got);
+        ASSERT_EQ(static_cast<int64_t>(got.size()), r1 - r0);
+        for (int64_t r = r0; r < r1; ++r) {
+          ASSERT_EQ(Bits(got[static_cast<size_t>(r - r0)]),
+                    Bits(RawValue(f, c, r)))
+              << what << " range row " << r;
+        }
+      }
+
+      // ColumnMinMax vs a fold over the appended values.
+      double lo = kInf, hi = -kInf;
+      bool nan = false;
+      for (int64_t r = 0; r < n; ++r) {
+        const double x = RawValue(f, c, r);
+        if (std::isnan(x)) {
+          nan = true;
+          continue;
+        }
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
+      }
+      const kernels::MinMaxStats mm = kernels::ColumnMinMax(col);
+      EXPECT_EQ(mm.rows, n) << what;
+      EXPECT_EQ(mm.has_nan, nan) << what;
+      EXPECT_EQ(mm.min, lo) << what;
+      EXPECT_EQ(mm.max, hi) << what;
+    }
+  }
+}
+
+TEST(RawBlockTest, DoubleDictOverflowMidColumnBecomesRawBlocks) {
+  // 1.5 blocks from a 40-value pool (NaN and ±0.0 included) fit the
+  // 64-entry dictionary; the distinct values after that overflow it
+  // partway through the second block.
+  Rng rng(101);
+  const int64_t n = 3 * kZoneBlockRows + 321;
+  std::vector<double> pool = {kNaN, -0.0, 0.0};
+  while (pool.size() < 40) pool.push_back(rng.UniformDouble(-5, 5));
+  std::vector<double> vals;
+  for (int64_t i = 0; i < n; ++i) {
+    vals.push_back(i < kZoneBlockRows + kZoneBlockRows / 2
+                       ? pool[static_cast<size_t>(rng.UniformInt(0, 39))]
+                       : (rng.Bernoulli(0.01) ? kNaN
+                                              : rng.UniformDouble(-1e6, 1e6)));
+  }
+  TableSchema schema("t", {{"d", DataType::kDouble}});
+  EncodingPolicy policy = EncodingPolicy::Auto();
+  policy.dict_max_card = 64;
+  Table table(schema, policy);
+  // Reference layout that never overflows: an unbounded dictionary.
+  EncodingPolicy dict_policy;
+  dict_policy.kind = Encoding::kDict;
+  dict_policy.dict_max_card = n;
+  Table dict(schema, dict_policy);
+  for (double v : vals) {
+    table.column(0).AppendDouble(v);
+    dict.column(0).AppendDouble(v);
+  }
+  ASSERT_TRUE(table.Finalize().ok());
+  ASSERT_TRUE(dict.Finalize().ok());
+  ASSERT_EQ(dict.column(0).enc().mode(), Encoding::kDict);
+
+  const ColumnData& col = table.column(0);
+  ASSERT_EQ(col.enc().mode(), Encoding::kRaw);
+  ASSERT_EQ(col.size(), n);
+  ASSERT_EQ(col.enc().num_blocks(), 4);
+  for (int64_t b = 0; b < col.enc().num_blocks(); ++b) {
+    ASSERT_EQ(col.enc().block_kind(b), Encoding::kRaw) << "block " << b;
+  }
+  for (int64_t r = 0; r < n; ++r) {
+    ASSERT_EQ(Bits(col.GetDouble(r)), Bits(vals[static_cast<size_t>(r)]))
+        << "row " << r;
+  }
+
+  // Zone maps: per-block min/max over non-NaN values, has_nan otherwise.
+  const ZoneMap& z = col.zones();
+  ASSERT_EQ(z.num_blocks(), 4);
+  for (int64_t b = 0; b < 4; ++b) {
+    double lo = kInf, hi = -kInf;
+    bool nan = false;
+    for (int64_t r = b * kZoneBlockRows;
+         r < std::min(n, (b + 1) * kZoneBlockRows); ++r) {
+      const double x = vals[static_cast<size_t>(r)];
+      if (std::isnan(x)) {
+        nan = true;
+        continue;
+      }
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    const size_t i = static_cast<size_t>(b);
+    EXPECT_EQ(z.min[i], lo) << "block " << b;
+    EXPECT_EQ(z.max[i], hi) << "block " << b;
+    EXPECT_EQ(z.has_nan[i] != 0, nan) << "block " << b;
+  }
+
+  // Statistics: the scalar facts straight from the values, and the whole
+  // ColumnStats equal to the never-overflowing layout's.
+  std::vector<double> sorted;
+  for (double v : vals) {
+    if (!std::isnan(v)) sorted.push_back(v);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  int64_t distinct = 1;
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i] != sorted[i - 1]) ++distinct;
+  }
+  const ColumnStats got = ComputeTableStats(table)[0];
+  const ColumnStats want = ComputeTableStats(dict)[0];
+  EXPECT_EQ(got.row_count, n);
+  EXPECT_EQ(got.min, sorted.front());
+  EXPECT_EQ(got.max, sorted.back());
+  EXPECT_EQ(got.distinct_count, distinct);
+  EXPECT_EQ(Bits(got.min), Bits(want.min));
+  EXPECT_EQ(Bits(got.max), Bits(want.max));
+  EXPECT_EQ(got.distinct_count, want.distinct_count);
+  EXPECT_EQ(got.histogram.total_rows, want.histogram.total_rows);
+  EXPECT_EQ(got.histogram.rows_per_bucket, want.histogram.rows_per_bucket);
+  ASSERT_EQ(got.histogram.bounds.size(), want.histogram.bounds.size());
+  for (size_t i = 0; i < got.histogram.bounds.size(); ++i) {
+    EXPECT_EQ(Bits(got.histogram.bounds[i]), Bits(want.histogram.bounds[i]));
+  }
 }
 
 }  // namespace

@@ -264,6 +264,20 @@ int Run(const CliOptions& opts) {
   std::shared_ptr<Catalog> catalog;
   const Ess* ess_ptr = nullptr;
   const Query* query_ptr = nullptr;
+  // --faults is armed for the ESS load or build too, so io.ess_load faults
+  // reach the load (a fired draw fails it; there is no retry) and
+  // optimizer.dp faults the sweep's retry path. Every path below that runs
+  // discovery re-Configures the same spec and seed, which resets every
+  // stream and stat: discovery draws exactly what it would after a clean
+  // load or build.
+  if (!opts.req.fault_spec.empty()) {
+    const Status st = FaultInjector::Global().Configure(opts.req.fault_spec,
+                                                        opts.req.fault_seed);
+    if (!st.ok()) {
+      std::cerr << "bad --faults spec: " << st.ToString() << "\n";
+      return ExitCodeFor(StatusCode::kInvalidArgument);
+    }
+  }
   if (!opts.load_ess.empty()) {
     catalog = IsJobQuery(opts.query)
                   ? ContextCache::JobCatalog(opts.req.encoding,
@@ -278,6 +292,7 @@ int Run(const CliOptions& opts) {
     }
     Result<std::unique_ptr<Ess>> loaded =
         Ess::Load(in, *catalog, *loaded_query);
+    FaultInjector::Disarm();
     if (!loaded.ok()) {
       std::cerr << "load failed: " << loaded.status().ToString() << "\n";
       return ExitCodeFor(loaded.status().code());
@@ -287,18 +302,6 @@ int Run(const CliOptions& opts) {
     query_ptr = loaded_query.get();
     std::cout << "(loaded ESS from " << opts.load_ess << ")\n";
   } else {
-    // --faults is armed for the build too, so optimizer.dp faults reach the
-    // sweep's retry path. Every path below that runs discovery
-    // re-Configures the same spec and seed, which resets every stream and
-    // stat: discovery draws exactly what it would after a clean build.
-    if (!opts.req.fault_spec.empty()) {
-      const Status st = FaultInjector::Global().Configure(opts.req.fault_spec,
-                                                          opts.req.fault_seed);
-      if (!st.ok()) {
-        std::cerr << "bad --faults spec: " << st.ToString() << "\n";
-        return ExitCodeFor(StatusCode::kInvalidArgument);
-      }
-    }
     Result<std::shared_ptr<const ContextCache::Entry>> entry =
         context_cache.Get(opts.query, config, opts.req.encoding,
                           opts.req.use_compression, opts.req.storage);
