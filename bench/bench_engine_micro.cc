@@ -340,15 +340,18 @@ BENCHMARK_CAPTURE(BM_EssBuild, Exhaustive5D_Q91, std::string("5D_Q91"))
 
 // Guard on the fault layer's disabled-path overhead: FaultInjector::Armed()
 // is the only code injection adds to hot paths when no --faults spec is
-// active, and it must stay a single relaxed load. The scan/join benchmarks
-// above already run through the faulted dispatcher, so their medians
-// against bench/BENCH_engine.json bound the end-to-end overhead (<2%);
-// this one isolates the check itself.
+// active, and it must stay a single thread-local load. The scan/join
+// benchmarks above already run through the faulted dispatcher, so their
+// medians against bench/BENCH_engine.json bound the end-to-end overhead
+// (<2%); this one isolates the check itself. The compiler barrier makes
+// every iteration reload the thread-local pointer, which the optimizer
+// would otherwise hoist out of the loop.
 void BM_FaultCheck(benchmark::State& state) {
   RQP_CHECK(!FaultInjector::Armed());
   for (auto _ : state) {
     int armed = 0;
     for (int i = 0; i < 1024; ++i) {
+      benchmark::ClobberMemory();
       armed += FaultInjector::Armed() ? 1 : 0;
     }
     benchmark::DoNotOptimize(armed);
@@ -370,9 +373,7 @@ void BM_SeqScanArmedQuiet(benchmark::State& state) {
   Executor exec(&catalog, CostModel::PostgresFlavour(),
                 EngineOpts(Executor::Engine::kBatch));
   const std::unique_ptr<Plan> plan = opt.Optimize({1e-4});
-  RQP_CHECK(FaultInjector::Global()
-                .Configure("exec.scan.read:after=1000000000", 42)
-                .ok());
+  RQP_CHECK(FaultInjector::Configure("exec.scan.read:after=1000000000", 42).ok());
   for (auto _ : state) {
     FaultStreamScope scope(0);
     const auto res = exec.Execute(*plan, -1.0);

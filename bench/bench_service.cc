@@ -8,7 +8,10 @@
 // The request mix is the cheap simulated-oracle kind on small grids: the
 // point is the service layer's overhead and scaling (locking, admission,
 // cache, response plumbing), not ESS build or engine scan time — contexts
-// are pre-warmed outside the timed region.
+// are pre-warmed outside the timed region. BM_ServiceChaosEngine swaps one
+// request in four for an engine-backed chaos request (each arms its own
+// worker thread), so it shows whether chaos requests run beside the clean
+// ones or hold them up; it has no BENCH_service.json baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -45,6 +48,19 @@ std::vector<ServiceRequest> RequestMix() {
   return mix;
 }
 
+/// RequestMix with every fourth request an engine-backed chaos request,
+/// each with its own fault seed.
+std::vector<ServiceRequest> ChaosEngineMix() {
+  std::vector<ServiceRequest> mix = RequestMix();
+  for (size_t i = 3; i < mix.size(); i += 4) {
+    mix[i].mode = RobustnessMode::kSpillBound;
+    mix[i].use_engine = true;
+    mix[i].options.fault_spec = "exec.*:p=0.05";
+    mix[i].options.fault_seed = i;
+  }
+  return mix;
+}
+
 double PercentileMs(std::vector<double> sorted_ms, double p) {
   if (sorted_ms.empty()) return 0.0;
   const size_t idx = std::min(
@@ -53,7 +69,8 @@ double PercentileMs(std::vector<double> sorted_ms, double p) {
   return sorted_ms[idx];
 }
 
-void BM_Service(benchmark::State& state) {
+void RunService(benchmark::State& state,
+                const std::vector<ServiceRequest>& mix) {
   const int clients = static_cast<int>(state.range(0));
   // Enough per-iteration work that thread spawn and scheduler jitter do
   // not dominate the measurement (the CI gate allows 25% regression).
@@ -63,10 +80,9 @@ void BM_Service(benchmark::State& state) {
   opts.num_threads = 0;  // all cores — the serving configuration
   opts.queue_limit = 1024;
   QueryService service(opts);
-  const std::vector<ServiceRequest> mix = RequestMix();
 
   // Warm the context cache so the timed region measures serving, not the
-  // one-time ESS build.
+  // one-time ESS build. Every request in a mix shares one context.
   {
     const int64_t session = *service.OpenSession();
     const int64_t id = *service.Submit(session, mix[0]);
@@ -114,10 +130,20 @@ void BM_Service(benchmark::State& state) {
   state.counters["p50_ms"] = PercentileMs(latencies_ms, 50.0);
   state.counters["p99_ms"] = PercentileMs(latencies_ms, 99.0);
 }
+
+void BM_Service(benchmark::State& state) { RunService(state, RequestMix()); }
 BENCHMARK(BM_Service)
     ->Arg(1)
     ->Arg(4)
     ->Arg(16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_ServiceChaosEngine(benchmark::State& state) {
+  RunService(state, ChaosEngineMix());
+}
+BENCHMARK(BM_ServiceChaosEngine)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -62,21 +62,47 @@ const char* FaultSiteName(int site) {
   return kSiteNames[site];
 }
 
-std::atomic<bool> FaultInjector::armed_{false};
-
-FaultInjector& FaultInjector::Global() {
-  static FaultInjector injector;
+FaultInjector& FaultInjector::Own() {
+  static thread_local FaultInjector injector;
   return injector;
 }
 
+FaultInjector& FaultInjector::Current() {
+  return armed_ != nullptr ? *armed_ : Own();
+}
+
+Status FaultInjector::ValidateSpec(const std::string& spec) {
+  Clause resolved[fault_site::kNumSites];
+  return ParseSpec(spec, resolved);
+}
+
 Status FaultInjector::Configure(const std::string& spec, uint64_t seed) {
-  FaultInjector& inj = Global();
   if (spec.empty()) {
     Disarm();
     return Status::OK();
   }
   Clause resolved[fault_site::kNumSites];
+  RQP_RETURN_NOT_OK(ParseSpec(spec, resolved));
 
+  FaultInjector& inj = Own();
+  for (int s = 0; s < fault_site::kNumSites; ++s) {
+    inj.clauses_[s] = resolved[s];
+    inj.counters_[s].evaluations.store(0, std::memory_order_relaxed);
+    inj.counters_[s].transients.store(0, std::memory_order_relaxed);
+    inj.counters_[s].permanents.store(0, std::memory_order_relaxed);
+    inj.counters_[s].spikes.store(0, std::memory_order_relaxed);
+    inj.counters_[s].corruptions.store(0, std::memory_order_relaxed);
+  }
+  inj.seed_ = seed;
+  inj.spec_ = spec;
+  armed_ = &inj;
+  return Status::OK();
+}
+
+void FaultInjector::Disarm() { armed_ = nullptr; }
+
+Status FaultInjector::ParseSpec(const std::string& spec,
+                                Clause (&resolved)[fault_site::kNumSites]) {
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t end = spec.find(';', pos);
@@ -167,22 +193,8 @@ Status FaultInjector::Configure(const std::string& spec, uint64_t seed) {
       if (MatchSite(pattern, kSiteNames[s])) resolved[s] = clause;
     }
   }
-
-  for (int s = 0; s < fault_site::kNumSites; ++s) {
-    inj.clauses_[s] = resolved[s];
-    inj.counters_[s].evaluations.store(0, std::memory_order_relaxed);
-    inj.counters_[s].transients.store(0, std::memory_order_relaxed);
-    inj.counters_[s].permanents.store(0, std::memory_order_relaxed);
-    inj.counters_[s].spikes.store(0, std::memory_order_relaxed);
-    inj.counters_[s].corruptions.store(0, std::memory_order_relaxed);
-  }
-  inj.seed_ = seed;
-  inj.spec_ = spec;
-  armed_.store(true, std::memory_order_relaxed);
   return Status::OK();
 }
-
-void FaultInjector::Disarm() { armed_.store(false, std::memory_order_relaxed); }
 
 FaultAction FaultInjector::Evaluate(int site) {
   RQP_CHECK(site >= 0 && site < fault_site::kNumSites);

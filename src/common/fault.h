@@ -1,14 +1,23 @@
 // Deterministic fault-injection framework.
 //
-// A process-wide FaultInjector exposes named fault *sites* (registered at
-// compile time below) that hot paths evaluate with a single relaxed atomic
-// load when injection is disabled — the disarmed branch is the entire
-// overhead. When armed via a spec string such as
+// FaultInjector exposes named fault *sites* (registered at compile time
+// below) that hot paths evaluate with a single thread-local load when
+// injection is disabled — the disarmed branch is the entire overhead.
+// When armed via a spec string such as
 //
 //   --faults "exec.*:p=0.01;optimizer.dp:after=100,kind=permanent"
 //
 // each evaluation of a matching site can yield a transient error, a
 // permanent error, a cost/latency spike, or a stat corruption.
+//
+// Arming is per thread. Configure arms the calling thread's own injector
+// and Disarm disarms the calling thread only; every other thread keeps
+// its own state, so two threads may run under different specs and seeds
+// at the same time. Fan-outs carry the caller's arming to their workers:
+// ParallelFor and ParallelMapReduce (common/thread_pool.h) run each block
+// under the caller's injector and restore the worker's own afterwards.
+// ThreadPool::Submit does not, so a task submitted from an armed thread
+// runs disarmed unless it arms itself.
 //
 // Determinism model. Every draw is a pure hash of
 // (seed, site, stream, per-stream-site counter): no global RNG state, no
@@ -155,27 +164,34 @@ struct RobustnessReport {
   std::string Summary() const;
 };
 
-/// The process-wide injector. Evaluate() is safe from any thread; arming
-/// and disarming are not concurrent with evaluation (configure before
-/// launching workers).
+/// One thread's fault injector. Evaluate() is safe from any thread that
+/// draws from it (the thread that armed it, and the workers of its
+/// fan-outs); Configure and Disarm act on the calling thread only.
 class FaultInjector {
  public:
-  /// One relaxed load; the only cost injection adds to disarmed paths.
-  static bool Armed() { return armed_.load(std::memory_order_relaxed); }
+  /// One thread-local load; the only cost injection adds to disarmed paths.
+  static bool Armed() { return armed_ != nullptr; }
 
-  static FaultInjector& Global();
+  /// The injector the calling thread draws from: the one it armed or
+  /// inherited from a fan-out, else its own (disarmed) injector, whose
+  /// stats still read the last Configure on this thread.
+  static FaultInjector& Current();
 
   /// Parses `spec` ("clause;clause;..." with clause
   /// "pattern:param,param,..."; params p=<prob>, after=<n>,
   /// kind=transient|permanent|spike|corrupt, mult=<spike factor>,
   /// scale=<corruption spread>; pattern is a site name or a '*'-suffixed
   /// prefix; later clauses override earlier ones per site), installs it
-  /// with `seed`, resets all stats, and arms the injector. An empty spec
-  /// disarms. Returns InvalidArgument on malformed input (state is then
-  /// unchanged).
+  /// with `seed` in the calling thread's own injector, resets its stats,
+  /// and arms the calling thread. An empty spec disarms it. Returns
+  /// InvalidArgument on malformed input (state is then unchanged).
   static Status Configure(const std::string& spec, uint64_t seed);
 
-  /// Disables injection; Armed() becomes false.
+  /// The check Configure makes of `spec`, without arming anything: OK iff
+  /// Configure would accept it.
+  static Status ValidateSpec(const std::string& spec);
+
+  /// Disables injection on the calling thread; Armed() becomes false there.
   static void Disarm();
 
   /// Draws the action for one evaluation of `site` in the calling
@@ -210,7 +226,16 @@ class FaultInjector {
 
   FaultInjector() = default;
 
-  static std::atomic<bool> armed_;
+  /// The calling thread's own injector, the one Configure arms.
+  static FaultInjector& Own();
+
+  /// Resolves `spec` into one clause per site (the parser behind
+  /// Configure and ValidateSpec).
+  static Status ParseSpec(const std::string& spec,
+                          Clause (&resolved)[fault_site::kNumSites]);
+
+  /// The injector the calling thread draws from; null = disarmed.
+  static inline constinit thread_local FaultInjector* armed_ = nullptr;
 
   uint64_t seed_ = 0;
   std::string spec_;
@@ -218,6 +243,31 @@ class FaultInjector {
   SiteCounters counters_[fault_site::kNumSites];
 
   friend class FaultStreamScope;
+  friend class FaultArmingScope;
+};
+
+/// RAII scope running the calling thread under another thread's arming:
+/// construct it on a worker with Captured() taken on the thread whose work
+/// it runs, and the worker draws from that thread's injector (or runs
+/// disarmed, for null) until the scope ends, when its own arming returns.
+/// The captured injector must outlive the scope; fan-outs that wait for
+/// their workers guarantee that.
+class FaultArmingScope {
+ public:
+  /// The calling thread's armed injector; null when it is disarmed.
+  static FaultInjector* Captured() { return FaultInjector::armed_; }
+
+  explicit FaultArmingScope(FaultInjector* injector)
+      : saved_(FaultInjector::armed_) {
+    FaultInjector::armed_ = injector;
+  }
+  ~FaultArmingScope() { FaultInjector::armed_ = saved_; }
+
+  FaultArmingScope(const FaultArmingScope&) = delete;
+  FaultArmingScope& operator=(const FaultArmingScope&) = delete;
+
+ private:
+  FaultInjector* saved_;
 };
 
 /// RAII scope pinning the calling thread's fault stream to `stream` and

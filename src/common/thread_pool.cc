@@ -88,11 +88,13 @@ Status ParallelFor(ThreadPool* pool, int64_t total,
   const int workers = pool->num_threads();
   const int64_t block = (total + workers - 1) / workers;
   std::vector<std::exception_ptr> errors(static_cast<size_t>(workers));
+  FaultInjector* const faults = FaultArmingScope::Captured();
   for (int t = 0; t < workers; ++t) {
     const int64_t begin = static_cast<int64_t>(t) * block;
     const int64_t end = std::min<int64_t>(total, begin + block);
     if (begin >= end) break;
-    pool->Submit([&body, &errors, t, begin, end] {
+    pool->Submit([&body, &errors, faults, t, begin, end] {
+      FaultArmingScope arming(faults);
       try {
         body(t, begin, end);
       } catch (...) {

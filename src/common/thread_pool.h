@@ -10,6 +10,13 @@
 // results at any thread count, including floating-point accumulations
 // (the association order is fixed by the chunk grid, not the schedule).
 //
+// Fault-injection contract. ParallelFor and ParallelMapReduce run every
+// block under the calling thread's fault injector (armed or not; see
+// common/fault.h) and restore the worker's own afterwards, so a fan-out
+// draws faults exactly as its caller would. They wait for their blocks, so
+// the caller's injector outlives every use. Submit() does not propagate:
+// a raw task runs under its worker's own (normally disarmed) state.
+//
 // Failure contract. Exceptions thrown inside a block/chunk are captured
 // and converted to a non-OK Status returned to the caller once all work
 // has drained; when several blocks throw, the one with the lowest index
@@ -29,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/status.h"
 
 namespace robustqp {
@@ -51,7 +59,8 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues one task for execution on some worker.
+  /// Enqueues one task for execution on some worker. The task runs under
+  /// the worker's own fault-injector state, not the submitting thread's.
   void Submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished running. Returns the
@@ -82,9 +91,9 @@ class ThreadPool {
 /// block index in [0, pool->num_threads()) — stable across runs, so
 /// callers can give each block its own scratch state (algorithm clone,
 /// RNG, oracle). Blocks are disjoint, so `body` may write to shared
-/// per-index storage without synchronization. Returns the lowest-index
-/// block's exception as a Status after all blocks finish (OK when none
-/// threw).
+/// per-index storage without synchronization. Each block runs under the
+/// caller's fault injector. Returns the lowest-index block's exception as
+/// a Status after all blocks finish (OK when none threw).
 Status ParallelFor(ThreadPool* pool, int64_t total,
                    const std::function<void(int worker, int64_t begin,
                                             int64_t end)>& body);
@@ -92,6 +101,7 @@ Status ParallelFor(ThreadPool* pool, int64_t total,
 /// Maps fixed-size chunks of [0, total) on the pool and reduces the
 /// partials in chunk order: acc = reduce(acc, map(chunk_i)) for i = 0, 1,
 /// ... — the deterministic reduction described in the header comment.
+/// Each chunk runs under the caller's fault injector.
 /// Returns `init` unchanged when `total` <= 0, and the lowest-index
 /// chunk's exception as a non-OK Result when any chunk threw.
 template <typename T>
@@ -104,10 +114,12 @@ Result<T> ParallelMapReduce(
   const int64_t num_chunks = (total + chunk_size - 1) / chunk_size;
   std::vector<T> partials(static_cast<size_t>(num_chunks));
   std::vector<std::exception_ptr> errors(static_cast<size_t>(num_chunks));
+  FaultInjector* const faults = FaultArmingScope::Captured();
   for (int64_t c = 0; c < num_chunks; ++c) {
     const int64_t begin = c * chunk_size;
     const int64_t end = std::min<int64_t>(total, begin + chunk_size);
     pool->Submit([&, c, begin, end] {
+      FaultArmingScope arming(faults);
       try {
         partials[static_cast<size_t>(c)] = map(begin, end);
       } catch (...) {

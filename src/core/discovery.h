@@ -78,7 +78,7 @@ struct DiscoveryResult {
   double max_replacement_penalty = 1.0;
   std::vector<ExecutionStep> steps;
   /// Fault accounting aggregated over the run's executions (all zeros
-  /// unless the process-wide FaultInjector is armed).
+  /// unless the calling thread's FaultInjector is armed).
   RobustnessReport robustness;
   /// The algorithm's MSO guarantee composed across the oracle's shards
   /// (shard/mso.h). Because cost is additive over the chunk partition and

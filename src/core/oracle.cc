@@ -91,7 +91,7 @@ ExecOutcome SimulatedOracle::ExecuteSpill(const Plan& plan, int dim,
 
 ExecOutcome SimulatedOracle::ExecuteFullFaulted(const Plan& plan,
                                                 double budget) {
-  FaultInjector& inj = FaultInjector::Global();
+  FaultInjector& inj = FaultInjector::Current();
   std::vector<int> sites;
   CollectFaultSites(plan.root(), &sites);
 
@@ -154,7 +154,7 @@ ExecOutcome SimulatedOracle::ExecuteFullFaulted(const Plan& plan,
 ExecOutcome SimulatedOracle::ExecuteSpillFaulted(
     const Plan& plan, int dim, double budget,
     const std::vector<double>& learned) {
-  FaultInjector& inj = FaultInjector::Global();
+  FaultInjector& inj = FaultInjector::Current();
   const int node_id = plan.EppNodeId(dim);
   RQP_CHECK(node_id >= 0);
 

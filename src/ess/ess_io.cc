@@ -179,7 +179,7 @@ Result<std::unique_ptr<Ess>> Ess::Load(std::istream& raw_is,
                                        const Query& query) {
   if (FaultInjector::Armed()) {
     const FaultAction act =
-        FaultInjector::Global().Evaluate(fault_site::kIoEssLoad);
+        FaultInjector::Current().Evaluate(fault_site::kIoEssLoad);
     if (act.kind == FaultKind::kTransient) {
       return Status::Unavailable("injected transient fault at io.ess_load");
     }

@@ -1755,7 +1755,7 @@ Status RunPipelineChunked(const Pipeline& p, const CostModel& cm, WorkCtx* ctx,
   std::vector<FaultAction> straggle(shard_slots);
   std::vector<FaultAction> lost(static_cast<size_t>(chunks));
   if (sharded && FaultInjector::Armed()) {
-    FaultInjector& inj = FaultInjector::Global();
+    FaultInjector& inj = FaultInjector::Current();
     for (FaultAction& a : straggle) {
       a = inj.Evaluate(fault_site::kShardStraggler);
     }
@@ -1929,7 +1929,7 @@ Result<ExecutionResult> RunBatchEngine(const Catalog& catalog,
   // (count- and cost-identical) and is charged to the robustness report.
   std::vector<std::vector<uint8_t>> pf(compiler.pipelines.size());
   if (FaultInjector::Armed()) {
-    FaultInjector& inj = FaultInjector::Global();
+    FaultInjector& inj = FaultInjector::Current();
     for (size_t pi = 0; pi < compiler.pipelines.size(); ++pi) {
       const Pipeline& p = compiler.pipelines[pi];
       if (!p.is_scan || p.scan.table == nullptr ||

@@ -851,7 +851,7 @@ Result<ExecutionResult> Executor::RunFaulted(const Plan& plan,
   ExecutionResult last;
   bool have_last = false;
   FaultedRunOutcome outcome = RunWithFaultRetries(
-      FaultInjector::Global(), sites, budget,
+      FaultInjector::Current(), sites, budget,
       [&](double eff_budget, const FaultRunState& state) -> FaultAttempt {
         const Engine engine =
             state.degrade_engine ? Engine::kTuple : options_.engine;

@@ -77,8 +77,8 @@ struct ExecutionResult {
   int64_t output_rows = 0;
   /// Counters per plan-node id (zeros for nodes outside a spilled subtree).
   std::vector<NodeStats> node_stats;
-  /// Fault accounting for this run: all zeros unless the process-wide
-  /// FaultInjector is armed and a fault actually fired.
+  /// Fault accounting for this run: all zeros unless the calling
+  /// thread's FaultInjector is armed and a fault actually fired.
   RobustnessReport robustness;
   /// Chunk and shard accounting (shard/chunking.h): chunk counts and
   /// whole-chunk prunes of every unbudgeted batch scan, plus shard-fault

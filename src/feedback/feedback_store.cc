@@ -175,7 +175,7 @@ FeedbackStore::Calibration FeedbackStore::Get(const std::string& key,
   // position-independent.
   if (FaultInjector::Armed()) {
     const FaultAction act =
-        FaultInjector::Global().Evaluate(fault_site::kFeedbackStoreLoad);
+        FaultInjector::Current().Evaluate(fault_site::kFeedbackStoreLoad);
     if (act) {
       out.degraded = true;
       if (report != nullptr) ++report->feedback_degradations;

@@ -74,7 +74,7 @@ SuboptimalityStats Evaluate(const DiscoveryAlgorithm& algo, const Ess& ess,
 
   if (!opts.fault_spec.empty()) {
     const Status st =
-        FaultInjector::Global().Configure(opts.fault_spec, opts.fault_seed);
+        FaultInjector::Configure(opts.fault_spec, opts.fault_seed);
     RQP_CHECK(st.ok());
   }
   const bool armed = FaultInjector::Armed();
@@ -140,7 +140,7 @@ SuboptimalityStats Evaluate(const DiscoveryAlgorithm& algo, const Ess& ess,
       max_clean = std::max(max_clean, worker_clean[w]);
     }
     stats.robustness.mso_delta = std::max(0.0, stats.mso - max_clean);
-    if (!opts.fault_spec.empty()) FaultInjector::Global().Disarm();
+    if (!opts.fault_spec.empty()) FaultInjector::Disarm();
   }
   stats.composed_mso = shard::ComposeMsoBound(algo.MsoGuarantee(),
                                               opts.num_shards);
@@ -209,7 +209,7 @@ std::vector<RepeatedRunStats> EvaluateRepeated(
 
   if (!opts.fault_spec.empty()) {
     const Status st =
-        FaultInjector::Global().Configure(opts.fault_spec, opts.fault_seed);
+        FaultInjector::Configure(opts.fault_spec, opts.fault_seed);
     RQP_CHECK(st.ok());
   }
   const bool armed = FaultInjector::Armed();
@@ -250,7 +250,7 @@ std::vector<RepeatedRunStats> EvaluateRepeated(
     runs.push_back(run);
   }
 
-  if (!opts.fault_spec.empty()) FaultInjector::Global().Disarm();
+  if (!opts.fault_spec.empty()) FaultInjector::Disarm();
   return runs;
 }
 

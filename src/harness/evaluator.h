@@ -31,10 +31,11 @@ struct EvalOptions {
   /// Worker threads for the per-q_a fan-out; 0 = hardware concurrency,
   /// 1 = serial. Any value yields bit-identical SuboptimalityStats.
   int num_threads = 0;
-  /// Chaos-sweep mode: when non-empty, the global FaultInjector is
-  /// configured with this spec (see FaultInjector::Configure for the
+  /// Chaos-sweep mode: when non-empty, the calling thread's FaultInjector
+  /// is configured with this spec (see FaultInjector::Configure for the
   /// grammar, e.g. "exec.*:p=0.01;optimizer.dp:after=100") for the
-  /// duration of the sweep and disarmed afterwards. Fault draws are keyed
+  /// duration of the sweep, whose workers inherit it, and disarmed
+  /// afterwards. Fault draws are keyed
   /// to the grid location, so the sweep stays bit-identical at any thread
   /// count.
   std::string fault_spec{};

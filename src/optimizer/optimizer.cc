@@ -401,7 +401,7 @@ std::unique_ptr<Plan> Optimizer::Optimize(const EssPoint& q) const {
 Status Optimizer::TryOptimizeKey(const EssPoint& q, PlanKey* key) const {
   if (FaultInjector::Armed()) {
     const FaultAction act =
-        FaultInjector::Global().Evaluate(fault_site::kOptimizerDp);
+        FaultInjector::Current().Evaluate(fault_site::kOptimizerDp);
     switch (act.kind) {
       case FaultKind::kTransient:
         return Status::Unavailable("injected transient fault at optimizer.dp");

@@ -14,12 +14,12 @@
 // alive until the last holder drops it — eviction never invalidates
 // in-flight work.
 //
-// Builds always run with the FaultInjector disarmed from the service
-// layer's perspective (QueryService resolves contexts, and prepares their
-// discovery algorithms, before arming a request's chaos spec), so a
-// cached surface is bit-identical no matter which request triggered the
-// build. Failed builds (possible when an embedding program arms injection
-// around Get()) are not cached.
+// A build runs under the building thread's fault arming (common/fault.h).
+// In the service that thread is always disarmed (QueryService resolves
+// contexts, and prepares their discovery algorithms, before a request
+// arms its thread), so a cached surface is bit-identical no matter which
+// request triggered the build. Failed builds (possible when an embedding
+// program arms its thread around Get()) are not cached.
 
 #ifndef ROBUSTQP_SERVER_CONTEXT_CACHE_H_
 #define ROBUSTQP_SERVER_CONTEXT_CACHE_H_
@@ -61,8 +61,8 @@ class ContextCache {
     /// The discovery algorithm for `mode` over `ess`, with default
     /// options; null for kNative. Built on the first call for the mode
     /// (never at context-build time) and shared, thread-safely, by every
-    /// request that later runs on this context. The caller must hold the
-    /// injector disarmed for that first call, as for builds.
+    /// request that later runs on this context. The calling thread must be
+    /// disarmed for that first call, as for builds.
     const DiscoveryAlgorithm* Algorithm(RobustnessMode mode) const;
 
    private:

@@ -119,7 +119,7 @@ void QueryService::RunRequest(const std::shared_ptr<RequestState>& state) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.deadline_expired;
   } else {
-    Execute(state->request, &cache_, &feedback_store_, &fault_mu_, &resp);
+    Execute(state->request, &cache_, &feedback_store_, &resp);
     resp.request_id = state->id;
   }
   resp.run_ms = MsSince(start, std::chrono::steady_clock::now());
@@ -207,49 +207,37 @@ QueryService::ServiceStats QueryService::stats() const {
 ServiceResponse QueryService::RunOneShot(const ServiceRequest& request,
                                          ContextCache* cache,
                                          feedback::FeedbackStore* store) {
-  // One-shots share the concurrent path's body; the lock they pass is a
-  // private one, merely satisfying the same discipline.
-  static std::shared_mutex* one_shot_mu = new std::shared_mutex();
   ServiceResponse resp;
   resp.query_id = request.query_id;
   Execute(request, cache != nullptr ? cache : &ContextCache::Default(), store,
-          one_shot_mu, &resp);
+          &resp);
   return resp;
 }
 
 void QueryService::Execute(const ServiceRequest& request, ContextCache* cache,
                            feedback::FeedbackStore* store,
-                           std::shared_mutex* fault_mu,
                            ServiceResponse* resp) {
-  // Phase 1 — resolve the context and its prepared algorithm under the
-  // shared lock: no chaos request holds the injector armed, so cache
-  // builds and algorithm preparation are always clean and independent of
-  // request interleaving.
-  std::shared_ptr<const ContextCache::Entry> ctx;
-  const DiscoveryAlgorithm* algo = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> lock(*fault_mu);
-    Result<std::shared_ptr<const ContextCache::Entry>> ctx_or =
-        cache->Get(request.query_id, request.options.ToEssConfig(),
-                   request.options.encoding, request.options.use_compression,
-                   request.options.storage, &resp->cache_hit);
-    if (!ctx_or.ok()) {
-      resp->status = ctx_or.status();
-      return;
-    }
-    ctx = ctx_or.MoveValue();
-    algo = ctx->Algorithm(request.mode);
+  // Resolve the context and its prepared algorithm while this thread is
+  // disarmed, so cache builds and algorithm preparation are always clean
+  // and independent of request interleaving.
+  Result<std::shared_ptr<const ContextCache::Entry>> ctx_or =
+      cache->Get(request.query_id, request.options.ToEssConfig(),
+                 request.options.encoding, request.options.use_compression,
+                 request.options.storage, &resp->cache_hit);
+  if (!ctx_or.ok()) {
+    resp->status = ctx_or.status();
+    return;
   }
+  const std::shared_ptr<const ContextCache::Entry> ctx = ctx_or.MoveValue();
+  const DiscoveryAlgorithm* algo = ctx->Algorithm(request.mode);
 
-  // Phase 2 — run. Clean requests share the lock; chaos requests own it
-  // exclusively, arm the injector, and disarm before releasing.
+  // Run. A chaos request arms this thread's own injector for its run and
+  // disarms it after; other threads, running other requests, never see it.
   if (request.options.fault_spec.empty()) {
-    std::shared_lock<std::shared_mutex> lock(*fault_mu);
     resp->status = RunResolved(request, *ctx, algo, store, resp);
   } else {
-    std::unique_lock<std::shared_mutex> lock(*fault_mu);
-    const Status st = FaultInjector::Global().Configure(
-        request.options.fault_spec, request.options.fault_seed);
+    const Status st = FaultInjector::Configure(request.options.fault_spec,
+                                               request.options.fault_seed);
     if (!st.ok()) {
       resp->status = st;
       return;
@@ -260,15 +248,13 @@ void QueryService::Execute(const ServiceRequest& request, ContextCache* cache,
       FaultStreamScope scope(request.options.fault_seed);
       resp->status = RunResolved(request, *ctx, algo, store, resp);
     }
-    FaultInjector::Global().Disarm();
+    FaultInjector::Disarm();
   }
 
   // Drift invalidation: the run's observation left the calibration's
   // confidence regime, so every cached context (and thereby cached plan)
   // for this query is stale — drop them; the next request rebuilds with
-  // freshly costed plans. Done after releasing the fault lock (cache
-  // mutation needs no injector discipline and must not extend a chaos
-  // request's exclusive hold).
+  // freshly costed plans.
   if (resp->feedback_drift) cache->InvalidateQuery(request.query_id);
 }
 

@@ -28,26 +28,29 @@
 // same ServiceRequest serially via RunOneShot on a fresh process — no
 // matter how many clients run concurrently or in which order the pool
 // schedules them. Three mechanisms make this hold:
-//  * contexts are immutable after build and built only while the fault
-//    injector is disarmed (resolution happens before a request's chaos
-//    spec is armed), so cache state cannot leak into results;
+//  * contexts are immutable after build and built only on a disarmed
+//    thread (resolution happens before a request's chaos spec is armed),
+//    so cache state cannot leak into results;
 //  * each context's discovery algorithms are prepared once per mode,
 //    lazily, at resolution time (so also disarmed), and shared by every
 //    request on the context. Their memos are synchronized and hold pure
 //    functions of (Ess, key) filled on paths without fault sites, so a
 //    memo filled by an earlier request — chaos or clean — returns what a
 //    cold instance would compute;
-//  * chaos requests (non-empty fault_spec) take an exclusive lock on the
-//    process-wide FaultInjector, configure it, and run inside a
-//    FaultStreamScope keyed by the request's fault_seed — clean requests
-//    hold the lock shared, so they always observe a disarmed injector.
-//    A chaos request's draw sequence therefore depends only on
-//    (spec, seed), exactly as in a serial run.
+//  * fault arming is per thread (common/fault.h). A chaos request
+//    (non-empty fault_spec) arms its worker thread's own injector, runs
+//    inside a FaultStreamScope keyed by the request's fault_seed, and
+//    disarms; the fan-outs it makes inherit that injector and no other
+//    thread sees it. A clean request runs on a disarmed worker, and a pool
+//    task never inherits the arming of the thread that submitted it. Chaos
+//    and clean requests therefore run side by side, and a chaos request's
+//    draw sequence depends only on (spec, seed), exactly as in a serial
+//    run.
 // Timing fields (queue_ms, run_ms) are measurements and obviously not
 // part of the contract.
 //
-// The service assumes it owns the process-wide FaultInjector: embedding
-// programs must not arm it around service calls.
+// RunOneShot runs on the calling thread and arms and disarms that thread
+// for a chaos request, so call it from a disarmed thread.
 
 #ifndef ROBUSTQP_SERVER_QUERY_SERVICE_H_
 #define ROBUSTQP_SERVER_QUERY_SERVICE_H_
@@ -61,7 +64,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -264,15 +266,14 @@ class QueryService {
   void RunRequest(const std::shared_ptr<RequestState>& state);
 
   /// The request body shared by the concurrent path and RunOneShot:
-  /// resolves the context, applies the fault-exclusion discipline, runs,
-  /// fills `resp` (everything except ids and timing), and — when the run
-  /// trips the drift monitor — evicts the query's cached contexts.
+  /// resolves the context, arms the calling thread for a chaos request,
+  /// runs, fills `resp` (everything except ids and timing), and — when the
+  /// run trips the drift monitor — evicts the query's cached contexts.
   static void Execute(const ServiceRequest& request, ContextCache* cache,
-                      feedback::FeedbackStore* store,
-                      std::shared_mutex* fault_mu, ServiceResponse* resp);
+                      feedback::FeedbackStore* store, ServiceResponse* resp);
 
   /// Runs against a resolved context with its prepared algorithm (null
-  /// for kNative); no locking, injector state already arranged by
+  /// for kNative); the calling thread's arming is already arranged by
   /// Execute. `store` may be null (feedback off).
   static Status RunResolved(const ServiceRequest& request,
                             const ContextCache::Entry& ctx,
@@ -295,10 +296,6 @@ class QueryService {
   std::map<int64_t, std::set<int64_t>> sessions_;  // session -> request ids
   std::map<int64_t, std::shared_ptr<RequestState>> requests_;
   ServiceStats stats_;
-
-  /// Shared = injector guaranteed disarmed (clean requests, context
-  /// builds); exclusive = this request owns the armed injector.
-  std::shared_mutex fault_mu_;
 };
 
 }  // namespace robustqp

@@ -83,8 +83,8 @@ struct RequestOptions {
   bool use_feedback = false;
 
   // --- chaos (subsumes the EvalOptions fault fields) ---
-  /// When non-empty, the deterministic FaultInjector is armed with this
-  /// spec for the request's run (see FaultInjector::Configure).
+  /// When non-empty, the running thread's FaultInjector is armed with
+  /// this spec for the request's run (see FaultInjector::Configure).
   std::string fault_spec;
   uint64_t fault_seed = 42;
 

@@ -15,6 +15,8 @@
 #include <sstream>
 #include <string>
 
+#include "common/fault.h"
+
 namespace robustqp {
 
 namespace {
@@ -185,6 +187,9 @@ Status ParseSubmitLine(const std::string& line, ServiceRequest* out) {
       // response payload is bit-identical to feedback=0.
       req.options.use_feedback = value != "0";
     } else if (key == "faults") {
+      // Checked here, with the parser the run will arm it with, so a bad
+      // spec is refused before the request builds or caches a context.
+      RQP_RETURN_NOT_OK(FaultInjector::ValidateSpec(value));
       req.options.fault_spec = value;
     } else if (key == "seed") {
       if (!ParseUint64(value, &req.options.fault_seed)) {

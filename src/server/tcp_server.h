@@ -79,7 +79,8 @@ constexpr size_t kMaxLineBytes = 64 * 1024;
 
 /// Parses one SUBMIT line ("SUBMIT key=value ...") into a ServiceRequest.
 /// Returns InvalidArgument on unknown keys, malformed values (numbers
-/// must be whole and finite), or out-of-range threads / shards / points.
+/// must be whole and finite), out-of-range threads / shards / points, or
+/// a faults= spec that FaultInjector::Configure would refuse.
 Status ParseSubmitLine(const std::string& line, ServiceRequest* out);
 
 /// Renders the one-line wire answer for a response: "OK ..." when the

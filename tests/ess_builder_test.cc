@@ -106,11 +106,11 @@ SweepGolden RecordSweep(const char* id, int points, bool faulted,
   config.num_threads = threads;
   if (faulted) {
     EXPECT_TRUE(
-        FaultInjector::Global().Configure(kSweepFaultSpec, kSweepFaultSeed).ok());
+        FaultInjector::Configure(kSweepFaultSpec, kSweepFaultSeed).ok());
   }
   Result<std::unique_ptr<Ess>> built = Ess::TryBuild(*catalog, query, config);
   const FaultSiteStats dp =
-      faulted ? FaultInjector::Global().Snapshot()[fault_site::kOptimizerDp]
+      faulted ? FaultInjector::Current().Snapshot()[fault_site::kOptimizerDp]
               : FaultSiteStats{};
   FaultInjector::Disarm();
   EXPECT_TRUE(built.ok()) << built.status().ToString();

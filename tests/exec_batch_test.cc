@@ -381,9 +381,7 @@ TEST(ExecBatchGoldenTest, MidSpillTransientChargesLostWorkOnBothEngines) {
       tuple_exec.ExecuteSpill(*plan, node_id, -1.0);
   ASSERT_TRUE(clean.ok() && clean->completed);
 
-  ASSERT_TRUE(FaultInjector::Global()
-                  .Configure("exec.spill.run:after=0", 42)
-                  .ok());
+  ASSERT_TRUE(FaultInjector::Configure("exec.spill.run:after=0", 42).ok());
   ExecutionResult rt, rb;
   {
     FaultStreamScope scope(0);
@@ -434,10 +432,10 @@ TEST_P(ExecBatchDifferentialTest, TupleAndBatchAgreeUnderFaults) {
   // Transients and spikes on the shared operator sites. The batch engine
   // additionally draws exec.batch.pipeline, but per-site counters are
   // independent, so the shared sites' sequences stay identical.
-  ASSERT_TRUE(FaultInjector::Global()
-                  .Configure("exec.scan.read:p=0.3;exec.hashjoin.build:p=0.3;"
-                             "exec.nljoin.pair:p=0.2,kind=spike,mult=2",
-                             seed)
+  ASSERT_TRUE(FaultInjector::Configure(
+                  "exec.scan.read:p=0.3;exec.hashjoin.build:p=0.3;"
+                  "exec.nljoin.pair:p=0.2,kind=spike,mult=2",
+                  seed)
                   .ok());
   for (int trial = 0; trial < 3; ++trial) {
     const std::unique_ptr<Plan> plan = opt.Optimize(RandomPoint(&rng, dims));
@@ -448,11 +446,11 @@ TEST_P(ExecBatchDifferentialTest, TupleAndBatchAgreeUnderFaults) {
       const Result<ExecutionResult> clean = tuple_exec.Execute(*plan, -1.0);
       ASSERT_TRUE(clean.ok()) << tag;
       const double budget = frac < 0.0 ? -1.0 : clean->cost_used * frac;
-      ASSERT_TRUE(FaultInjector::Global()
-                      .Configure("exec.scan.read:p=0.3;"
-                                 "exec.hashjoin.build:p=0.3;"
-                                 "exec.nljoin.pair:p=0.2,kind=spike,mult=2",
-                                 seed)
+      ASSERT_TRUE(FaultInjector::Configure(
+                      "exec.scan.read:p=0.3;"
+                      "exec.hashjoin.build:p=0.3;"
+                      "exec.nljoin.pair:p=0.2,kind=spike,mult=2",
+                      seed)
                       .ok());
       ExecutionResult rt, rb;
       bool rt_ok, rb_ok;
@@ -701,7 +699,7 @@ TEST_P(ZoneMapDifferentialTest, PrunedUnprunedAgreeUnderFaults) {
       const double budget = frac < 0.0 ? -1.0 : clean->cost_used * frac;
       ExecutionResult rt, rp, ru;
       bool rt_ok, rp_ok, ru_ok;
-      ASSERT_TRUE(FaultInjector::Global().Configure(spec, seed).ok());
+      ASSERT_TRUE(FaultInjector::Configure(spec, seed).ok());
       {
         FaultStreamScope scope(static_cast<uint64_t>(trial));
         Result<ExecutionResult> r = tuple_exec.Execute(*plan, budget);
@@ -868,7 +866,7 @@ TEST_P(CompressionDifferentialTest, EncodedAndRawAgreeUnderFaults) {
       const double budget = frac < 0.0 ? -1.0 : clean->cost_used * frac;
       ExecutionResult rr, rf, rd;
       bool rr_ok, rf_ok, rd_ok;
-      ASSERT_TRUE(FaultInjector::Global().Configure(spec, seed).ok());
+      ASSERT_TRUE(FaultInjector::Configure(spec, seed).ok());
       {
         FaultStreamScope scope(static_cast<uint64_t>(trial));
         Result<ExecutionResult> r = batch_raw.Execute(*plan, budget);
@@ -1150,7 +1148,7 @@ TEST(BudgetedAbortBoundaryTest, BatchMatchesTupleAtEveryAbortShape) {
                 "=" + std::to_string(budget);
             const auto run = [&](const Executor& ex) {
               if (faults) {
-                EXPECT_TRUE(FaultInjector::Global().Configure(spec, b).ok());
+                EXPECT_TRUE(FaultInjector::Configure(spec, b).ok());
               }
               FaultStreamScope scope(b);
               Result<ExecutionResult> r =

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
@@ -33,7 +37,7 @@ using testing_util::MakeTinyCatalog;
 /// later tests.
 struct ArmedScope {
   explicit ArmedScope(const std::string& spec, uint64_t seed = 42) {
-    const Status st = FaultInjector::Global().Configure(spec, seed);
+    const Status st = FaultInjector::Configure(spec, seed);
     RQP_CHECK(st.ok());
   }
   ~ArmedScope() { FaultInjector::Disarm(); }
@@ -47,29 +51,29 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
         "exec.scan.read:frob=1", ":p=0.1",
         // The retired ESS refinement site is no longer a name.
         "ess.corner_opt:p=0.1"}) {
-    const Status st = FaultInjector::Global().Configure(bad, 1);
+    const Status st = FaultInjector::Configure(bad, 1);
     EXPECT_FALSE(st.ok()) << "spec accepted: " << bad;
     EXPECT_FALSE(FaultInjector::Armed()) << bad;
   }
 }
 
 TEST(FaultSpecTest, EmptySpecDisarms) {
-  ASSERT_TRUE(FaultInjector::Global().Configure("exec.*:p=0.5", 1).ok());
+  ASSERT_TRUE(FaultInjector::Configure("exec.*:p=0.5", 1).ok());
   EXPECT_TRUE(FaultInjector::Armed());
-  ASSERT_TRUE(FaultInjector::Global().Configure("", 1).ok());
+  ASSERT_TRUE(FaultInjector::Configure("", 1).ok());
   EXPECT_FALSE(FaultInjector::Armed());
 }
 
 TEST(FaultSpecTest, WildcardAndOverride) {
   ArmedScope armed("exec.*:p=1,kind=spike;exec.scan.read:p=1,kind=permanent");
   FaultStreamScope scope(0);
-  EXPECT_EQ(FaultInjector::Global().Evaluate(fault_site::kExecScanRead).kind,
+  EXPECT_EQ(FaultInjector::Current().Evaluate(fault_site::kExecScanRead).kind,
             FaultKind::kPermanent);
   EXPECT_EQ(
-      FaultInjector::Global().Evaluate(fault_site::kExecHashJoinBuild).kind,
+      FaultInjector::Current().Evaluate(fault_site::kExecHashJoinBuild).kind,
       FaultKind::kCostSpike);
   // Non-exec sites are untouched by the exec.* clause.
-  EXPECT_EQ(FaultInjector::Global().Evaluate(fault_site::kOptimizerDp).kind,
+  EXPECT_EQ(FaultInjector::Current().Evaluate(fault_site::kOptimizerDp).kind,
             FaultKind::kNone);
 }
 
@@ -77,7 +81,7 @@ std::vector<FaultKind> DrawSequence(uint64_t stream, int site, int n) {
   FaultStreamScope scope(stream);
   std::vector<FaultKind> seq;
   for (int i = 0; i < n; ++i) {
-    seq.push_back(FaultInjector::Global().Evaluate(site).kind);
+    seq.push_back(FaultInjector::Current().Evaluate(site).kind);
   }
   return seq;
 }
@@ -119,7 +123,7 @@ TEST(FaultDeterminismTest, AfterFiresExactlyOnce) {
   FaultStreamScope scope(5);
   for (int i = 0; i < 12; ++i) {
     const FaultAction act =
-        FaultInjector::Global().Evaluate(fault_site::kExecScanRead);
+        FaultInjector::Current().Evaluate(fault_site::kExecScanRead);
     if (i == 3) {
       EXPECT_EQ(act.kind, FaultKind::kPermanent);
     } else {
@@ -128,12 +132,179 @@ TEST(FaultDeterminismTest, AfterFiresExactlyOnce) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Per-thread arming: each thread draws from the injector it armed, fan-outs
+// carry the caller's injector to their workers, raw pool tasks do not.
+// ---------------------------------------------------------------------------
+
+/// Every field of every draw over a few streams and sites, bit-exact.
+std::vector<uint64_t> DrawBits() {
+  std::vector<uint64_t> bits;
+  for (uint64_t stream = 0; stream < 4; ++stream) {
+    FaultStreamScope scope(stream);
+    for (int i = 0; i < 64; ++i) {
+      for (const int site : {fault_site::kExecScanRead,
+                             fault_site::kExecHashJoinBuild,
+                             fault_site::kOptimizerDp,
+                             fault_site::kOracleCostModel}) {
+        const FaultAction act = FaultInjector::Current().Evaluate(site);
+        uint64_t u, magnitude;
+        std::memcpy(&u, &act.u, sizeof(u));
+        std::memcpy(&magnitude, &act.magnitude, sizeof(magnitude));
+        bits.insert(bits.end(),
+                    {static_cast<uint64_t>(act.kind), u, magnitude});
+      }
+    }
+  }
+  return bits;
+}
+
+/// Every per-site counter of the calling thread's current injector.
+std::vector<int64_t> SnapshotCounts() {
+  std::vector<int64_t> counts;
+  for (const FaultSiteStats& st : FaultInjector::Current().Snapshot()) {
+    counts.insert(counts.end(), {st.evaluations, st.transients,
+                                 st.permanents, st.spikes, st.corruptions});
+  }
+  return counts;
+}
+
+struct ArmedDraws {
+  std::vector<uint64_t> bits;
+  std::vector<int64_t> counts;
+};
+
+TEST(FaultArmingTest, ConcurrentThreadsDrawTheirOwnSequences) {
+  const std::string spec_a = "exec.*:p=0.3;optimizer.dp:p=0.2,kind=spike";
+  const std::string spec_b = "*:p=0.1,kind=corrupt,scale=8";
+  ArmedDraws solo_a, solo_b;
+  {
+    ArmedScope armed(spec_a, 5);
+    solo_a = {DrawBits(), SnapshotCounts()};
+  }
+  {
+    ArmedScope armed(spec_b, 9);
+    solo_b = {DrawBits(), SnapshotCounts()};
+  }
+  ASSERT_NE(solo_a.bits, solo_b.bits);
+
+  // Both armers are armed before either draws and stay armed until both
+  // have drawn; the observer polls its own arming the whole time.
+  std::latch all_armed(3);
+  std::latch all_drawn(2);
+  std::atomic<bool> done{false};
+  ArmedDraws got_a, got_b;
+  const auto armer = [&](const std::string& spec, uint64_t seed,
+                         ArmedDraws* out) {
+    RQP_CHECK(FaultInjector::Configure(spec, seed).ok());
+    all_armed.arrive_and_wait();
+    out->bits = DrawBits();
+    out->counts = SnapshotCounts();
+    all_drawn.arrive_and_wait();
+    FaultInjector::Disarm();
+  };
+  bool observer_saw_armed = false;
+  int64_t observer_checks = 0;
+  std::thread a(armer, spec_a, 5, &got_a);
+  std::thread b(armer, spec_b, 9, &got_b);
+  std::thread observer([&] {
+    all_armed.arrive_and_wait();
+    while (!done.load()) {
+      observer_saw_armed |= FaultInjector::Armed();
+      ++observer_checks;
+    }
+    observer_saw_armed |= FaultInjector::Armed();
+  });
+  a.join();
+  b.join();
+  done.store(true);
+  observer.join();
+
+  EXPECT_EQ(got_a.bits, solo_a.bits);
+  EXPECT_EQ(got_b.bits, solo_b.bits);
+  EXPECT_EQ(got_a.counts, solo_a.counts);
+  EXPECT_EQ(got_b.counts, solo_b.counts);
+  EXPECT_FALSE(observer_saw_armed);
+  EXPECT_GT(observer_checks, 0);
+  // Neither armer's arming reached the thread that started them.
+  EXPECT_FALSE(FaultInjector::Armed());
+}
+
+TEST(FaultArmingTest, FanOutsInheritTheCallersInjectorSubmitDoesNot) {
+  ThreadPool pool(4);
+  constexpr int64_t kUnits = 64;
+  // Per unit: whether the worker saw itself armed, and its first draw.
+  const auto fan_out = [&pool] {
+    std::vector<int> armed(kUnits, -1);
+    std::vector<FaultKind> draws(kUnits, FaultKind::kNone);
+    const Status st =
+        ParallelFor(&pool, kUnits, [&](int, int64_t begin, int64_t end) {
+          for (int64_t u = begin; u < end; ++u) {
+            armed[static_cast<size_t>(u)] = FaultInjector::Armed() ? 1 : 0;
+            if (!FaultInjector::Armed()) continue;
+            FaultStreamScope scope(static_cast<uint64_t>(u));
+            draws[static_cast<size_t>(u)] =
+                FaultInjector::Current().Evaluate(fault_site::kExecScanRead)
+                    .kind;
+          }
+        });
+    RQP_CHECK(st.ok());
+    return std::make_pair(armed, draws);
+  };
+  const auto submitted_task_armed = [&pool] {
+    std::atomic<int> armed{0};
+    for (int t = 0; t < 2 * pool.num_threads(); ++t) {
+      pool.Submit([&armed] { armed += FaultInjector::Armed() ? 1 : 0; });
+    }
+    RQP_CHECK(pool.Wait().ok());
+    return armed.load();
+  };
+
+  ArmedScope armed("exec.scan.read:p=0.5", 31);
+  std::vector<FaultKind> serial(kUnits);
+  for (int64_t u = 0; u < kUnits; ++u) {
+    FaultStreamScope scope(static_cast<uint64_t>(u));
+    serial[static_cast<size_t>(u)] =
+        FaultInjector::Current().Evaluate(fault_site::kExecScanRead).kind;
+  }
+  ASSERT_TRUE(FaultInjector::Configure("exec.scan.read:p=0.5", 31).ok());
+
+  const auto [armed_units, draws] = fan_out();
+  EXPECT_EQ(armed_units, std::vector<int>(kUnits, 1));
+  EXPECT_EQ(draws, serial);
+  // The workers drew from the caller's injector: its stats count them.
+  EXPECT_EQ(FaultInjector::Current()
+                .Snapshot()[fault_site::kExecScanRead]
+                .evaluations,
+            kUnits);
+  // ParallelMapReduce inherits as well.
+  const Result<int> mapped = ParallelMapReduce<int>(
+      &pool, kUnits, 4, 0,
+      [](int64_t begin, int64_t end) {
+        return FaultInjector::Armed() ? static_cast<int>(end - begin) : 0;
+      },
+      [](int acc, int partial) { return acc + partial; });
+  ASSERT_TRUE(mapped.ok());
+  EXPECT_EQ(*mapped, kUnits);
+  // A raw task does not, and the fan-outs left no worker armed.
+  EXPECT_EQ(submitted_task_armed(), 0);
+
+  // The same pool, fanned out from a thread that never armed.
+  std::thread disarmed_caller([&] {
+    const auto [armed_units2, draws2] = fan_out();
+    EXPECT_EQ(armed_units2, std::vector<int>(kUnits, 0));
+    EXPECT_EQ(draws2, std::vector<FaultKind>(kUnits, FaultKind::kNone));
+  });
+  disarmed_caller.join();
+  EXPECT_TRUE(FaultInjector::Armed());
+}
+
 TEST(FaultRetryLoopTest, BudgetedTransientStormChargesAtMostBudget) {
   ArmedScope armed("exec.scan.read:p=1", 3);
   FaultStreamScope scope(1);
   int attempts = 0;
   const FaultedRunOutcome outcome = RunWithFaultRetries(
-      FaultInjector::Global(), {fault_site::kExecScanRead}, 100.0,
+      FaultInjector::Current(), {fault_site::kExecScanRead}, 100.0,
       [&](double eff_budget, const FaultRunState&) {
         ++attempts;
         FaultAttempt a;
@@ -154,7 +325,7 @@ TEST(FaultRetryLoopTest, UnbudgetedTransientStormSurfacesUnavailable) {
   ArmedScope armed("exec.scan.read:p=1", 3);
   FaultStreamScope scope(1);
   const FaultedRunOutcome outcome = RunWithFaultRetries(
-      FaultInjector::Global(), {fault_site::kExecScanRead}, -1.0,
+      FaultInjector::Current(), {fault_site::kExecScanRead}, -1.0,
       [&](double, const FaultRunState&) {
         FaultAttempt a;
         a.completed = true;
@@ -170,7 +341,7 @@ TEST(FaultRetryLoopTest, TransientThenSuccessChargesLostWork) {
   ArmedScope armed("exec.scan.read:after=0", 3);  // first attempt faults
   FaultStreamScope scope(2);
   const FaultedRunOutcome outcome = RunWithFaultRetries(
-      FaultInjector::Global(), {fault_site::kExecScanRead}, 1000.0,
+      FaultInjector::Current(), {fault_site::kExecScanRead}, 1000.0,
       [&](double eff_budget, const FaultRunState&) {
         FaultAttempt a;
         a.completed = true;

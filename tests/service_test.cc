@@ -406,11 +406,40 @@ void ExpectSamePayload(const ServiceResponse& resp,
     EXPECT_EQ(g.learned_sel, w.learned_sel);
     EXPECT_EQ(g.qrun, w.qrun);
   }
-  EXPECT_EQ(resp.robustness.transient_retries,
-            want.robustness.transient_retries);
-  EXPECT_EQ(resp.robustness.cost_spikes, want.robustness.cost_spikes);
-  EXPECT_EQ(resp.robustness.corruptions, want.robustness.corruptions);
-  EXPECT_EQ(resp.robustness.retried_cost, want.robustness.retried_cost);
+  const RobustnessReport& g = resp.robustness;
+  const RobustnessReport& w = want.robustness;
+  EXPECT_EQ(g.transient_retries, w.transient_retries);
+  EXPECT_EQ(g.cost_spikes, w.cost_spikes);
+  EXPECT_EQ(g.corruptions, w.corruptions);
+  EXPECT_EQ(g.retried_cost, w.retried_cost);
+  EXPECT_EQ(g.permanent_faults, w.permanent_faults);
+  EXPECT_EQ(g.engine_degradations, w.engine_degradations);
+  EXPECT_EQ(g.serial_degradations, w.serial_degradations);
+  EXPECT_EQ(g.escalations, w.escalations);
+  EXPECT_EQ(g.pcm_violations, w.pcm_violations);
+  EXPECT_EQ(g.contour_clamps, w.contour_clamps);
+  EXPECT_EQ(g.retries_exhausted, w.retries_exhausted);
+  EXPECT_EQ(g.shard_stragglers, w.shard_stragglers);
+  EXPECT_EQ(g.shard_lost_chunks, w.shard_lost_chunks);
+  EXPECT_EQ(g.feedback_degradations, w.feedback_degradations);
+  EXPECT_EQ(g.page_fault_degradations, w.page_fault_degradations);
+  EXPECT_EQ(g.spike_cost, w.spike_cost);
+  EXPECT_EQ(g.mso_delta, w.mso_delta);
+  // Engine runs: the completing execution's ledger.
+  EXPECT_EQ(resp.execution.completed, want.execution.completed);
+  EXPECT_EQ(resp.execution.cost_used, want.execution.cost_used);
+  EXPECT_EQ(resp.execution.output_rows, want.execution.output_rows);
+  ASSERT_EQ(resp.execution.node_stats.size(), want.execution.node_stats.size());
+  for (size_t i = 0; i < resp.execution.node_stats.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    const NodeStats& gn = resp.execution.node_stats[i];
+    const NodeStats& wn = want.execution.node_stats[i];
+    EXPECT_EQ(gn.left_in, wn.left_in);
+    EXPECT_EQ(gn.right_in, wn.right_in);
+    EXPECT_EQ(gn.out, wn.out);
+    EXPECT_EQ(gn.filter_in, wn.filter_in);
+    EXPECT_EQ(gn.filter_pass, wn.filter_pass);
+  }
 }
 
 TEST(QueryServiceTest, SixteenConcurrentClientsBitIdenticalToSerial) {
@@ -500,11 +529,160 @@ TEST(QueryServiceTest, SixteenConcurrentClientsBitIdenticalToSerial) {
   }
 
   // The chaos variants actually injected faults (the test would otherwise
-  // not exercise the exclusive-lock path).
+  // not exercise the armed path).
   EXPECT_TRUE(expected[4].robustness.Any());
   EXPECT_TRUE(chaos_expected.robustness.Any());
   // The injector is disarmed once the storm has passed.
   EXPECT_FALSE(FaultInjector::Armed());
+}
+
+// Chaos requests arm their own worker thread, so requests with different
+// specs and seeds run side by side on the pool, beside clean ones: every
+// reply must still equal its serial one-shot, bit for bit.
+TEST(QueryServiceTest, ConcurrentChaosRequestsBitIdenticalToSerial) {
+  std::vector<ServiceRequest> mix;
+  {
+    ServiceRequest r;
+    r.query_id = "2D_Q91";
+    r.options = SmallOptions();
+    r.use_engine = true;
+    r.mode = RobustnessMode::kSpillBound;
+    r.options.fault_spec = "exec.*:p=0.05";
+    r.options.fault_seed = 3;
+    mix.push_back(r);
+    r.mode = RobustnessMode::kPlanBouquet;
+    r.options.fault_spec = "exec.scan.read:p=0.3;exec.hashjoin.build:p=0.2,"
+                           "kind=spike,mult=2";
+    r.options.fault_seed = 21;
+    mix.push_back(r);
+    // Two chunk workers: the executor's fan-out inherits the arming.
+    r.mode = RobustnessMode::kAlignedBound;
+    r.options.num_threads = 2;
+    r.options.fault_spec = "exec.batch.pipeline:p=0.5;exec.*:p=0.1";
+    r.options.fault_seed = 44;
+    mix.push_back(r);
+    r.mode = RobustnessMode::kNative;
+    r.options.num_threads = 1;
+    r.options.fault_spec = "exec.*:p=0.2";
+    r.options.fault_seed = 5;
+    mix.push_back(r);
+    // Clean engine and simulated requests on the same contexts.
+    r.mode = RobustnessMode::kSpillBound;
+    r.options.fault_spec.clear();
+    mix.push_back(r);
+    r.use_engine = false;
+    r.mode = RobustnessMode::kAlignedBound;
+    r.qa = {0.04, 0.1};
+    mix.push_back(r);
+    // Simulated chaos: corrupted cost model and spill transients.
+    r.options.fault_spec = "oracle.cost_model:p=0.3,kind=corrupt;"
+                           "exec.spill.run:p=0.2";
+    r.options.fault_seed = 8;
+    mix.push_back(r);
+    r.mode = RobustnessMode::kPlanBouquet;
+    r.qa = {0.2, 0.3};
+    r.options.fault_spec = "*:p=0.05";
+    r.options.fault_seed = 12;
+    mix.push_back(r);
+  }
+
+  std::vector<ServiceResponse> expected;
+  for (const ServiceRequest& req : mix) {
+    ContextCache fresh;
+    expected.push_back(QueryService::RunOneShot(req, &fresh));
+    ASSERT_TRUE(expected.back().status.ok())
+        << expected.back().status.ToString();
+  }
+  int faulted = 0;
+  for (size_t i = 0; i < mix.size(); ++i) {
+    if (!mix[i].options.fault_spec.empty() && expected[i].robustness.Any()) {
+      ++faulted;
+    }
+  }
+  EXPECT_GE(faulted, 4);
+
+  constexpr int kClients = 12;
+  constexpr int kRounds = 3;
+  QueryService::Options opts;
+  opts.num_threads = 4;
+  opts.queue_limit = 2 * kClients;
+  QueryService service(opts);
+  std::vector<std::vector<ServiceResponse>> got(
+      kClients, std::vector<ServiceResponse>(kRounds));
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const int64_t session = *service.OpenSession();
+      for (int round = 0; round < kRounds; ++round) {
+        const ServiceRequest& req =
+            mix[static_cast<size_t>(c + round) % mix.size()];
+        const int64_t id = *service.Submit(session, req);
+        got[static_cast<size_t>(c)][static_cast<size_t>(round)] =
+            *service.Wait(session, id);
+      }
+      ASSERT_TRUE(service.CloseSession(session).ok());
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    for (int round = 0; round < kRounds; ++round) {
+      const size_t m = static_cast<size_t>(c + round) % mix.size();
+      SCOPED_TRACE("client " + std::to_string(c) + " round " +
+                   std::to_string(round) + " (mix " + std::to_string(m) +
+                   ": " + expected[m].algorithm + " faults=\"" +
+                   mix[m].options.fault_spec + "\")");
+      ExpectSamePayload(
+          got[static_cast<size_t>(c)][static_cast<size_t>(round)],
+          expected[m]);
+    }
+  }
+  EXPECT_FALSE(FaultInjector::Armed());
+}
+
+// Submit never hands the submitting thread's arming to the request: a
+// clean request submitted from an armed thread runs clean, and a chaos
+// one runs under its own spec and seed only.
+TEST(QueryServiceTest, SubmitFromAnArmedThreadRunsUnderTheRequestsOwnSpec) {
+  ServiceRequest clean;
+  clean.query_id = "2D_Q91";
+  clean.options = SmallOptions();
+  clean.use_engine = true;
+  clean.mode = RobustnessMode::kSpillBound;
+  ServiceRequest chaos = clean;
+  chaos.options.fault_spec = "exec.*:p=0.05";
+  chaos.options.fault_seed = 3;
+  ServiceResponse clean_expected, chaos_expected;
+  {
+    ContextCache fresh;
+    clean_expected = QueryService::RunOneShot(clean, &fresh);
+    chaos_expected = QueryService::RunOneShot(chaos, &fresh);
+  }
+  ASSERT_TRUE(clean_expected.status.ok());
+  ASSERT_FALSE(clean_expected.robustness.Any());
+  ASSERT_TRUE(chaos_expected.robustness.Any());
+
+  QueryService::Options opts;
+  opts.num_threads = 2;
+  QueryService service(opts);
+  const int64_t session = *service.OpenSession();
+  ASSERT_TRUE(FaultInjector::Configure("*:p=0.5", 77).ok());
+  const ServiceResponse clean_got =
+      *service.Wait(session, *service.Submit(session, clean));
+  const ServiceResponse chaos_got =
+      *service.Wait(session, *service.Submit(session, chaos));
+  EXPECT_TRUE(FaultInjector::Armed());
+  EXPECT_EQ(FaultInjector::Current().spec(), "*:p=0.5");
+  FaultInjector::Disarm();
+  ASSERT_TRUE(service.CloseSession(session).ok());
+  {
+    SCOPED_TRACE("clean request");
+    ExpectSamePayload(clean_got, clean_expected);
+  }
+  {
+    SCOPED_TRACE("chaos request");
+    ExpectSamePayload(chaos_got, chaos_expected);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -879,6 +1057,32 @@ TEST(TcpServerTest, UnbuildableGridIsInvalidArgumentAndServerKeepsServing) {
   const std::string ok =
       client.RoundTrip("SUBMIT query=2D_Q91 mode=sb points=8 threads=1");
   EXPECT_EQ(ok.rfind("OK ", 0), 0u) << ok;
+  server.Stop();
+}
+
+// A faults= spec the injector would refuse is refused by the parser, so
+// the request is never admitted and builds no context.
+TEST(TcpServerTest, BadFaultSpecIsRefusedBeforeAnyContextIsBuilt) {
+  QueryService service;
+  TcpServer server(&service, /*port=*/0);
+  ASSERT_TRUE(server.Start().ok());
+  LineClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  for (const std::string line :
+       {"SUBMIT query=3D_Q15 mode=sb points=10 faults=bogus",
+        "SUBMIT query=4D_Q91 mode=sb points=8 faults=exec.nope:p=0.1",
+        "SUBMIT query=2D_Q91 mode=sb points=8 faults=exec.*:p=2",
+        "SUBMIT query=2D_Q91 mode=pb points=8 use_engine=1 "
+        "faults=exec.*:kind=sometimes seed=4"}) {
+    const std::string reply = client.RoundTrip(line);
+    EXPECT_EQ(reply.rfind("ERR code=2 status=InvalidArgument", 0), 0u)
+        << line << " -> " << reply;
+  }
+  const std::string stats = client.RoundTrip("STATS");
+  EXPECT_NE(stats.find("STATS hits=0 misses=0 evictions=0 cache_size=0 "
+                       "submitted=0 completed=0 "),
+            std::string::npos)
+      << stats;
   server.Stop();
 }
 

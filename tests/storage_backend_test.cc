@@ -32,7 +32,7 @@ namespace {
 
 struct ArmedScope {
   explicit ArmedScope(const std::string& spec, uint64_t seed = 42) {
-    const Status st = FaultInjector::Global().Configure(spec, seed);
+    const Status st = FaultInjector::Configure(spec, seed);
     RQP_CHECK(st.ok());
   }
   ~ArmedScope() { FaultInjector::Disarm(); }

@@ -271,8 +271,8 @@ int Run(const CliOptions& opts) {
   // stream and stat: discovery draws exactly what it would after a clean
   // load or build.
   if (!opts.req.fault_spec.empty()) {
-    const Status st = FaultInjector::Global().Configure(opts.req.fault_spec,
-                                                        opts.req.fault_seed);
+    const Status st =
+        FaultInjector::Configure(opts.req.fault_spec, opts.req.fault_seed);
     if (!st.ok()) {
       std::cerr << "bad --faults spec: " << st.ToString() << "\n";
       return ExitCodeFor(StatusCode::kInvalidArgument);
@@ -434,14 +434,12 @@ int Run(const CliOptions& opts) {
     }
     const EvalOptions eval_opts = MakeEvalOptions(opts.req);
     if (!opts.req.fault_spec.empty()) {
-      // Validate the spec up front (Evaluate re-configures per sweep).
-      const Status st = FaultInjector::Global().Configure(opts.req.fault_spec,
-                                                          opts.req.fault_seed);
+      // Validate the spec up front (Evaluate configures it per sweep).
+      const Status st = FaultInjector::ValidateSpec(opts.req.fault_spec);
       if (!st.ok()) {
         std::cerr << "bad --faults spec: " << st.ToString() << "\n";
         return ExitCodeFor(StatusCode::kInvalidArgument);
       }
-      FaultInjector::Global().Disarm();
       std::cout << "chaos sweep: faults \"" << opts.req.fault_spec << "\" seed "
                 << opts.req.fault_seed << "\n";
     }
@@ -453,8 +451,8 @@ int Run(const CliOptions& opts) {
                 << "  (guarantee " << algo->MsoGuarantee() << ")\n";
       if (stats.robustness.Any()) {
         std::cout << "  robustness: " << stats.robustness.Summary() << "\n";
-        std::cout << "  fault sites: " << FaultInjector::Global().StatsSummary()
-                  << "\n";
+        std::cout << "  fault sites: "
+                  << FaultInjector::Current().StatsSummary() << "\n";
       }
     }
     return 0;
@@ -463,8 +461,8 @@ int Run(const CliOptions& opts) {
   if (!opts.req.fault_spec.empty()) {
     // Single-run chaos mode: arm the injector for the discovery runs
     // below (the per-run RobustnessReport is printed by ReportRun).
-    const Status st = FaultInjector::Global().Configure(opts.req.fault_spec,
-                                                        opts.req.fault_seed);
+    const Status st =
+        FaultInjector::Configure(opts.req.fault_spec, opts.req.fault_seed);
     if (!st.ok()) {
       std::cerr << "bad --faults spec: " << st.ToString() << "\n";
       return ExitCodeFor(StatusCode::kInvalidArgument);

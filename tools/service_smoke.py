@@ -2,7 +2,8 @@
 """Service smoke driver: start robustqp_server, fire a batch of mixed
 requests at it over the TCP line protocol (clean, parameterized, erroneous,
 and chaos-spec'd), assert every one reaches the documented terminal shape,
-then shut the server down cleanly.
+then shut the server down cleanly. Each chaos line is answered once alone
+first; under concurrent load it must get the same payload again.
 
 Usage:
     python3 tools/service_smoke.py [--binary build/tools/robustqp_server]
@@ -19,11 +20,37 @@ import sys
 import threading
 
 
-def build_requests(n):
-    """A deterministic mixed stream: ~70% clean, plus error and chaos cases.
+# Chaos lines with distinct specs and seeds, simulated and engine-backed.
+# Each is first answered alone on one connection; the concurrent phase
+# must then answer it with the same payload, whatever runs beside it.
+CHAOS = [
+    "SUBMIT query=2D_Q91 mode=sb points=8 threads=1 faults=*:p=0.05 seed=7",
+    "SUBMIT query=2D_Q91 mode=ab points=8 threads=1 qa=0.04,0.1 "
+    "faults=oracle.cost_model:p=0.3,kind=corrupt;exec.spill.run:p=0.2 seed=8",
+    "SUBMIT query=3D_Q15 mode=pb points=6 threads=1 faults=exec.*:p=0.1 "
+    "seed=12",
+    "SUBMIT query=2D_Q91 mode=sb points=8 threads=1 use_engine=1 "
+    "faults=exec.*:p=0.05 seed=3",
+    "SUBMIT query=2D_Q91 mode=pb points=8 threads=1 use_engine=1 "
+    "faults=exec.scan.read:p=0.3;exec.hashjoin.build:p=0.2,kind=spike "
+    "seed=21",
+    "SUBMIT query=2D_Q91 mode=ab points=8 threads=2 use_engine=1 "
+    "faults=exec.batch.pipeline:p=0.5;exec.*:p=0.1 seed=44",
+]
 
-    Returns (line, expected) pairs where expected is "OK", or "ERR:<code>"
-    for requests whose stable error number is part of the contract.
+# Reply fields that are payload (the determinism contract), not timing or
+# cache state.
+PAYLOAD_FIELDS = ("algo", "completed", "cost", "opt", "subopt", "execs",
+                  "contour", "retries")
+
+
+def build_requests(n):
+    """A deterministic mixed stream: half clean, a quarter chaos (CHAOS),
+    a quarter error cases.
+
+    Returns (line, expected) pairs where expected is "OK", "CHAOS" (OK with
+    the payload of the line's serial answer), or "ERR:<code>" for requests
+    whose stable error number is part of the contract.
     """
     clean = [
         ("SUBMIT query=2D_Q91 mode=sb points=8 threads=1", "OK"),
@@ -31,9 +58,7 @@ def build_requests(n):
         ("SUBMIT query=2D_Q91 mode=ab points=8 threads=1 qa=0.2,0.3", "OK"),
         ("SUBMIT query=2D_Q91 mode=native points=8 threads=1", "OK"),
         ("SUBMIT query=3D_Q15 mode=sb points=6 threads=1", "OK"),
-        # Chaos spec: deterministic injected faults, still a clean OK run.
-        ("SUBMIT query=2D_Q91 mode=sb points=8 threads=1 "
-         "faults=*:p=0.05 seed=7", "OK"),
+        ("SUBMIT query=2D_Q91 mode=sb points=8 threads=1 use_engine=1", "OK"),
     ]
     errors = [
         ("SUBMIT query=9D_NOPE mode=sb", "ERR:3"),           # NotFound
@@ -41,15 +66,41 @@ def build_requests(n):
         ("SUBMIT query=2D_Q91 mode=sb points=8 qa=0.5,2.5", "ERR:4"),  # range
         ("SUBMIT query=2D_Q91 mode=sb points=8 budget=0.001", "ERR:7"),
         ("SUBMIT color=blue", "ERR:2"),                      # protocol error
+        ("SUBMIT query=2D_Q91 mode=sb faults=bogus", "ERR:2"),  # bad spec
     ]
     out = []
     for i in range(n):
-        # Interleave: every 4th request is an error case.
+        # Interleave: every 4th request is an error case, every other one
+        # a chaos line.
         if i % 4 == 3:
             out.append(errors[(i // 4) % len(errors)])
+        elif i % 4 == 1:
+            out.append((CHAOS[(i // 4) % len(CHAOS)], "CHAOS"))
         else:
-            out.append(clean[i % len(clean)])
+            out.append(clean[(i // 2) % len(clean)])
     return out
+
+
+def payload(reply):
+    """The PAYLOAD_FIELDS of an OK line, as strings."""
+    fields = dict(tok.split("=", 1) for tok in reply.split()[1:] if "=" in tok)
+    return {name: fields.get(name) for name in PAYLOAD_FIELDS}
+
+
+def serial_chaos_answers(port, failures):
+    """Sends each CHAOS line once, alone, on one connection; returns the
+    payload of each answer."""
+    answers = {}
+    client = LineClient(port)
+    for line in CHAOS:
+        reply = client.round_trip(line)
+        if not reply.startswith("OK ") or "completed=1" not in reply:
+            failures.append(f"serial {line!r} -> {reply!r} (wanted OK)")
+        answers[line] = payload(reply)
+    client.close()
+    if all(a["retries"] == "0" for a in answers.values()):
+        failures.append("no serial chaos answer retried a fault")
+    return answers
 
 
 def field(reply, name):
@@ -128,14 +179,18 @@ class LineClient:
         self.sock.close()
 
 
-def drive_client(port, requests, failures):
+def drive_client(port, requests, serial, failures):
     try:
         client = LineClient(port)
         if client.round_trip("PING") != "PONG":
             failures.append("PING did not answer PONG")
         for line, expected in requests:
             reply = client.round_trip(line)
-            if expected == "OK":
+            if expected == "CHAOS":
+                if not reply.startswith("OK ") or payload(reply) != serial[line]:
+                    failures.append(f"{line!r} -> {reply!r} (wanted the "
+                                    f"serial payload {serial[line]})")
+            elif expected == "OK":
                 if not reply.startswith("OK "):
                     failures.append(f"{line!r} -> {reply!r} (wanted OK)")
                 elif "completed=1" not in reply:
@@ -172,11 +227,13 @@ def main():
             return 1
         port = int(match.group(1))
 
+        failures = []
+        serial = serial_chaos_answers(port, failures)
         requests = build_requests(args.requests)
         per_client = [requests[i::args.clients] for i in range(args.clients)]
-        failures = []
         threads = [
-            threading.Thread(target=drive_client, args=(port, chunk, failures))
+            threading.Thread(target=drive_client,
+                             args=(port, chunk, serial, failures))
             for chunk in per_client
         ]
         for t in threads:
