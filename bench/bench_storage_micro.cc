@@ -4,10 +4,11 @@
 // selectivity, and the TPC-DS catalog numbers the ROADMAP claims point
 // at — per-column compression ratios and the whole-catalog footprint
 // (encoded vs raw, generator scale), plus the low-cardinality filtered
-// scan where fused filtering pays, and row-id gathers over encoded
-// columns (the index-NL fetch and sparse-survivor path). Everything here is wall-clock /
-// footprint only; the differential tests pin results and cost accounting
-// to be bit-identical across layouts.
+// scan where fused filtering pays, row-id gathers over encoded columns
+// (the index-NL fetch and sparse-survivor path), and hash-index lookups
+// per index layout. Everything here is wall-clock / footprint only; the
+// differential tests pin results and cost accounting to be bit-identical
+// across layouts.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include "common/rng.h"
 #include "exec/kernels.h"
 #include "storage/encoding.h"
+#include "storage/hash_index.h"
 #include "storage/table.h"
 #include "workloads/tpcds.h"
 
@@ -204,6 +206,51 @@ BENCHMARK_CAPTURE(BM_GatherEncoded, Dict/Random, Encoding::kDict, true)
 BENCHMARK_CAPTURE(BM_GatherEncoded, Vbyte/Ascending, Encoding::kVbyte, false)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_GatherEncoded, Vbyte/Random, Encoding::kVbyte, true)
+    ->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Hash-index lookups
+// ---------------------------------------------------------------------------
+
+enum class IndexKeys { kDenseUnique, kSparseUnique, kDuplicate };
+
+/// HashIndex::Lookup of 64K random keys present in a 10K-row index: serial
+/// keys (row + 1, the dense layout), unique keys 1000 apart (hashed) and
+/// ten rows per key (hashed, spans of 10). Items are probes.
+void BM_IndexLookup(benchmark::State& state, IndexKeys kind) {
+  constexpr int64_t kIndexRows = 10000;
+  constexpr int64_t kProbes = 1 << 16;
+  TableSchema schema("index_micro", {{"k", DataType::kInt64}});
+  Table table(schema);
+  for (int64_t r = 0; r < kIndexRows; ++r) {
+    table.column(0).AppendInt(kind == IndexKeys::kDenseUnique  ? r + 1
+                              : kind == IndexKeys::kSparseUnique ? r * 1000
+                                                                 : r % 1000);
+  }
+  RQP_CHECK(table.Finalize().ok());
+  const HashIndex index(table, 0);
+  RQP_CHECK(index.dense() == (kind == IndexKeys::kDenseUnique));
+  Rng rng(13);
+  std::vector<int64_t> keys(static_cast<size_t>(kProbes));
+  for (int64_t& k : keys) {
+    k = static_cast<int64_t>(
+        table.column(0).GetNumeric(rng.UniformInt(0, kIndexRows - 1)));
+  }
+  for (auto _ : state) {
+    int64_t sum = 0;
+    for (const int64_t k : keys) {
+      const RowIdSpan span = index.Lookup(k);
+      sum += span.size() + span[0];
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kProbes);
+}
+BENCHMARK_CAPTURE(BM_IndexLookup, DenseUnique, IndexKeys::kDenseUnique)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_IndexLookup, SparseUnique, IndexKeys::kSparseUnique)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_IndexLookup, Duplicate, IndexKeys::kDuplicate)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

@@ -75,10 +75,11 @@ constexpr int64_t kBatchRows = 1024;
 /// Width of the first morsel of a budgeted sequential pipeline.
 constexpr int64_t kFirstMorselRows = 16;
 /// Budgeted probe stages check the budget after every sub-range of this
-/// many incoming rows (index-NL / hash probe). Physical only: a missed
-/// crossing is caught by the morsel's end-of-batch check.
+/// many incoming rows (index-NL / hash probe / NLJ). Physical only: a
+/// missed crossing is caught by the morsel's end-of-batch check.
 constexpr int64_t kIndexCheckRows = 64;
 constexpr int64_t kHashCheckRows = 256;
+constexpr int64_t kNljCheckRows = 16;
 /// The index-NL stage closes a sub-range once it has listed this many
 /// (probe row, inner row) pairs, bounding its pair scratch.
 constexpr int64_t kIndexPairRows = 4 * kBatchRows;
@@ -697,6 +698,12 @@ struct Scratch {
   std::vector<std::vector<double>> rows;
 };
 
+/// Grows `v` to at least `n` entries and never shrinks it, so a scratch
+/// vector written by index is not refilled on every sub-range.
+void GrowTo(std::vector<int64_t>* v, int64_t n) {
+  if (static_cast<int64_t>(v->size()) < n) v->resize(static_cast<size_t>(n));
+}
+
 /// Snapshot for budgeted rollback: everything a bulk morsel mutates
 /// besides deferred sink data.
 struct MorselSnapshot {
@@ -1069,41 +1076,54 @@ bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
       break;
     }
     case Stage::Kind::kIndexProbe: {
-      // Two passes per sub-range of outer rows (the whole batch when
-      // unbudgeted, capped at about kIndexPairRows fetched rows):
+      // Three passes per sub-range of outer rows:
       //  1. look up every key, charge index_fetch by count and list the
       //     (probe row, inner row) pairs in tuple-engine order;
       //  2. evaluate each inner filter column-at-a-time over the gathered
       //     values, compacting the pairs branch-free;
       //  3. gather each output column at the surviving pairs.
-      // Inner filters are uncharged, so their order and batching never
-      // show in the counts.
+      // A dense index lists its pairs branch-free, at most one per outer
+      // row, over sub-ranges of at most kIndexPairRows rows; any other
+      // index walks one span per key and closes its sub-range once it has
+      // listed about kIndexPairRows pairs. Inner filters are uncharged, so
+      // their order and batching never show in the counts.
       st.left_in += in.n;
       ctx->ledger->index_probe += in.n;
       const double* keys =
           in.cols[static_cast<size_t>(s.in_keys[0])].data();
+      const HashIndex& index = *s.index;
       const bool count_only = s.inner_filters.empty() && w == 0;
       const int64_t step = ctx->budgeted ? kIndexCheckRows : in.n;
       std::vector<int64_t>& probe = sc->match_i;
       std::vector<int64_t>& inner = sc->match_e;
       for (int64_t i0 = 0; i0 < in.n;) {
-        const int64_t end = std::min(in.n, i0 + step);
-        probe.clear();
-        inner.clear();
-        int64_t i = i0;
-        for (; i < end && static_cast<int64_t>(inner.size()) < kIndexPairRows;
-             ++i) {
-          const RowIdSpan span = s.index->Lookup(static_cast<int64_t>(keys[i]));
-          ctx->ledger->index_fetch += span.size();
-          if (count_only) {
-            matches += span.size();
-            continue;
+        int64_t k = 0;  // listed pairs
+        if (index.dense()) {
+          const int64_t end = std::min({in.n, i0 + step, i0 + kIndexPairRows});
+          GrowTo(&probe, end - i0);
+          GrowTo(&inner, end - i0);
+          int64_t* p = probe.data();
+          int64_t* q = inner.data();
+          for (int64_t i = i0; i < end; ++i) {
+            const int64_t r = index.DenseRow(static_cast<int64_t>(keys[i]));
+            p[k] = i;
+            q[k] = r;
+            k += r >= 0;
           }
-          probe.insert(probe.end(), static_cast<size_t>(span.size()), i);
-          inner.insert(inner.end(), span.begin(), span.end());
+          i0 = end;
+        } else {
+          const int64_t end = std::min(in.n, i0 + step);
+          probe.clear();
+          inner.clear();
+          for (; i0 < end && k < kIndexPairRows; ++i0) {
+            const RowIdSpan span = index.Lookup(static_cast<int64_t>(keys[i0]));
+            k += span.size();
+            if (count_only) continue;
+            probe.insert(probe.end(), static_cast<size_t>(span.size()), i0);
+            inner.insert(inner.end(), span.begin(), span.end());
+          }
         }
-        i0 = i;
-        int64_t k = static_cast<int64_t>(inner.size());
+        ctx->ledger->index_fetch += k;
         for (const Filter& f : s.inner_filters) {
           if (k == 0) break;
           sc->vals.resize(static_cast<size_t>(k));
@@ -1117,8 +1137,8 @@ bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
                       kernels::GatherInto(s.inner_table->column(idx),
                                           inner.data(), k, dst);
                     });
-          matches += k;
         }
+        matches += k;
         if (ctx->budgeted) {
           flush_outputs();
           if (ctx->Hazard()) return false;
@@ -1127,32 +1147,46 @@ bool StageBulk(const Stage& s, const Batch& in, WorkCtx* ctx, Scratch* sc,
       break;
     }
     case Stage::Kind::kNlj: {
+      // Per sub-range of outer rows (kNljCheckRows when budgeted, the
+      // whole batch otherwise): list every outer row's (probe row, inner
+      // position) pairs with NljMatches, then emit them column-major.
       st.left_in += in.n;  // uncharged, as in the tuple engine
       const NljBuffer& buf = *s.nlj;
-      sc->match_e.resize(static_cast<size_t>(buf.n));
-      int64_t* pos = sc->match_e.data();
-      for (int64_t i = 0; i < in.n; ++i) {
-        ctx->ledger->nlj_pair += buf.n;
-        sc->key.clear();
-        for (int kp : s.in_keys) {
-          sc->key.push_back(
-              in.cols[static_cast<size_t>(kp)][static_cast<size_t>(i)]);
-        }
-        const int64_t m = NljMatches(buf, sc->key.data(), pos);
-        matches += m;
-        for (size_t c = 0; c < w; ++c) {
-          const OutCol& oc = s.out_cols[c];
-          std::vector<double>& dst = out->cols[c];
-          if (oc.from_input) {
-            dst.insert(dst.end(), static_cast<size_t>(m),
-                       in.cols[static_cast<size_t>(oc.idx)]
-                              [static_cast<size_t>(i)]);
-          } else {
-            const double* src = buf.pay[static_cast<size_t>(oc.idx)].data();
-            for (int64_t j = 0; j < m; ++j) dst.push_back(src[pos[j]]);
+      const int64_t step = ctx->budgeted ? kNljCheckRows : in.n;
+      std::vector<int64_t>& probe = sc->match_i;
+      std::vector<int64_t>& inner = sc->match_e;
+      for (int64_t i0 = 0; i0 < in.n; i0 += step) {
+        const int64_t end = std::min(in.n, i0 + step);
+        ctx->ledger->nlj_pair += buf.n * (end - i0);
+        int64_t k = 0;  // listed pairs
+        for (int64_t i = i0; i < end; ++i) {
+          sc->key.clear();
+          for (int kp : s.in_keys) {
+            sc->key.push_back(
+                in.cols[static_cast<size_t>(kp)][static_cast<size_t>(i)]);
           }
+          // Without output columns only the count is kept, so every row
+          // lists its matches at the front.
+          const int64_t at = w > 0 ? k : 0;
+          GrowTo(&inner, at + buf.n);
+          const int64_t m = NljMatches(buf, sc->key.data(), inner.data() + at);
+          if (w > 0) {
+            GrowTo(&probe, k + m);
+            std::fill_n(probe.data() + k, m, i);
+          }
+          k += m;
         }
-        if (ctx->budgeted && (i & 15) == 15) {
+        if (w > 0) {
+          EmitPairs(s, in, probe.data(), k, matches, out,
+                    [&](int idx, double* dst) {
+                      const double* src =
+                          buf.pay[static_cast<size_t>(idx)].data();
+                      const int64_t* pos = inner.data();
+                      for (int64_t j = 0; j < k; ++j) dst[j] = src[pos[j]];
+                    });
+        }
+        matches += k;
+        if (ctx->budgeted) {
           flush_outputs();
           if (ctx->Hazard()) return false;
         }

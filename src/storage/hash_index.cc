@@ -25,7 +25,37 @@ HashIndex::HashIndex(const Table& table, int column_idx)
     : column_idx_(column_idx) {
   const ColumnData& col = table.column(column_idx);
   RQP_CHECK(col.type() == DataType::kInt64);
-  const int64_t n = table.num_rows();
+  // Keys decode in block runs (a vbyte point read costs up to 64 varint
+  // decodes).
+  std::vector<int64_t> row_key(static_cast<size_t>(table.num_rows()));
+  col.enc().DecodeRange(0, table.num_rows(), row_key.data());
+  if (!BuildDense(row_key)) BuildHashed(std::move(row_key));
+}
+
+bool HashIndex::BuildDense(const std::vector<int64_t>& row_key) {
+  if (row_key.empty()) return false;
+  const auto [lo, hi] = std::minmax_element(row_key.begin(), row_key.end());
+  const uint64_t span = static_cast<uint64_t>(*hi) - static_cast<uint64_t>(*lo);
+  if (span >= static_cast<uint64_t>(kDenseRangeFactor) * row_key.size()) {
+    return false;
+  }
+  min_key_ = *lo;
+  dense_range_ = span + 1;
+  dense_row_.assign(dense_range_ + 1, -1);
+  for (size_t r = 0; r < row_key.size(); ++r) {
+    int64_t& slot = dense_row_[DenseSlot(row_key[r])];
+    if (slot >= 0) {  // a duplicate key: hashed layout
+      std::vector<int64_t>().swap(dense_row_);
+      return false;
+    }
+    slot = static_cast<int64_t>(r);
+  }
+  num_keys_ = static_cast<int64_t>(row_key.size());
+  return true;
+}
+
+void HashIndex::BuildHashed(std::vector<int64_t> row_key) {
+  const int64_t n = static_cast<int64_t>(row_key.size());
   // Size once for the worst case (all keys distinct) at <= 7/8 load;
   // build-once means no growth and no tombstones.
   int64_t cap = 64;
@@ -34,10 +64,7 @@ HashIndex::HashIndex(const Table& table, int column_idx)
   const uint64_t mask = static_cast<uint64_t>(cap) - 1;
 
   // Pass 1: intern keys (first-touch order), count rows per key, and
-  // replace each row's key by its key ordinal. Keys decode in block runs
-  // (a vbyte point read costs up to 64 varint decodes).
-  std::vector<int64_t> row_key(static_cast<size_t>(n));
-  col.enc().DecodeRange(0, n, row_key.data());
+  // replace each row's key by its key ordinal.
   std::vector<int64_t> counts;
   for (int64_t r = 0; r < n; ++r) {
     const int64_t key = row_key[static_cast<size_t>(r)];
@@ -85,6 +112,10 @@ int64_t HashIndex::FindSlot(int64_t key) const {
 }
 
 RowIdSpan HashIndex::Lookup(int64_t key) const {
+  if (dense()) {
+    const int64_t* r = &dense_row_[DenseSlot(key)];
+    return {r, *r >= 0};
+  }
   if (num_keys_ == 0) return {};
   const int64_t u = FindSlot(key);
   if (u < 0) return {};

@@ -26,6 +26,7 @@
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
 #include "storage/column_file.h"
+#include "storage/hash_index.h"
 #include "storage/stats_builder.h"
 #include "storage/table.h"
 #include "test_util.h"
@@ -1263,17 +1264,21 @@ TEST(NljKeyWidthTest, BatchMatchesTupleAtEveryKeyWidth) {
 // Probe stages over encoded inner columns. The index-NL stage lists
 // (probe row, inner row) pairs, filters them column-at-a-time through the
 // batched row-id gather and gathers its outputs; the hash-probe stage
-// probes row-major keys of any width through FindBatch. Budgeted runs use
-// the same code on 64-row (index) and 256-row (hash) sub-ranges with a
-// budget check between them. Budgets below are found on the tuple engine
-// so that the abort lands on chosen outer rows of each stage — around the
-// sub-range edges — and every run must equal the tuple engine's.
+// probes row-major keys of any width through FindBatch; the NLJ stage
+// lists each outer row's matches in the materialized inner. Budgeted runs
+// use the same code on 64-row (index), 256-row (hash) and 16-row (NLJ)
+// sub-ranges with a budget check between them. Budgets below are found on
+// the tuple engine so that the abort lands on chosen outer rows of each
+// stage — around the sub-range edges — and every run must equal the tuple
+// engine's.
 // ---------------------------------------------------------------------------
 
-/// o (outer, 3000 rows; its first 600 keys miss the index), g (inner,
+/// o (outer, 3000 rows; its first 600 keys miss the g index), g (inner,
 /// 9000 rows, indexed on gk with 18 consecutive rows per key; filter and
-/// output columns vbyte, dict, string and packed) and t (build side:
-/// every (v, x, q) combination).
+/// output columns vbyte, dict, string and packed), t (build side: every
+/// (v, x, q) combination) and u (1500 rows, indexed on uk: unique keys
+/// 101..1974 that skip every fifth value, so the index is dense and o's
+/// keys miss below its range, above it and in its holes).
 struct ProbeInstance {
   std::unique_ptr<Catalog> catalog;
   std::unique_ptr<Query> query;
@@ -1339,82 +1344,99 @@ ProbeInstance MakeProbeInstance() {
     }
   }
   add(t);
+  EncodingPolicy upolicy = EncodingPolicy::Auto();
+  upolicy.per_column = {{"uv", Encoding::kVbyte}, {"up", Encoding::kPacked}};
+  auto u = std::make_shared<Table>(
+      TableSchema("u", {{"uk", DataType::kInt64},
+                        {"uv", DataType::kInt64},
+                        {"up", DataType::kInt64}}),
+      upolicy);
+  for (int64_t r = 0; r < 1500; ++r) {
+    u->column(0).AppendInt(101 + r + r / 4);
+    u->column(1).AppendInt(rng.UniformInt(1, 20));
+    u->column(2).AppendInt(rng.UniformInt(0, 1000000));
+  }
+  add(u);
+  RQP_CHECK(inst.catalog->BuildIndex("u", "uk").ok());
+  RQP_CHECK(inst.catalog->FindIndex("u", "uk")->dense());
   inst.query = std::make_unique<Query>(
-      "probes", std::vector<std::string>{"o", "g", "t"},
+      "probes", std::vector<std::string>{"o", "g", "t", "u"},
       std::vector<JoinPredicate>{{"o", "k", "g", "gk", ""},
                                  {"g", "v", "t", "v", ""},
                                  {"o", "x", "t", "x", ""},
                                  {"g", "q", "t", "q", ""},
-                                 {"o", "y", "t", "v", ""}},
+                                 {"o", "y", "t", "v", ""},
+                                 {"o", "k", "u", "uk", ""},
+                                 {"u", "uv", "t", "v", ""}},
       std::vector<FilterPredicate>{
           {"g", "v", CompareOp::kLe, 15.0, false, ""},
           {"g", "dct", CompareOp::kGe, 10.0 * 1009, false, ""},
           {"g", "s", CompareOp::kLe, 0.0, true, "s160"},
-          {"g", "p", CompareOp::kLt, 900000.0, false, ""}},
+          {"g", "p", CompareOp::kLt, 900000.0, false, ""},
+          {"u", "uv", CompareOp::kLe, 15.0, false, ""},
+          {"u", "up", CompareOp::kLt, 900000.0, false, ""}},
       std::vector<EppRef>{EppRef::Join(0)});
   RQP_CHECK(inst.query->Validate(*inst.catalog).ok());
   return inst;
 }
 
-TEST(ProbeStageTest, IndexAndHashProbesMatchTupleAtSubRangeAborts) {
+/// A plan whose stage `stage_node` the aborts target: budgets are found
+/// on the tuple engine so that the abort lands on that stage's outer row
+/// k, for each k in `rows`.
+struct ProbeShape {
+  std::string name;
+  std::function<std::unique_ptr<PlanNode>()> make;
+  int stage_node;
+  bool left;  // index-NL / NLJ stage (left_in) or hash probe (right_in)
+  std::vector<int64_t> rows;
+};
+
+/// Index-NL from o into g (join 0) or, with `dense`, into u (join 5).
+std::unique_ptr<PlanNode> ProbeIndexNl(std::vector<int> filters,
+                                       bool dense = false) {
+  auto n = std::make_unique<PlanNode>();
+  n->op = PlanOp::kIndexNLJoin;
+  n->join_indices = {dense ? 5 : 0};
+  n->left = AbortScan(0, {});
+  n->right = AbortScan(dense ? 3 : 1, std::move(filters));
+  return n;
+}
+
+/// NLJ from o into the materialized t on o.x = t.x (join 2).
+std::unique_ptr<PlanNode> ProbeNlj() {
+  auto n = std::make_unique<PlanNode>();
+  n->op = PlanOp::kNLJoin;
+  n->join_indices = {2};
+  n->left = AbortScan(0, {});
+  n->right = AbortScan(2, {});
+  return n;
+}
+
+/// Hash join building on table `build` (t by default) and probing with
+/// `probe`.
+std::unique_ptr<PlanNode> ProbeHash(std::vector<int> joins,
+                                    std::unique_ptr<PlanNode> probe,
+                                    int build = 2) {
+  auto n = std::make_unique<PlanNode>();
+  n->op = PlanOp::kHashJoin;
+  n->join_indices = std::move(joins);
+  n->left = AbortScan(build, {});
+  n->right = std::move(probe);
+  return n;
+}
+
+/// Runs every shape at its abort rows and at fractions of its full cost,
+/// resident and mmap, with and without zone maps: the batch engine must
+/// equal the tuple engine and abort on the targeted stage row.
+void ExpectSubRangeAbortsMatchTuple(const std::vector<ProbeShape>& shapes) {
   const ProbeInstance inst = MakeProbeInstance();
   const std::unique_ptr<Catalog> mapped = MapCatalog(*inst.catalog);
-
-  struct Shape {
-    std::string name;
-    std::function<std::unique_ptr<PlanNode>()> make;
-    int stage_node;   // the stage whose outer rows the aborts target
-    bool index;       // index stage (left_in) or hash probe (right_in)
-    std::vector<int64_t> rows;  // abort on the stage's outer row k
-  };
-  const auto scan = [](int table, std::vector<int> filters) {
-    return AbortScan(table, std::move(filters));
-  };
-  const auto index_nl = [&](std::vector<int> filters) {
-    auto n = std::make_unique<PlanNode>();
-    n->op = PlanOp::kIndexNLJoin;
-    n->join_indices = {0};
-    n->left = scan(0, {});
-    n->right = scan(1, std::move(filters));
-    return n;
-  };
-  const auto hash = [&](std::vector<int> joins,
-                        std::unique_ptr<PlanNode> probe) {
-    auto n = std::make_unique<PlanNode>();
-    n->op = PlanOp::kHashJoin;
-    n->join_indices = std::move(joins);
-    n->left = scan(2, {});
-    n->right = std::move(probe);
-    return n;
-  };
-  const std::vector<int64_t> index_rows = {0,   63,  64,  65,  175, 176,
-                                           177, 255, 256, 257, 663, 664,
-                                           665, 1100};
-  const std::vector<int64_t> hash_rows = {0,   255, 256, 257, 511,
-                                          512, 513, 767, 1500};
-  const std::vector<Shape> shapes = {
-      // Index-NL under a three-key hash join: the stage filters on vbyte,
-      // dict, string and packed columns and emits o.x (from the outer
-      // batch) and g.v, g.q (gathered from the inner table).
-      {"index-nl filtered, 3-key hash above",
-       [&] { return hash({1, 2, 3}, index_nl({0, 1, 2, 3})); }, 2, true,
-       index_rows},
-      {"index-nl unfiltered at root", [&] { return index_nl({}); }, 0, true,
-       index_rows},
-      {"index-nl filtered at root", [&] { return index_nl({2, 0}); }, 0, true,
-       index_rows},
-      {"hash probe 1 key", [&] { return hash({2}, scan(0, {})); }, 0, false,
-       hash_rows},
-      {"hash probe 2 keys", [&] { return hash({2, 4}, scan(0, {})); }, 0,
-       false, hash_rows},
-  };
-
   Executor tuple_res = MakeEngine(inst.catalog.get(), Executor::Engine::kTuple);
-  for (const Shape& shape : shapes) {
+  for (const ProbeShape& shape : shapes) {
     const Plan plan(inst.query.get(), shape.make());
     const auto stage_rows = [&](const ExecutionResult& r) {
       const NodeStats& st = r.node_stats[static_cast<size_t>(shape.stage_node)];
-      return shape.index ? st.left_in : st.right_in;
+      return shape.left ? st.left_in : st.right_in;
     };
     const Result<ExecutionResult> full = tuple_res.Execute(plan, -1.0);
     ASSERT_TRUE(full.ok() && full->completed) << shape.name;
@@ -1465,6 +1487,55 @@ TEST(ProbeStageTest, IndexAndHashProbesMatchTupleAtSubRangeAborts) {
       }
     }
   }
+}
+
+TEST(ProbeStageTest, IndexAndHashProbesMatchTupleAtSubRangeAborts) {
+  const std::vector<int64_t> index_rows = {0,   63,  64,  65,  175, 176,
+                                           177, 255, 256, 257, 663, 664,
+                                           665, 1100};
+  const std::vector<int64_t> hash_rows = {0,   255, 256, 257, 511,
+                                          512, 513, 767, 1500};
+  ExpectSubRangeAbortsMatchTuple({
+      // Index-NL under a three-key hash join: the stage filters on vbyte,
+      // dict, string and packed columns and emits o.x (from the outer
+      // batch) and g.v, g.q (gathered from the inner table).
+      {"index-nl filtered, 3-key hash above",
+       [] { return ProbeHash({1, 2, 3}, ProbeIndexNl({0, 1, 2, 3})); }, 2,
+       true, index_rows},
+      {"index-nl unfiltered at root", [] { return ProbeIndexNl({}); }, 0,
+       true, index_rows},
+      {"index-nl filtered at root", [] { return ProbeIndexNl({2, 0}); }, 0,
+       true, index_rows},
+      // The dense index on u: unfiltered at root (count only), and
+      // filtered on vbyte and packed columns under a two-key hash join,
+      // emitting o.x (outer batch) and u.uv (gathered from u).
+      {"dense index-nl unfiltered at root",
+       [] { return ProbeIndexNl({}, true); }, 0, true, index_rows},
+      {"dense index-nl filtered, 2-key hash above",
+       [] { return ProbeHash({6, 2}, ProbeIndexNl({4, 5}, true)); }, 2, true,
+       index_rows},
+      {"hash probe 1 key", [] { return ProbeHash({2}, AbortScan(0, {})); }, 0,
+       false, hash_rows},
+      {"hash probe 2 keys",
+       [] { return ProbeHash({2, 4}, AbortScan(0, {})); }, 0, false,
+       hash_rows},
+  });
+}
+
+// The NLJ stage lists its pairs per 16-row sub-range: aborts on either
+// side of the first two sub-range edges, and in o's last 1024-row window
+// (rows 2048..2999), whose 952 rows end in a partial sub-range.
+TEST(ProbeStageTest, NljMatchesTupleAtSubRangeAborts) {
+  const std::vector<int64_t> nlj_rows = {0,  15,   16,   17,   31,  32,
+                                         33, 2991, 2992, 2995, 2999};
+  ExpectSubRangeAbortsMatchTuple({
+      // At root the stage only counts its matches; under a hash join that
+      // builds on u, the stage emits o.k (outer batch) and t.v (inner
+      // payload) as the hash keys.
+      {"nlj at root", ProbeNlj, 0, true, nlj_rows},
+      {"nlj, 2-key hash above", [] { return ProbeHash({5, 6}, ProbeNlj(), 3); },
+       2, true, nlj_rows},
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
@@ -99,6 +101,75 @@ TEST_F(IndexJoinTest, InljMatchesHashJoinResult) {
   ASSERT_TRUE(r2.ok() && r2->completed);
   EXPECT_EQ(r1->output_rows, r2->output_rows);
   EXPECT_GT(r1->output_rows, 0);
+}
+
+// Every dimension key is serial, so each index takes the dense layout.
+// Index-NL into it must produce what a hash join on the same key does,
+// and what a brute-force count of the matching pairs gives, on both
+// engines.
+TEST_F(IndexJoinTest, InljOnDenseIndexMatchesHashJoin) {
+  const Query q = MakeStarQuery(3);
+  const Table& f = *catalog_->FindTable("f")->table;
+  const struct {
+    std::string dim, key, fk;
+    std::vector<int> filters;  // query filter indices on the dimension
+    std::string filter_col;
+    double filter_max;
+  } dims[] = {{"d1", "d1_k", "f_fk1", {0}, "d1_a", 3},
+              {"d2", "d2_k", "f_fk2", {1}, "d2_a", 10},
+              {"d3", "d3_k", "f_fk3", {}, "", 0}};
+  for (int j = 0; j < 3; ++j) {
+    const auto& d = dims[j];
+    const HashIndex* idx = catalog_->FindIndex(d.dim, d.key);
+    ASSERT_NE(idx, nullptr) << d.dim;
+    EXPECT_TRUE(idx->dense()) << d.dim;
+
+    const Table& dim = *catalog_->FindTable(d.dim)->table;
+    const int key_col = dim.schema().FindColumn(d.key);
+    const int filter_col = dim.schema().FindColumn(d.filter_col);
+    const int fk_col = f.schema().FindColumn(d.fk);
+    int64_t want = 0;
+    for (int64_t r = 0; r < f.num_rows(); ++r) {
+      for (int64_t s = 0; s < dim.num_rows(); ++s) {
+        want += f.column(fk_col).GetNumeric(r) ==
+                    dim.column(key_col).GetNumeric(s) &&
+                (filter_col < 0 ||
+                 dim.column(filter_col).GetNumeric(s) <= d.filter_max);
+      }
+    }
+    ASSERT_GT(want, 0) << d.dim;
+
+    const auto make = [&](PlanOp op) {
+      auto scan_f = std::make_unique<PlanNode>();
+      scan_f->op = PlanOp::kSeqScan;
+      scan_f->table_idx = 0;
+      auto scan_d = std::make_unique<PlanNode>();
+      scan_d->op = PlanOp::kSeqScan;
+      scan_d->table_idx = j + 1;
+      scan_d->filter_indices = d.filters;
+      auto join = std::make_unique<PlanNode>();
+      join->op = op;
+      join->join_indices = {j};
+      const bool index = op == PlanOp::kIndexNLJoin;
+      join->left = index ? std::move(scan_f) : std::move(scan_d);
+      join->right = index ? std::move(scan_d) : std::move(scan_f);
+      return Plan(&q, std::move(join));
+    };
+    const Plan inlj = make(PlanOp::kIndexNLJoin);
+    const Plan hj = make(PlanOp::kHashJoin);
+    for (const Executor::Engine engine :
+         {Executor::Engine::kTuple, Executor::Engine::kBatch}) {
+      Executor::Options options;
+      options.engine = engine;
+      const Executor ex(catalog_.get(), CostModel::PostgresFlavour(), options);
+      const auto r1 = ex.Execute(inlj, -1.0);
+      const auto r2 = ex.Execute(hj, -1.0);
+      ASSERT_TRUE(r1.ok() && r1->completed) << d.dim;
+      ASSERT_TRUE(r2.ok() && r2->completed) << d.dim;
+      EXPECT_EQ(r1->output_rows, want) << d.dim;
+      EXPECT_EQ(r2->output_rows, want) << d.dim;
+    }
+  }
 }
 
 TEST_F(IndexJoinTest, InljObservedSelectivityUsesFilteredInner) {

@@ -6,9 +6,13 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
+#include "common/rng.h"
 #include "exec/cost_ledger.h"
 #include "exec/kernels.h"
 #include "storage/hash_index.h"
@@ -297,6 +301,102 @@ TEST(HashIndexTest, NegativeAndSparseKeys) {
   EXPECT_EQ(idx.Lookup(-1000000007).size(), 1);
   EXPECT_EQ(idx.Lookup(1ll << 40)[0], 4);
   EXPECT_TRUE(idx.Lookup(43).empty());
+}
+
+/// Builds an index over `keys` and checks every Lookup against a
+/// brute-force scan of the keys: each key present, the probes just
+/// outside the key range, 0 and the int64 extremes. `dense` is the
+/// layout the build must choose.
+void ExpectLookupsMatchScan(const std::vector<int64_t>& keys, bool dense,
+                            const std::string& what) {
+  TableSchema schema("t", {{"k", DataType::kInt64}});
+  auto table = std::make_shared<Table>(schema);
+  for (int64_t k : keys) table->column(0).AppendInt(k);
+  ASSERT_TRUE(table->Finalize().ok()) << what;
+  const HashIndex idx(*table, 0);
+  EXPECT_EQ(idx.dense(), dense) << what;
+  const std::set<int64_t> distinct(keys.begin(), keys.end());
+  EXPECT_EQ(idx.distinct_keys(), static_cast<int64_t>(distinct.size()))
+      << what;
+
+  const auto wrap = [](int64_t k, int64_t d) {
+    return static_cast<int64_t>(static_cast<uint64_t>(k) +
+                                static_cast<uint64_t>(d));
+  };
+  std::vector<int64_t> probes(distinct.begin(), distinct.end());
+  const int64_t lo = *distinct.begin();
+  const int64_t hi = *distinct.rbegin();
+  for (int64_t d = 1; d <= 2; ++d) {
+    probes.push_back(wrap(lo, -d));
+    probes.push_back(wrap(hi, d));
+  }
+  probes.insert(probes.end(), {0, std::numeric_limits<int64_t>::min(),
+                               std::numeric_limits<int64_t>::max()});
+  for (const int64_t p : probes) {
+    std::vector<int64_t> want;
+    for (size_t r = 0; r < keys.size(); ++r) {
+      if (keys[r] == p) want.push_back(static_cast<int64_t>(r));
+    }
+    const RowIdSpan got = idx.Lookup(p);
+    EXPECT_EQ(std::vector<int64_t>(got.begin(), got.end()), want)
+        << what << " key " << p;
+    if (dense) {
+      EXPECT_EQ(idx.DenseRow(p), want.empty() ? -1 : want[0])
+          << what << " key " << p;
+    }
+  }
+}
+
+TEST(HashIndexTest, LookupsMatchBruteForceScan) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t n = 1000;
+  Rng rng(5);
+  const auto shuffled = [&](std::vector<int64_t> v) {
+    for (size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[static_cast<size_t>(
+                              rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+    }
+    return v;
+  };
+  const auto series = [&](int64_t first, int64_t stride) {
+    std::vector<int64_t> v;
+    for (int64_t r = 0; r < n; ++r) v.push_back(first + r * stride);
+    return v;
+  };
+
+  // Serial keys, in order and shuffled: dense.
+  ExpectLookupsMatchScan(series(1, 1), true, "serial");
+  ExpectLookupsMatchScan(shuffled(series(1, 1)), true, "serial shuffled");
+  // Unique keys with holes, span 3 * (n - 1) < 4n: dense.
+  ExpectLookupsMatchScan(shuffled(series(-17, 3)), true, "holes");
+  // Span exactly 4n - 1 (dense), then 4n, one past the bound (hashed).
+  std::vector<int64_t> edge = series(0, 4);
+  edge.back() = 4 * n - 1;
+  ExpectLookupsMatchScan(edge, true, "span 4n-1");
+  edge.back() = 4 * n;
+  ExpectLookupsMatchScan(edge, false, "span 4n");
+  // Negative ranges, and ranges pinned at each int64 extreme.
+  ExpectLookupsMatchScan(shuffled(series(-5000, 1)), true, "negative");
+  ExpectLookupsMatchScan(series(kMin, 2), true, "at INT64_MIN");
+  ExpectLookupsMatchScan(series(kMax - 2 * (n - 1), 2), true, "at INT64_MAX");
+  ExpectLookupsMatchScan({kMin}, true, "single INT64_MIN");
+  ExpectLookupsMatchScan({kMax}, true, "single INT64_MAX");
+  // Duplicates: a dense range with one repeated key, and 18 rows per key.
+  std::vector<int64_t> dup = series(1, 1);
+  dup[700] = dup[300];
+  ExpectLookupsMatchScan(dup, false, "one duplicate");
+  std::vector<int64_t> groups;
+  for (int64_t r = 0; r < n; ++r) groups.push_back(r / 18 + 1);
+  ExpectLookupsMatchScan(groups, false, "18 rows per key");
+  // Sparse unique keys, including both extremes: hashed.
+  ExpectLookupsMatchScan({-1000000007, 0, 42, -1, 1ll << 40, kMin, kMax},
+                         false, "sparse");
+  std::vector<int64_t> random_keys;
+  for (int64_t r = 0; r < n; ++r) {
+    random_keys.push_back(rng.UniformInt(-(1ll << 50), 1ll << 50));
+  }
+  ExpectLookupsMatchScan(random_keys, false, "random 51-bit");
 }
 
 TEST(EventCountTest, SaturatesInsteadOfWrapping) {
