@@ -56,6 +56,93 @@ struct RowLayout {
   }
 };
 
+/// Reads one column a block at a time: At(r) decodes row r's encoded
+/// block into a kBlockRows buffer only when r enters a new block, so a
+/// forward scan pays one block decode per block it reads instead of a
+/// point read (up to 64 varint decodes on vbyte) per row. The buffer is
+/// allocated on the first read: a column never read costs nothing.
+/// Values are exactly ColumnData::GetNumeric's.
+class ColumnCursor {
+ public:
+  explicit ColumnCursor(const ColumnData& col) : col_(&col.enc()) {}
+
+  double At(int64_t r) {
+    const int64_t b = r / EncodedColumn::kBlockRows;
+    if (b != block_) {
+      buf_.resize(static_cast<size_t>(EncodedColumn::kBlockRows));
+      col_->DecodeInto(b, buf_.data());
+      block_ = b;
+    }
+    return buf_[static_cast<size_t>(r - b * EncodedColumn::kBlockRows)];
+  }
+
+ private:
+  const EncodedColumn* col_;
+  int64_t block_ = -1;
+  std::vector<double> buf_;
+};
+
+/// One cursor per column of `table`.
+std::vector<ColumnCursor> MakeCursors(const Table& table) {
+  std::vector<ColumnCursor> cursors;
+  cursors.reserve(static_cast<size_t>(table.schema().num_columns()));
+  for (int c = 0; c < table.schema().num_columns(); ++c) {
+    cursors.emplace_back(table.column(c));
+  }
+  return cursors;
+}
+
+/// A resolved scan filter: compare column `col`'s GetNumeric value to the
+/// literal (string literals already mapped into rank space).
+struct Filter {
+  int col;
+  CompareOp op;
+  double value;
+
+  bool Passes(double v) const {
+    switch (op) {
+      case CompareOp::kLt: return v < value;
+      case CompareOp::kLe: return v <= value;
+      case CompareOp::kGt: return v > value;
+      case CompareOp::kGe: return v >= value;
+      case CompareOp::kEq: return v == value;
+    }
+    return false;
+  }
+};
+
+/// Evaluates `filters` on row `r` in order, reading through `cursors`
+/// and counting each filter reached and passed into `st`.
+bool PassesCounted(const std::vector<Filter>& filters,
+                   std::vector<ColumnCursor>* cursors, int64_t r,
+                   NodeStats* st) {
+  for (size_t k = 0; k < filters.size(); ++k) {
+    const Filter& f = filters[k];
+    ++st->filter_in[k];
+    if (!f.Passes((*cursors)[static_cast<size_t>(f.col)].At(r))) return false;
+    ++st->filter_pass[k];
+  }
+  return true;
+}
+
+/// Resolves `node`'s filters against `table`.
+std::vector<Filter> ResolveFilters(const Query& query, const PlanNode& node,
+                                   const Table& table) {
+  std::vector<Filter> filters;
+  for (int f : node.filter_indices) {
+    const FilterPredicate& fp = query.filters()[static_cast<size_t>(f)];
+    const int col = table.schema().FindColumn(fp.column);
+    CompareOp op = fp.op;
+    double value = fp.value;
+    if (fp.is_string) {
+      kernels::MapStringPredicate(table.column(col).enc(), fp.op, fp.value_str,
+                                  &op, &value);
+    }
+    filters.push_back({col, op, value});
+  }
+  return filters;
+}
+
 /// Shared per-execution state: budget accounting and node counters.
 /// Cost is tracked as integer event counts in a CostLedger and reduced
 /// through the canonical CostLedger::Total so the batch engine (which
@@ -94,25 +181,15 @@ class OperatorBase {
 
 class SeqScanOp : public OperatorBase {
  public:
-  SeqScanOp(const Catalog& catalog, const Query& query, const CostModel& cm,
-            const PlanNode& node)
-      : catalog_(catalog), query_(query), cm_(cm), node_(node) {
+  SeqScanOp(const Catalog& catalog, const Query& query, const PlanNode& node)
+      : node_(node) {
     const std::string& tname = query.tables()[static_cast<size_t>(node.table_idx)];
     table_ = catalog.FindTable(tname)->table.get();
     layout_.table_offset.assign(query.tables().size(), -1);
     layout_.table_offset[static_cast<size_t>(node.table_idx)] = 0;
     layout_.width = table_->schema().num_columns();
-    for (int f : node.filter_indices) {
-      const FilterPredicate& fp = query.filters()[static_cast<size_t>(f)];
-      const int col = table_->schema().FindColumn(fp.column);
-      CompareOp op = fp.op;
-      double value = fp.value;
-      if (fp.is_string) {
-        kernels::MapStringPredicate(table_->column(col).enc(), fp.op,
-                                    fp.value_str, &op, &value);
-      }
-      filters_.push_back({col, op, value});
-    }
+    filters_ = ResolveFilters(query, node, *table_);
+    cursors_ = MakeCursors(*table_);
   }
 
   Status Open(ExecContext* ctx) override {
@@ -131,25 +208,10 @@ class SeqScanOp : public OperatorBase {
       if (!ctx->Charge(&CostLedger::scan_tuple)) {
         return Status::BudgetExhausted("scan");
       }
-      bool pass = true;
-      for (size_t k = 0; k < filters_.size(); ++k) {
-        const auto& f = filters_[k];
-        ++st.filter_in[k];
-        const double v = table_->column(f.col).GetNumeric(r);
-        switch (f.op) {
-          case CompareOp::kLt: pass = v < f.value; break;
-          case CompareOp::kLe: pass = v <= f.value; break;
-          case CompareOp::kGt: pass = v > f.value; break;
-          case CompareOp::kGe: pass = v >= f.value; break;
-          case CompareOp::kEq: pass = v == f.value; break;
-        }
-        if (!pass) break;
-        ++st.filter_pass[k];
-      }
-      if (!pass) continue;
+      if (!PassesCounted(filters_, &cursors_, r, &st)) continue;
       out->resize(static_cast<size_t>(layout_.width));
       for (int c = 0; c < layout_.width; ++c) {
-        (*out)[static_cast<size_t>(c)] = table_->column(c).GetNumeric(r);
+        (*out)[static_cast<size_t>(c)] = cursors_[static_cast<size_t>(c)].At(r);
       }
       ++st.out;
       *eof = false;
@@ -160,17 +222,10 @@ class SeqScanOp : public OperatorBase {
   }
 
  private:
-  struct Filter {
-    int col;
-    CompareOp op;
-    double value;
-  };
-  const Catalog& catalog_;
-  const Query& query_;
-  const CostModel& cm_;
   const PlanNode& node_;
   const Table* table_ = nullptr;
   std::vector<Filter> filters_;
+  std::vector<ColumnCursor> cursors_;
   int64_t row_ = 0;
 };
 
@@ -595,17 +650,7 @@ class IndexNLJoinOp : public OperatorBase {
     index_ = catalog.FindIndex(tname, inner_col);
     RQP_CHECK(index_ != nullptr);
 
-    for (int f : node.right->filter_indices) {
-      const FilterPredicate& fp = query.filters()[static_cast<size_t>(f)];
-      const int col = inner_table_->schema().FindColumn(fp.column);
-      CompareOp op = fp.op;
-      double value = fp.value;
-      if (fp.is_string) {
-        kernels::MapStringPredicate(inner_table_->column(col).enc(), fp.op,
-                                    fp.value_str, &op, &value);
-      }
-      filters_.push_back({col, op, value});
-    }
+    filters_ = ResolveFilters(query, *node.right, *inner_table_);
   }
 
   Status Open(ExecContext* ctx) override {
@@ -620,17 +665,9 @@ class IndexNLJoinOp : public OperatorBase {
     scan_st.filter_in.assign(filters_.size(), 0);
     scan_st.filter_pass.assign(filters_.size(), 0);
     st.right_in = 0;
+    std::vector<ColumnCursor> cursors = MakeCursors(*inner_table_);
     for (int64_t r = 0; r < inner_table_->num_rows(); ++r) {
-      bool pass = true;
-      for (size_t k = 0; k < filters_.size(); ++k) {
-        ++scan_st.filter_in[k];
-        if (!EvalFilter(filters_[k], r)) {
-          pass = false;
-          break;
-        }
-        ++scan_st.filter_pass[k];
-      }
-      if (pass) ++st.right_in;
+      if (PassesCounted(filters_, &cursors, r, &scan_st)) ++st.right_in;
     }
     matches_ = {};
     match_idx_ = 0;
@@ -680,27 +717,10 @@ class IndexNLJoinOp : public OperatorBase {
   }
 
  private:
-  struct Filter {
-    int col;
-    CompareOp op;
-    double value;
-  };
-
-  bool EvalFilter(const Filter& f, int64_t row) const {
-    const double v = inner_table_->column(f.col).GetNumeric(row);
-    switch (f.op) {
-      case CompareOp::kLt: return v < f.value;
-      case CompareOp::kLe: return v <= f.value;
-      case CompareOp::kGt: return v > f.value;
-      case CompareOp::kGe: return v >= f.value;
-      case CompareOp::kEq: return v == f.value;
-    }
-    return false;
-  }
-
+  /// Point reads: the inner rows an index probe returns are random.
   bool PassesFilters(int64_t row) const {
-    for (const auto& f : filters_) {
-      if (!EvalFilter(f, row)) return false;
+    for (const Filter& f : filters_) {
+      if (!f.Passes(inner_table_->column(f.col).GetNumeric(row))) return false;
     }
     return true;
   }
@@ -724,7 +744,7 @@ std::unique_ptr<OperatorBase> BuildOperator(const Catalog& catalog,
                                             const CostModel& cm,
                                             const PlanNode& node) {
   if (node.op == PlanOp::kSeqScan) {
-    return std::make_unique<SeqScanOp>(catalog, query, cm, node);
+    return std::make_unique<SeqScanOp>(catalog, query, node);
   }
   if (node.op == PlanOp::kIndexNLJoin) {
     auto outer = BuildOperator(catalog, query, cm, *node.left);

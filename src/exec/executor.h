@@ -16,7 +16,9 @@
 // Two engines implement these semantics:
 //
 //  * the tuple engine — a Volcano-style demand-driven iterator, one
-//    virtual Next() per row, one budget check per cost event; and
+//    virtual Next() per row, one budget check per cost event, reading
+//    storage a block at a time (a scan decodes each column's 4096-row
+//    block once, when the first row it reads there enters it); and
 //  * the batch engine (default) — push-based pipelines over batches of
 //    up to 1024 row ids, with filters as tight column loops, hash-join
 //    probe split from output emission, and unbudgeted table scans driven

@@ -60,7 +60,7 @@ void HashIndex::BuildHashed(std::vector<int64_t> row_key) {
   // build-once means no growth and no tombstones.
   int64_t cap = 64;
   while (cap * 7 < (n + 1) * 8) cap <<= 1;
-  slots_.assign(static_cast<size_t>(cap), -1);
+  slots_.assign(static_cast<size_t>(cap), Slot{0, -1});
   const uint64_t mask = static_cast<uint64_t>(cap) - 1;
 
   // Pass 1: intern keys (first-touch order), count rows per key, and
@@ -70,17 +70,16 @@ void HashIndex::BuildHashed(std::vector<int64_t> row_key) {
     const int64_t key = row_key[static_cast<size_t>(r)];
     uint64_t s = HashKey(key) & mask;
     while (true) {
-      const int64_t u = slots_[s];
-      if (u < 0) {
-        slots_[s] = num_keys_;
-        keys_.push_back(key);
+      Slot& slot = slots_[s];
+      if (slot.ordinal < 0) {
+        slot = {key, num_keys_};
         counts.push_back(1);
         row_key[static_cast<size_t>(r)] = num_keys_++;
         break;
       }
-      if (keys_[static_cast<size_t>(u)] == key) {
-        ++counts[static_cast<size_t>(u)];
-        row_key[static_cast<size_t>(r)] = u;
+      if (slot.key == key) {
+        ++counts[static_cast<size_t>(slot.ordinal)];
+        row_key[static_cast<size_t>(r)] = slot.ordinal;
         break;
       }
       s = (s + 1) & mask;
@@ -105,9 +104,8 @@ void HashIndex::BuildHashed(std::vector<int64_t> row_key) {
 int64_t HashIndex::FindSlot(int64_t key) const {
   const uint64_t mask = slots_.size() - 1;
   for (uint64_t s = HashKey(key) & mask;; s = (s + 1) & mask) {
-    const int64_t u = slots_[s];
-    if (u < 0) return -1;
-    if (keys_[static_cast<size_t>(u)] == key) return static_cast<int64_t>(u);
+    const Slot& slot = slots_[s];
+    if (slot.ordinal < 0 || slot.key == key) return slot.ordinal;
   }
 }
 

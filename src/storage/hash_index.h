@@ -16,10 +16,12 @@
 //    compare and one load.
 //  * Hashed: every other column (duplicate or sparse keys). Flat open
 //    addressing (linear probing, power-of-two capacity, build-once so no
-//    tombstones) over unique keys, with each key's row ids stored as one
-//    contiguous [offset, offset+count) range of a single flat array — a
-//    probe is one hash, a short probe walk, and a pointer+length, with no
-//    per-key heap node or per-value indirection.
+//    tombstones) over unique keys, each slot holding the key beside its
+//    ordinal, with each key's row ids stored as one contiguous
+//    [offset, offset+count) range of a single flat array — a probe is
+//    one hash, a short probe walk that compares keys in the slots
+//    themselves, and a pointer+length, with no per-key heap node or
+//    per-value indirection.
 
 #ifndef ROBUSTQP_STORAGE_HASH_INDEX_H_
 #define ROBUSTQP_STORAGE_HASH_INDEX_H_
@@ -81,7 +83,7 @@ class HashIndex {
   /// Chooses the dense layout when the keys allow it; false otherwise.
   bool BuildDense(const std::vector<int64_t>& row_key);
   void BuildHashed(std::vector<int64_t> row_key);
-  int64_t FindSlot(int64_t key) const;  // slot holding key, or -1
+  int64_t FindSlot(int64_t key) const;  // ordinal of key, or -1
 
   int column_idx_;
   int64_t num_keys_ = 0;
@@ -90,8 +92,11 @@ class HashIndex {
   uint64_t dense_range_ = 0;        // max - min + 1
   std::vector<int64_t> dense_row_;  // dense_range_ + 1 entries, or empty
   // Hashed layout.
-  std::vector<int64_t> slots_;    // unique-key ordinal per slot, -1 empty
-  std::vector<int64_t> keys_;     // per unique key
+  struct Slot {
+    int64_t key;
+    int64_t ordinal;  // unique-key ordinal, -1 when the slot is empty
+  };
+  std::vector<Slot> slots_;
   std::vector<int64_t> offsets_;  // per unique key, num_keys_+1 entries
   std::vector<int64_t> row_ids_;  // all rows, grouped by key, ascending
 };

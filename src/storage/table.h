@@ -2,10 +2,11 @@
 // every column's payload is an EncodedColumn (storage/encoding.h) of
 // independently decodable 4096-row blocks: frame-of-reference
 // bit-packing, vbyte varints, dictionary codes, or kRaw value blocks
-// (one 64-bit word per row, the uncompressed layout). The Volcano
-// executor and all per-row consumers go through GetInt / GetDouble /
-// GetNumeric; the batch engine's kernels additionally use the block
-// views for fused filter-on-compressed paths. This plays the role of the
+// (one 64-bit word per row, the uncompressed layout). Per-row consumers
+// go through GetInt / GetDouble / GetNumeric; the Volcano executor's
+// scans decode whole blocks (EncodedColumn::DecodeInto), and the batch
+// engine's kernels additionally use the block views for fused
+// filter-on-compressed paths. This plays the role of the
 // heap/buffer-pool layer of the paper's PostgreSQL substrate — the
 // discovery algorithms only need a scannable relation with countable
 // cardinalities, which this provides at laptop scale (and, encoded, at

@@ -1539,6 +1539,183 @@ TEST(ProbeStageTest, NljMatchesTupleAtSubRangeAborts) {
 }
 
 // ---------------------------------------------------------------------------
+// Tuple-engine block reads: the tuple engine's scans and its index-NL
+// count pass read storage one decoded block at a time. Aborts on either
+// side of every block edge, under every forced encoding, resident and
+// mapped, must still equal the batch engine bit for bit.
+// ---------------------------------------------------------------------------
+
+/// f: 14000 rows, three full 4096-row blocks and a partial fourth of 1712.
+/// f.c <= 30 passes no row of block 2, so output columns skip a block
+/// that the filter columns read. d: 9000 rows (a partial third block),
+/// densely indexed on kd. Every column uses `enc` (the string columns are
+/// dictionary-coded whatever it says and are read as ranks).
+AbortInstance MakeBlockEdgeInstance(Encoding enc) {
+  Rng rng(99);
+  AbortInstance inst;
+  inst.catalog = std::make_unique<Catalog>();
+  EncodingPolicy policy;
+  policy.kind = enc;
+  policy.dict_max_card = 1 << 20;  // forced kDict never falls back
+  const auto add = [&](std::shared_ptr<Table> t) {
+    RQP_CHECK(t->Finalize().ok());
+    for (int c = 0; c < t->schema().num_columns(); ++c) {
+      if (t->column(c).type() == DataType::kInt64) {
+        RQP_CHECK(t->column(c).enc().mode() == enc);
+      }
+    }
+    auto stats = ComputeTableStats(*t);
+    RQP_CHECK(inst.catalog->AddTable(std::move(t), std::move(stats)).ok());
+  };
+  const auto str = [&](int64_t lo, int64_t hi) {
+    return std::string("s").append(std::to_string(rng.UniformInt(lo, hi)));
+  };
+  auto f = std::make_shared<Table>(
+      TableSchema("f", {{"fk", DataType::kInt64},
+                        {"c", DataType::kInt64},
+                        {"a", DataType::kInt64},
+                        {"s", DataType::kString},
+                        {"x", DataType::kDouble}}),
+      policy);
+  for (int64_t r = 0; r < 14000; ++r) {
+    f->column(0).AppendInt(rng.UniformInt(1, 9000));
+    f->column(1).AppendInt(r / 4096 == 2 ? 100 + r % 7 : (r / 97) % 50);
+    f->column(2).AppendInt(rng.UniformInt(1, 16) * 1000003);
+    f->column(3).AppendString(str(100, 180));
+    f->column(4).AppendDouble(static_cast<double>(rng.UniformInt(0, 200)) * 0.5);
+  }
+  add(f);
+  auto d = std::make_shared<Table>(
+      TableSchema("d", {{"kd", DataType::kInt64},
+                        {"ad", DataType::kInt64},
+                        {"ds", DataType::kString},
+                        {"dx", DataType::kDouble}}),
+      policy);
+  for (int64_t r = 0; r < 9000; ++r) {
+    d->column(0).AppendInt(r + 1);
+    d->column(1).AppendInt(rng.UniformInt(1, 8) * 65537);
+    d->column(2).AppendString(str(100, 180));
+    d->column(3).AppendDouble(static_cast<double>(rng.UniformInt(0, 200)) * 0.5);
+  }
+  add(d);
+  RQP_CHECK(inst.catalog->BuildIndex("d", "kd").ok());
+  inst.query = std::make_unique<Query>(
+      "block_edges", std::vector<std::string>{"f", "d"},
+      std::vector<JoinPredicate>{{"f", "fk", "d", "kd", ""}},
+      std::vector<FilterPredicate>{
+          {"f", "c", CompareOp::kLe, 30.0, false, ""},
+          {"f", "a", CompareOp::kLe, 12.0 * 1000003, false, ""},
+          {"f", "s", CompareOp::kLe, 0.0, true, "s160"},
+          {"f", "x", CompareOp::kGe, 20.0, false, ""},
+          {"d", "ad", CompareOp::kLe, 7.0 * 65537, false, ""},
+          {"d", "ds", CompareOp::kGe, 0.0, true, "s120"},
+          {"d", "dx", CompareOp::kLt, 90.0, false, ""}},
+      std::vector<EppRef>{EppRef::Join(0)});
+  RQP_CHECK(inst.query->Validate(*inst.catalog).ok());
+  return inst;
+}
+
+TEST(TupleBlockReadTest, TupleMatchesBatchAcrossBlockEdgesUnderEveryEncoding) {
+  const std::vector<int64_t> f_rows = {0,    4095,  4096,  4097,
+                                       8191, 8192,  8193,  12287,
+                                       12288, 12289, 13999};
+  const std::vector<int64_t> d_rows = {0, 4095, 4096, 4097, 8191, 8192, 8193,
+                                       8999};
+  struct Shape {
+    std::string name;
+    std::function<std::unique_ptr<PlanNode>()> make;
+    int scan_node;  // the scan whose rows the aborts target
+    std::vector<int64_t> rows;
+  };
+  const auto join = [](PlanOp op, std::unique_ptr<PlanNode> left,
+                       std::unique_ptr<PlanNode> right) {
+    auto n = std::make_unique<PlanNode>();
+    n->op = op;
+    n->join_indices = {0};
+    n->left = std::move(left);
+    n->right = std::move(right);
+    return n;
+  };
+  const std::vector<Shape> shapes = {
+      {"f scan, 4 filters", [] { return AbortScan(0, {0, 1, 2, 3}); }, 0,
+       f_rows},
+      {"f scan, no filter", [] { return AbortScan(0, {}); }, 0, f_rows},
+      {"d scan, 3 filters", [] { return AbortScan(1, {4, 5, 6}); }, 0, d_rows},
+      // The inner filters run in the uncharged count pass over all of d
+      // before the first outer row, and as point reads per fetched row.
+      {"index-nl f -> d, inner filters",
+       [&] {
+         return join(PlanOp::kIndexNLJoin, AbortScan(0, {0}),
+                     AbortScan(1, {4, 5, 6}));
+       },
+       1, f_rows},
+      // Build on filtered d, probe with filtered f: hash keys come from
+      // the scans' output columns.
+      {"hash d |x| f",
+       [&] {
+         return join(PlanOp::kHashJoin, AbortScan(1, {4, 5, 6}),
+                     AbortScan(0, {0, 1, 2, 3}));
+       },
+       2, f_rows},
+  };
+
+  for (const Encoding enc : {Encoding::kRaw, Encoding::kPacked,
+                             Encoding::kDict, Encoding::kVbyte}) {
+    const AbortInstance inst = MakeBlockEdgeInstance(enc);
+    const std::unique_ptr<Catalog> mapped = MapCatalog(*inst.catalog);
+    Executor batch_res = MakeEngine(inst.catalog.get(), Executor::Engine::kBatch);
+    for (const Shape& shape : shapes) {
+      const Plan plan(inst.query.get(), shape.make());
+      const auto scan_rows = [&](const ExecutionResult& r) {
+        return r.node_stats[static_cast<size_t>(shape.scan_node)].left_in;
+      };
+      const Result<ExecutionResult> full = batch_res.Execute(plan, -1.0);
+      ASSERT_TRUE(full.ok() && full->completed) << shape.name;
+      ASSERT_GT(full->output_rows, 0) << shape.name;
+
+      // Smallest budget whose batch run charges scan row k (0-based), so
+      // the abort lands on that row's scan event: bisection on the
+      // monotone map budget -> rows scanned. Its upper neighbour aborts
+      // there too; its lower one, a row earlier (no claim at k = 0).
+      std::vector<double> budgets = {-1.0};
+      std::vector<int64_t> expect_rows = {-1};
+      for (const int64_t k : shape.rows) {
+        double lo = 0.0, hi = full->cost_used;
+        for (int it = 0; it < 200 && std::nextafter(lo, hi) < hi; ++it) {
+          const double mid = lo + (hi - lo) / 2;
+          const Result<ExecutionResult> r = batch_res.Execute(plan, mid);
+          ASSERT_TRUE(r.ok()) << shape.name;
+          (r->completed || scan_rows(*r) >= k + 1 ? hi : lo) = mid;
+        }
+        budgets.insert(budgets.end(), {hi, std::nextafter(hi, HUGE_VAL),
+                                       std::nextafter(hi, 0.0)});
+        expect_rows.insert(expect_rows.end(), {k + 1, k + 1, k > 0 ? k : -1});
+      }
+
+      for (const bool use_mapped : {false, true}) {
+        const Catalog* catalog = use_mapped ? mapped.get() : inst.catalog.get();
+        Executor tuple = MakeEngine(catalog, Executor::Engine::kTuple);
+        Executor batch = MakeEngine(catalog, Executor::Engine::kBatch);
+        for (size_t b = 0; b < budgets.size(); ++b) {
+          const std::string tag = std::string(EncodingName(enc)) + " " +
+                                  shape.name +
+                                  (use_mapped ? " mmap" : " resident") +
+                                  " budget#" + std::to_string(b);
+          const Result<ExecutionResult> rt = tuple.Execute(plan, budgets[b]);
+          const Result<ExecutionResult> rb = batch.Execute(plan, budgets[b]);
+          ASSERT_TRUE(rt.ok() && rb.ok()) << tag;
+          ExpectSameResult(*rt, *rb, tag);
+          if (expect_rows[b] >= 0) {
+            EXPECT_FALSE(rt->completed) << tag;
+            EXPECT_EQ(scan_rows(*rt), expect_rows[b]) << tag;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // ExecuteMinMax: the metadata fast path must answer like a naive scan and
 // charge like one, identically on raw and encoded storage.
 // ---------------------------------------------------------------------------

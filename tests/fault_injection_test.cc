@@ -25,6 +25,9 @@
 #include "exec/executor.h"
 #include "harness/evaluator.h"
 #include "optimizer/optimizer.h"
+#include "server/context_cache.h"
+#include "server/query_service.h"
+#include "storage/column_file.h"
 #include "test_util.h"
 
 namespace robustqp {
@@ -424,6 +427,72 @@ TEST_F(FaultedExecutorTest, EngineDegradationFallsBackToTupleResults) {
   EXPECT_TRUE(degraded.completed);
   EXPECT_EQ(degraded.output_rows, clean_tuple.output_rows);
   EXPECT_EQ(degraded.cost_used, clean_tuple.cost_used);
+}
+
+// The same rung suite-wide: every engine query x sb/pb/ab x resident/mmap
+// runs once clean and once with every execution degraded to the tuple
+// engine. The degradation must be invisible in the reply: the same cost
+// bits, the same discovery steps and the same NodeStats for the
+// completing run.
+TEST(EngineDegradationSuiteTest, DegradedRepliesEqualCleanOnes) {
+  ContextCache cache;
+  for (const char* id :
+       {"2D_Q91", "3D_Q15", "3D_Q96", "4D_Q91", "2D_QBRAND", "4D_JOB_Q1a"}) {
+    for (const RobustnessMode mode :
+         {RobustnessMode::kSpillBound, RobustnessMode::kPlanBouquet,
+          RobustnessMode::kAlignedBound}) {
+      for (const StorageBackend storage :
+           {StorageBackend::kResident, StorageBackend::kMmap}) {
+        ServiceRequest clean;
+        clean.query_id = id;
+        clean.mode = mode;
+        clean.use_engine = true;
+        clean.options.storage = storage;
+        ServiceRequest chaos = clean;
+        chaos.options.fault_spec = "exec.batch.pipeline:p=1";
+        const ServiceResponse want = QueryService::RunOneShot(clean, &cache);
+        const ServiceResponse got = QueryService::RunOneShot(chaos, &cache);
+        SCOPED_TRACE(std::string(id) + " " + got.algorithm + " " +
+                     StorageBackendName(storage));
+        ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+        ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+        EXPECT_FALSE(want.robustness.Any());
+        // Every execution ran on the tuple engine.
+        EXPECT_EQ(got.robustness.engine_degradations,
+                  static_cast<int64_t>(got.discovery.num_executions()));
+        EXPECT_EQ(got.completed, want.completed);
+        EXPECT_EQ(got.cost_used, want.cost_used);  // bitwise
+        EXPECT_EQ(got.discovery.total_cost, want.discovery.total_cost);
+        ASSERT_EQ(got.discovery.steps.size(), want.discovery.steps.size());
+        for (size_t i = 0; i < got.discovery.steps.size(); ++i) {
+          SCOPED_TRACE("step " + std::to_string(i));
+          const ExecutionStep& g = got.discovery.steps[i];
+          const ExecutionStep& w = want.discovery.steps[i];
+          EXPECT_EQ(g.plan_name, w.plan_name);
+          EXPECT_EQ(g.spill_dim, w.spill_dim);
+          EXPECT_EQ(g.budget, w.budget);
+          EXPECT_EQ(g.cost_charged, w.cost_charged);
+          EXPECT_EQ(g.completed, w.completed);
+          EXPECT_EQ(g.learned_sel, w.learned_sel);
+          EXPECT_EQ(g.qrun, w.qrun);
+        }
+        EXPECT_EQ(got.execution.cost_used, want.execution.cost_used);
+        EXPECT_EQ(got.execution.output_rows, want.execution.output_rows);
+        ASSERT_EQ(got.execution.node_stats.size(),
+                  want.execution.node_stats.size());
+        for (size_t i = 0; i < got.execution.node_stats.size(); ++i) {
+          SCOPED_TRACE("node " + std::to_string(i));
+          const NodeStats& g = got.execution.node_stats[i];
+          const NodeStats& w = want.execution.node_stats[i];
+          EXPECT_EQ(g.left_in, w.left_in);
+          EXPECT_EQ(g.right_in, w.right_in);
+          EXPECT_EQ(g.out, w.out);
+          EXPECT_EQ(g.filter_in, w.filter_in);
+          EXPECT_EQ(g.filter_pass, w.filter_pass);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(FaultedExecutorTest, MorselDegradationCompletesSerially) {

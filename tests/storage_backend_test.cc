@@ -270,8 +270,8 @@ TEST(StorageBackendTest, PageFaultArmedQuietIsBitwiseDisarmed) {
 }
 
 // The site only exists for mapped storage: a resident catalog never draws
-// from it, and the tuple engine (which decodes per-row anyway) never
-// degrades either.
+// from it, and the tuple engine (whose block reads have no fused path to
+// fall back from) never degrades either.
 TEST(StorageBackendTest, PageFaultIgnoredOffTheMappedBatchPath) {
   const Query q = MakeSuiteQuery("3D_Q96");
   Optimizer opt(&ResidentCatalog(), &q);
