@@ -33,10 +33,13 @@ struct PlanKeyHash {
 /// and builds one Plan per distinct key it meets; each location is costed
 /// on that plan and keeps a pointer to it. The plans are interned
 /// afterwards in ascending linear order, so the pool and both surfaces are
-/// identical at any thread count. With an armed FaultInjector each
-/// location draws from its own stream, keyed to the location rather than
-/// the thread, and retries transient optimizer faults up to
-/// kMaxFaultAttempts times.
+/// identical at any thread count. Odometer order makes the calls cheap,
+/// not correct: consecutive locations differ mostly in the last dimension,
+/// so each OptimizeKey recomputes only the DP cells that dimension reaches
+/// (a worker's first location runs a full DP), and any order would yield
+/// the same surfaces. With an armed FaultInjector each location draws from
+/// its own stream, keyed to the location rather than the thread, and
+/// retries transient optimizer faults up to kMaxFaultAttempts times.
 Status Sweep(const Ess& ess, int num_threads, PlanPool* pool,
              std::vector<double>* cost, std::vector<const Plan*>* plan) {
   const int64_t total = ess.num_locations();

@@ -1,6 +1,7 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <limits>
 
@@ -11,6 +12,11 @@ namespace robustqp {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+uint64_t NextOptimizerId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 }  // namespace
 
 /// One DP cell: the cheapest subtree covering `mask` whose execution-order
@@ -31,6 +37,10 @@ struct Optimizer::DpArena {
   int states = 1;                 // DP states per mask of the last RunDp
   std::vector<DpCell> dp;
   PlanKey key;  // Optimize's winner key, reused across calls
+  // The plain DP `dp` holds: its optimizer's id (0 = none, e.g. after a
+  // constrained DP) and the q it was run at.
+  uint64_t dp_owner = 0;
+  EssPoint dp_q;
 };
 
 Optimizer::DpArena& Optimizer::ThreadArena() {
@@ -45,8 +55,10 @@ Optimizer::Optimizer(const Catalog* catalog, const Query* query,
       estimator_(catalog, query),
       cost_model_(cost_model),
       num_tables_(query->num_tables()),
-      num_states_(query->num_epps() + 1) {
+      num_states_(query->num_epps() + 1),
+      id_(NextOptimizerId()) {
   RQP_CHECK(num_tables_ >= 1 && num_tables_ <= 60);  // PlanKey packs masks
+  RQP_CHECK(query->num_epps() < 64);  // mask_dims_ bits, kAllDims excluded
   // Per join index: the bitmask of its two query tables that can be the
   // probed inner of an index nested-loop join (a hash index exists on the
   // join column).
@@ -66,25 +78,37 @@ Optimizer::Optimizer(const Catalog* catalog, const Query* query,
     inlj_inner_mask.push_back(inner);
   }
   table_filters_.resize(static_cast<size_t>(num_tables_));
+  std::vector<uint64_t> table_dims(static_cast<size_t>(num_tables_), 0);
   for (int f = 0; f < static_cast<int>(query->filters().size()); ++f) {
     const int t = query->TableIndex(query->filters()[static_cast<size_t>(f)].table);
     RQP_CHECK(t >= 0);
     table_filters_[static_cast<size_t>(t)].push_back(f);
+    const int dim = query->EppDimensionOfFilter(f);
+    if (dim >= 0) table_dims[static_cast<size_t>(t)] |= uint64_t{1} << dim;
   }
 
   // Per-mask structure is independent of the injected selectivities, so it
   // is computed once here instead of on every RunDp call.
   const uint64_t full = (uint64_t{1} << num_tables_) - 1;
   connected_.assign(full + 1, 0);
+  mask_dims_.assign(full + 1, 0);
   mask_join_offsets_.assign(full + 2, 0);
   mask_join_list_.clear();
   const int num_joins = query->num_joins();
   for (uint64_t mask = 1; mask <= full; ++mask) {
     mask_join_offsets_[mask] = static_cast<int32_t>(mask_join_list_.size());
+    uint64_t dims = 0;
+    for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+      dims |= table_dims[static_cast<size_t>(std::countr_zero(rest))];
+    }
     for (int j = 0; j < num_joins; ++j) {
       const uint64_t jm = join_masks_[static_cast<size_t>(j)];
-      if ((jm & mask) == jm) mask_join_list_.push_back(j);
+      if ((jm & mask) != jm) continue;
+      mask_join_list_.push_back(j);
+      const int dim = query->EppDimensionOfJoin(j);
+      if (dim >= 0) dims |= uint64_t{1} << dim;
     }
+    mask_dims_[mask] = dims;
     // Connectivity: expand from the lowest table via contained join edges.
     uint64_t reach = mask & (~mask + 1);
     bool grew = true;
@@ -152,7 +176,8 @@ Optimizer::Optimizer(const Catalog* catalog, const Query* query,
   split_offsets_.push_back(static_cast<int32_t>(splits_.size()));
 }
 
-void Optimizer::ComputeCards(const EssPoint& q, DpArena* arena) const {
+void Optimizer::ComputeCards(const EssPoint& q, uint64_t changed,
+                             DpArena* arena) const {
   const int n = num_tables_;
   const uint64_t full = (uint64_t{1} << n) - 1;
 
@@ -179,10 +204,14 @@ void Optimizer::ComputeCards(const EssPoint& q, DpArena* arena) const {
 
   std::vector<double>& card = arena->card;
   std::vector<double>& sort_term = arena->sort_term;
-  card.assign(full + 1, 0.0);
-  sort_term.assign(full + 1, 0.0);
+  const bool all = changed == kAllDims;
+  if (all) {
+    card.assign(full + 1, 0.0);
+    sort_term.assign(full + 1, 0.0);
+  }
   for (uint64_t mask = 1; mask <= full; ++mask) {
     if (!connected_[mask]) continue;
+    if (!all && (mask_dims_[mask] & changed) == 0) continue;
     double c = 1.0;
     for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
       c *= fr[static_cast<size_t>(std::countr_zero(rest))];
@@ -202,27 +231,30 @@ void Optimizer::ComputeCards(const EssPoint& q, DpArena* arena) const {
 
 template <bool kConstrained>
 void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
-                      DpArena* arena) const {
+                      uint64_t changed, DpArena* arena) const {
   const int n = num_tables_;
   const uint64_t full = (uint64_t{1} << n) - 1;
   const int S = kConstrained ? num_states_ : 1;
+  const bool all = changed == kAllDims;
+  RQP_CHECK(all || (!kConstrained && arena->states == 1));
   arena->states = S;
 
-  ComputeCards(q, arena);
+  ComputeCards(q, changed, arena);
   const std::vector<double>& js = arena->join_sel;
   const std::vector<double>& card = arena->card;
   const std::vector<double>& sort_term = arena->sort_term;
 
   std::vector<DpCell>& dp = arena->dp;
-  dp.assign((full + 1) * static_cast<uint64_t>(S), DpCell{});
   auto cell = [&](uint64_t mask, int state) -> DpCell& {
     return dp[mask * static_cast<uint64_t>(S) + static_cast<uint64_t>(state)];
   };
 
   // Base case: single-table scans. A scan's execution-order state is the
   // first unlearned *filter* epp among its predicates (join epps never
-  // live at scans).
-  for (int t = 0; t < n; ++t) {
+  // live at scans). Scan costs do not depend on q, so an incremental call
+  // keeps them.
+  if (all) dp.assign((full + 1) * static_cast<uint64_t>(S), DpCell{});
+  for (int t = 0; all && t < n; ++t) {
     const uint64_t m = uint64_t{1} << t;
     int leaf_state = 0;
     if constexpr (kConstrained) {
@@ -242,6 +274,10 @@ void Optimizer::RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
   // over the precomputed splits.
   for (size_t mi = 0; mi < dp_masks_.size(); ++mi) {
     const uint64_t mask = dp_masks_[mi];
+    if (!all) {
+      if ((mask_dims_[mask] & changed) == 0) continue;
+      cell(mask, 0) = DpCell{};
+    }
     const double out = card[mask];
     for (int32_t k = split_offsets_[mi]; k < split_offsets_[mi + 1]; ++k) {
       const Split& sp = splits_[static_cast<size_t>(k)];
@@ -385,9 +421,26 @@ void Optimizer::OptimizeKey(const EssPoint& q, PlanKey* key) const {
   RQP_CHECK(static_cast<int>(q.size()) == query_->num_epps());
   optimize_calls_.fetch_add(1, std::memory_order_relaxed);
   DpArena& arena = ThreadArena();
-  // With no unlearned epps every subtree has state 0, so the single-state
-  // DP finds the same winners as the (mask, state) one.
-  RunDp<false>(q, nullptr, &arena);
+  // Diff q bitwise against the arena's last plain DP of this optimizer:
+  // only the cells whose dimensions changed are recomputed, none when q
+  // repeats. A first call (or another optimizer's record) recomputes all.
+  uint64_t changed = kAllDims;
+  if (arena.dp_owner == id_) {
+    changed = 0;
+    for (size_t d = 0; d < q.size(); ++d) {
+      if (std::bit_cast<uint64_t>(q[d]) !=
+          std::bit_cast<uint64_t>(arena.dp_q[d])) {
+        changed |= uint64_t{1} << d;
+      }
+    }
+  }
+  if (changed != 0) {
+    // With no unlearned epps every subtree has state 0, so the
+    // single-state DP finds the same winners as the (mask, state) one.
+    RunDp<false>(q, nullptr, changed, &arena);
+    arena.dp_owner = id_;
+    arena.dp_q = q;
+  }
   key->clear();
   AppendKey(arena, (uint64_t{1} << num_tables_) - 1, 0, key);
 }
@@ -420,7 +473,8 @@ std::unique_ptr<Plan> Optimizer::OptimizeConstrainedSpill(
   RQP_CHECK(dim >= 0 && dim < query_->num_epps());
   optimize_calls_.fetch_add(1, std::memory_order_relaxed);
   DpArena& arena = ThreadArena();
-  RunDp<true>(q, &unlearned, &arena);
+  arena.dp_owner = 0;  // the (mask, state) table replaces the plain DP
+  RunDp<true>(q, &unlearned, kAllDims, &arena);
   const uint64_t full = (uint64_t{1} << num_tables_) - 1;
   const int state = dim + 1;
   const DpCell& c = arena.dp[full * static_cast<uint64_t>(num_states_) +

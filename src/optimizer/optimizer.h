@@ -26,6 +26,14 @@
 // per subset, the list of its (s1, s2) splits into two connected halves
 // with their crossing joins and index-NL applicability. Every DP call
 // walks that one list, so a call costs only its q-dependent arithmetic.
+//
+// Consecutive plain DP calls also share that arithmetic. The cell of a
+// subset m depends on q only through the epp dimensions whose predicates
+// lie inside m (its tables' epp filters, its joins with both sides in m),
+// and every submask's dimensions are a subset of m's. The thread's arena
+// remembers the optimizer and the q of its last plain DP, so the next call
+// recomputes only the subsets with a dimension whose value changed; an
+// ESS sweep in odometer order changes one dimension on most steps.
 
 #ifndef ROBUSTQP_OPTIMIZER_OPTIMIZER_H_
 #define ROBUSTQP_OPTIMIZER_OPTIMIZER_H_
@@ -109,10 +117,11 @@ class Optimizer {
   const CostModel& cost_model() const { return cost_model_; }
   const Query& query() const { return *query_; }
 
-  /// Number of full DP searches (Optimize, OptimizeConstrainedSpill)
-  /// served by this instance so far. Cheap relaxed counter; the ESS build
-  /// and the benches read it to report how many optimizer invocations a
-  /// surface construction needed.
+  /// Number of optimizer invocations (OptimizeKey, Optimize,
+  /// OptimizeConstrainedSpill) served by this instance so far, one per
+  /// call however much of the DP the call reused. Cheap relaxed counter;
+  /// the ESS build and the benches read it to report how many optimizer
+  /// invocations a surface construction needed.
   int64_t num_optimize_calls() const {
     return optimize_calls_.load(std::memory_order_relaxed);
   }
@@ -120,9 +129,15 @@ class Optimizer {
  private:
   struct DpCell;
   /// Per-thread scratch for RunDp: the per-mask cardinality table and the
-  /// DP table. Reused across calls (and across Optimizer instances) so the
-  /// hot ESS-construction loop never allocates.
+  /// DP table, shared by every Optimizer on the thread so the hot
+  /// ESS-construction loop never allocates. It also records whose plain DP
+  /// it holds (an instance id, never reused, unlike an address) and at
+  /// which q, which is what lets the next OptimizeKey of that optimizer
+  /// recompute only the changed cells.
   struct DpArena;
+
+  /// `changed` value that recomputes every cell.
+  static constexpr uint64_t kAllDims = ~uint64_t{0};
 
   /// One way to join a connected mask from two connected halves s1 < s2
   /// with at least one join edge between them.
@@ -147,17 +162,21 @@ class Optimizer {
 
   /// Fills the arena's per-table filtered rows, per-join selectivities,
   /// per-mask cardinalities and their sort terms at `q` (the q-dependent
-  /// quantities the DP consumes).
-  void ComputeCards(const EssPoint& q, DpArena* arena) const;
+  /// quantities the DP consumes). Only masks whose mask_dims_ meet
+  /// `changed` are recomputed; kAllDims recomputes (and sizes) them all.
+  void ComputeCards(const EssPoint& q, uint64_t changed, DpArena* arena) const;
 
   /// Runs the (mask, state) DP into `arena` (resized as needed). With
   /// `kConstrained` there are D+1 states: state 0 = no unlearned epp in
   /// the subtree, state d+1 = first unlearned epp is dimension d. Without
   /// it (plain Optimize) only state 0 is reachable, so the DP keeps one
-  /// state per mask and `unlearned` is unused.
+  /// state per mask and `unlearned` is unused. Like ComputeCards it
+  /// recomputes only the masks whose mask_dims_ meet `changed`; the other
+  /// cells must hold this optimizer's plain DP from a q that differs only
+  /// in `changed`. The constrained DP always passes kAllDims.
   template <bool kConstrained>
   void RunDp(const EssPoint& q, const std::vector<bool>* unlearned,
-             DpArena* arena) const;
+             uint64_t changed, DpArena* arena) const;
 
   /// Appends the key of the arena's winner for (mask, state).
   void AppendKey(const DpArena& arena, uint64_t mask, int state,
@@ -185,6 +204,10 @@ class Optimizer {
   // optimizer calls (the ESS sweep) only redo the q-dependent work.
   /// Whether the table subset is connected under the join graph.
   std::vector<char> connected_;
+  /// Bit d set when epp dimension d lies inside the table subset: an epp
+  /// filter on one of its tables or an epp join with both sides in it.
+  /// The subset's cardinality and DP cell depend on q only through these.
+  std::vector<uint64_t> mask_dims_;
   /// CSR layout of the joins fully contained in each mask, in ascending
   /// join-index order: joins `mask_join_list_[mask_join_offsets_[m] ..
   /// mask_join_offsets_[m + 1])` have both sides inside mask m.
@@ -199,6 +222,8 @@ class Optimizer {
   std::vector<Split> splits_;
   std::vector<int> split_epp_dims_;
 
+  /// Process-unique instance id: the key of the arena's DP record.
+  const uint64_t id_;
   mutable std::atomic<int64_t> optimize_calls_{0};
 };
 

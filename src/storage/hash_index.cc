@@ -1,6 +1,7 @@
 #include "storage/hash_index.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/status.h"
 #include "storage/table.h"
@@ -56,12 +57,11 @@ bool HashIndex::BuildDense(const std::vector<int64_t>& row_key) {
 
 void HashIndex::BuildHashed(std::vector<int64_t> row_key) {
   const int64_t n = static_cast<int64_t>(row_key.size());
-  // Size once for the worst case (all keys distinct) at <= 7/8 load;
-  // build-once means no growth and no tombstones.
-  int64_t cap = 64;
-  while (cap * 7 < (n + 1) * 8) cap <<= 1;
-  slots_.assign(static_cast<size_t>(cap), Slot{0, -1});
-  const uint64_t mask = static_cast<uint64_t>(cap) - 1;
+  // The table doubles whenever the distinct keys would pass 7/8 load, so
+  // it ends sized for them rather than for the rows; build-once means no
+  // tombstones.
+  slots_.assign(64, Slot{0, -1});
+  uint64_t mask = slots_.size() - 1;
 
   // Pass 1: intern keys (first-touch order), count rows per key, and
   // replace each row's key by its key ordinal.
@@ -75,6 +75,10 @@ void HashIndex::BuildHashed(std::vector<int64_t> row_key) {
         slot = {key, num_keys_};
         counts.push_back(1);
         row_key[static_cast<size_t>(r)] = num_keys_++;
+        if (static_cast<uint64_t>(num_keys_ + 1) * 8 > slots_.size() * 7) {
+          Rehash(slots_.size() * 2);
+          mask = slots_.size() - 1;
+        }
         break;
       }
       if (slot.key == key) {
@@ -98,6 +102,18 @@ void HashIndex::BuildHashed(std::vector<int64_t> row_key) {
   for (int64_t r = 0; r < n; ++r) {
     const int64_t u = row_key[static_cast<size_t>(r)];
     row_ids_[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = r;
+  }
+}
+
+void HashIndex::Rehash(size_t capacity) {
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(capacity, Slot{0, -1}));
+  const uint64_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.ordinal < 0) continue;
+    uint64_t s = HashKey(slot.key) & mask;
+    while (slots_[s].ordinal >= 0) s = (s + 1) & mask;
+    slots_[s] = slot;
   }
 }
 

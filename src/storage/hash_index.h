@@ -15,9 +15,10 @@
 //    every out-of-range key reads; a probe is one subtraction, one
 //    compare and one load.
 //  * Hashed: every other column (duplicate or sparse keys). Flat open
-//    addressing (linear probing, power-of-two capacity, build-once so no
-//    tombstones) over unique keys, each slot holding the key beside its
-//    ordinal, with each key's row ids stored as one contiguous
+//    addressing (linear probing, a power-of-two capacity sized for the
+//    distinct keys at <= 7/8 load, build-once so no tombstones) over
+//    unique keys, each slot holding the key beside its ordinal, with
+//    each key's row ids stored as one contiguous
 //    [offset, offset+count) range of a single flat array — a probe is
 //    one hash, a short probe walk that compares keys in the slots
 //    themselves, and a pointer+length, with no per-key heap node or
@@ -26,6 +27,7 @@
 #ifndef ROBUSTQP_STORAGE_HASH_INDEX_H_
 #define ROBUSTQP_STORAGE_HASH_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -83,6 +85,8 @@ class HashIndex {
   /// Chooses the dense layout when the keys allow it; false otherwise.
   bool BuildDense(const std::vector<int64_t>& row_key);
   void BuildHashed(std::vector<int64_t> row_key);
+  /// Moves the hashed layout's keys into `capacity` (a power of two) slots.
+  void Rehash(size_t capacity);
   int64_t FindSlot(int64_t key) const;  // ordinal of key, or -1
 
   int column_idx_;

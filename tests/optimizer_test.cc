@@ -1,18 +1,23 @@
 // Tests for the optimizer substrate: cardinality estimation with
 // selectivity injection, DP optimality against brute-force plan
-// enumeration, the constrained spill-dimension search, and the Plan Cost
-// Monotonicity property (Eq. (5)) that underpins every MSO guarantee.
+// enumeration, the constrained spill-dimension search, the incremental
+// reuse of a thread's last DP, and the Plan Cost Monotonicity property
+// (Eq. (5)) that underpins every MSO guarantee.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/log_grid.h"
@@ -26,6 +31,7 @@ namespace robustqp {
 namespace {
 
 using testing_util::MakeBranchQuery;
+using testing_util::MakeMixedEppQuery;
 using testing_util::MakeStarQuery;
 using testing_util::MakeTinyCatalog;
 
@@ -402,6 +408,187 @@ TEST(ConstrainedSpillGoldenTest, JobQ1a_4D) {
   ExpectConstrainedGolden("4D_JOB_Q1a");
 }
 TEST(ConstrainedSpillGoldenTest, Q19_5D) { ExpectConstrainedGolden("5D_Q19"); }
+
+// --- Incremental DP --------------------------------------------------------
+//
+// OptimizeKey reuses the calling thread's last plain DP of the same
+// optimizer and recomputes only the cells whose epp dimensions changed.
+// Every answer must be the one a fresh thread (an empty arena, so a full
+// DP) gives, whatever ran on the thread before.
+
+struct FreshAnswer {
+  PlanKey key;
+  std::string signature;
+};
+
+/// OptimizeKey at `q` on a new thread, and the signature of its plan.
+FreshAnswer AnswerOnFreshThread(const Optimizer& opt, const EssPoint& q) {
+  FreshAnswer out;
+  std::thread([&] {
+    opt.OptimizeKey(q, &out.key);
+    out.signature = opt.PlanFromKey(out.key)->signature();
+  }).join();
+  return out;
+}
+
+struct IncrementalCase {
+  std::string name;
+  std::shared_ptr<Catalog> catalog;
+  Query query;
+};
+
+/// Every suite query, ordered by dimensionality so that consecutive cases
+/// often share it, then the tiny catalog's mixed query (the one with an
+/// epp filter).
+std::vector<IncrementalCase> IncrementalCases() {
+  std::vector<IncrementalCase> cases;
+  for (const std::string& id : SuiteQueryIds()) {
+    cases.push_back({id,
+                     IsJobQuery(id) ? ContextCache::JobCatalog()
+                                    : ContextCache::TpcdsCatalog(),
+                     MakeSuiteQuery(id)});
+  }
+  std::stable_sort(cases.begin(), cases.end(), [](const auto& a, const auto& b) {
+    return a.query.num_epps() < b.query.num_epps();
+  });
+  cases.push_back({"mixed", MakeTinyCatalog(), MakeMixedEppQuery()});
+  return cases;
+}
+
+TEST(IncrementalDpTest, EveryAnswerMatchesAFreshThread) {
+  const std::vector<IncrementalCase> cases = IncrementalCases();
+  const LogAxis axis(1e-5, 6);
+  Rng rng(29);
+  // One slot holds every case's optimizer in turn, so each is built at the
+  // address of the one destroyed before it, and its first call repeats
+  // that one's last location (the lowest corner).
+  std::optional<Optimizer> opt;
+  for (const IncrementalCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    opt.reset();
+    opt.emplace(c.catalog.get(), &c.query);
+    const Optimizer other(c.catalog.get(), &c.query);
+    const int dims = c.query.num_epps();
+    std::map<EssPoint, FreshAnswer> fresh;
+    int64_t step = 0;
+    PlanKey key;
+    // Alternates the two entry points; Optimize runs OptimizeKey.
+    const auto check = [&](const Optimizer& o, const EssPoint& q) {
+      auto it = fresh.find(q);
+      if (it == fresh.end()) {
+        it = fresh.emplace(q, AnswerOnFreshThread(o, q)).first;
+      }
+      SCOPED_TRACE("step " + std::to_string(step) + " at " +
+                   ::testing::PrintToString(q));
+      if (step++ % 2 == 0) {
+        o.OptimizeKey(q, &key);
+        EXPECT_EQ(key, it->second.key);
+      } else {
+        EXPECT_EQ(o.Optimize(q)->signature(), it->second.signature);
+      }
+    };
+    const auto at = [&](const std::vector<int>& loc) {
+      EssPoint q(static_cast<size_t>(dims));
+      for (int d = 0; d < dims; ++d) {
+        q[static_cast<size_t>(d)] = axis.value(loc[static_cast<size_t>(d)]);
+      }
+      return q;
+    };
+    const auto random_loc = [&] {
+      std::vector<int> loc(static_cast<size_t>(dims));
+      for (int& v : loc) {
+        v = static_cast<int>(rng.UniformInt(0, axis.points() - 1));
+      }
+      return loc;
+    };
+    const std::vector<bool> all_unlearned(static_cast<size_t>(dims), true);
+
+    // Odometer order over three values per dimension, interleaving a
+    // constrained DP at the same location and a second optimizer.
+    const int odo[] = {0, 2, 5};
+    std::vector<int> digit(static_cast<size_t>(dims), 0);
+    for (int64_t n = 0;; ++n) {
+      std::vector<int> loc(static_cast<size_t>(dims));
+      for (int d = 0; d < dims; ++d) {
+        loc[static_cast<size_t>(d)] = odo[digit[static_cast<size_t>(d)]];
+      }
+      const EssPoint q = at(loc);
+      check(*opt, q);
+      if (n % 11 == 3) {
+        // Not every dimension can be the spill node; the call runs the
+        // constrained DP on the arena either way.
+        opt->OptimizeConstrainedSpill(q, static_cast<int>(n % dims),
+                                      all_unlearned);
+        check(*opt, q);
+      }
+      if (n % 7 == 5) check(other, at(random_loc()));
+      int d = dims - 1;
+      while (d >= 0 && ++digit[static_cast<size_t>(d)] == 3) {
+        digit[static_cast<size_t>(d)] = 0;
+        --d;
+      }
+      if (d < 0) break;
+    }
+
+    // Random jumps, some of them repeated.
+    for (int n = 0; n < 40; ++n) {
+      const EssPoint q = at(random_loc());
+      check(*opt, q);
+      if (n % 4 == 1) check(*opt, q);
+      if (n % 9 == 2) check(other, q);
+    }
+
+    // Single-dimension steps in every dimension, up the axis and back.
+    std::vector<int> loc = random_loc();
+    for (int d = 0; d < dims; ++d) {
+      int& v = loc[static_cast<size_t>(d)];
+      const int start = v;
+      for (v = 0; v < axis.points(); ++v) check(*opt, at(loc));
+      for (v = axis.points() - 1; v >= 0; --v) check(*opt, at(loc));
+      v = start;
+      if (d % 2 == 0) opt->OptimizeConstrainedSpill(at(loc), d, all_unlearned);
+      check(*opt, at(loc));
+    }
+
+    check(*opt, at(std::vector<int>(static_cast<size_t>(dims), 0)));
+  }
+}
+
+TEST(IncrementalDpTest, ConcurrentWalksOfOneOptimizerMatchFreshThreads) {
+  const std::shared_ptr<Catalog> catalog = ContextCache::TpcdsCatalog();
+  const Query query = MakeSuiteQuery("4D_Q91");
+  const Optimizer opt(catalog.get(), &query);
+  const LogAxis axis(1e-5, 4);
+  std::vector<EssPoint> grid;
+  for (int lin = 0; lin < 256; ++lin) {
+    EssPoint q(4);
+    for (int d = 0; d < 4; ++d) {
+      q[static_cast<size_t>(d)] = axis.value((lin >> (2 * (3 - d))) & 3);
+    }
+    grid.push_back(q);
+  }
+  std::vector<FreshAnswer> want;
+  for (const EssPoint& q : grid) want.push_back(AnswerOnFreshThread(opt, q));
+
+  // Each thread walks the grid with its own stride, so the threads' arenas
+  // hold different locations of the same optimizer at any moment.
+  constexpr int kThreads = 3;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PlanKey key;
+      const size_t stride = static_cast<size_t>(2 * t + 1);
+      for (size_t n = 0; n < 2 * grid.size(); ++n) {
+        const size_t i = (n * stride) % grid.size();
+        opt.OptimizeKey(grid[i], &key);
+        if (key != want[i].key) ++mismatches[static_cast<size_t>(t)];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
+}
 
 // --- PCM property (parameterized sweep) ---------------------------------
 
