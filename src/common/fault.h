@@ -14,10 +14,10 @@
 // and Disarm disarms the calling thread only; every other thread keeps
 // its own state, so two threads may run under different specs and seeds
 // at the same time. Fan-outs carry the caller's arming to their workers:
-// ParallelFor and ParallelMapReduce (common/thread_pool.h) run each block
-// under the caller's injector and restore the worker's own afterwards.
-// ThreadPool::Submit does not, so a task submitted from an armed thread
-// runs disarmed unless it arms itself.
+// ParallelFor (common/thread_pool.h) runs each block under the caller's
+// injector and restores the worker's own afterwards. ThreadPool::Submit
+// does not, so a task submitted from an armed thread runs disarmed unless
+// it arms itself.
 //
 // Determinism model. Every draw is a pure hash of
 // (seed, site, stream, per-stream-site counter): no global RNG state, no

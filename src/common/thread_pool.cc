@@ -1,6 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+
+#include "common/fault.h"
 
 namespace robustqp {
 
@@ -17,6 +21,13 @@ Status StatusFromException(const std::exception_ptr& e) {
 int ThreadPool::DefaultThreads() {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   return std::max(1, std::min(hw, 16));
+}
+
+ThreadPool& ThreadPool::Shared() {
+  // Deliberately leaked: its workers stay parked at exit instead of being
+  // joined while other static destructors may still fan out.
+  static ThreadPool* const shared = new ThreadPool(DefaultThreads());
+  return *shared;
 }
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -81,29 +92,82 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-Status ParallelFor(ThreadPool* pool, int64_t total,
+namespace {
+
+/// Indices per block: `total` over the cap, rounded up.
+int64_t BlockSize(int max_blocks, int64_t total) {
+  const int64_t cap =
+      max_blocks > 0 ? max_blocks : ThreadPool::DefaultThreads();
+  return (total + cap - 1) / cap;
+}
+
+/// One ParallelFor call's blocks, shared with the helper tasks it queues.
+/// A helper may first run after the call has returned; it then finds every
+/// block taken and touches nothing else, so `body` need only outlive the
+/// call.
+struct FanOut {
+  FanOut(const std::function<void(int, int64_t, int64_t)>* body,
+         int64_t total, int64_t block, int blocks)
+      : body(body),
+        faults(FaultArmingScope::Captured()),
+        total(total),
+        block(block),
+        blocks(blocks),
+        errors(static_cast<size_t>(blocks)) {}
+
+  /// Claims and runs blocks under the caller's arming until none is left.
+  void Drain() {
+    FaultArmingScope arming(faults);
+    for (int b = next.fetch_add(1); b < blocks; b = next.fetch_add(1)) {
+      const int64_t begin = static_cast<int64_t>(b) * block;
+      try {
+        (*body)(b, begin, std::min<int64_t>(total, begin + block));
+      } catch (...) {
+        errors[static_cast<size_t>(b)] = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == blocks) all_done.notify_all();
+    }
+  }
+
+  const std::function<void(int, int64_t, int64_t)>* const body;
+  FaultInjector* const faults;
+  const int64_t total;
+  const int64_t block;
+  const int blocks;
+  std::atomic<int> next{0};
+  std::vector<std::exception_ptr> errors;  // per block
+  std::mutex mu;
+  std::condition_variable all_done;
+  int done = 0;  // finished blocks, under `mu`
+};
+
+}  // namespace
+
+int ParallelBlocks(int max_blocks, int64_t total) {
+  if (total <= 0) return 0;
+  const int64_t block = BlockSize(max_blocks, total);
+  return static_cast<int>((total + block - 1) / block);
+}
+
+Status ParallelFor(int max_blocks, int64_t total,
                    const std::function<void(int worker, int64_t begin,
                                             int64_t end)>& body) {
-  if (total <= 0) return Status::OK();
-  const int workers = pool->num_threads();
-  const int64_t block = (total + workers - 1) / workers;
-  std::vector<std::exception_ptr> errors(static_cast<size_t>(workers));
-  FaultInjector* const faults = FaultArmingScope::Captured();
-  for (int t = 0; t < workers; ++t) {
-    const int64_t begin = static_cast<int64_t>(t) * block;
-    const int64_t end = std::min<int64_t>(total, begin + block);
-    if (begin >= end) break;
-    pool->Submit([&body, &errors, faults, t, begin, end] {
-      FaultArmingScope arming(faults);
-      try {
-        body(t, begin, end);
-      } catch (...) {
-        errors[static_cast<size_t>(t)] = std::current_exception();
-      }
-    });
+  const int blocks = ParallelBlocks(max_blocks, total);
+  if (blocks == 0) return Status::OK();
+  const auto fan = std::make_shared<FanOut>(
+      &body, total, BlockSize(max_blocks, total), blocks);
+  if (blocks > 1) {
+    ThreadPool& shared = ThreadPool::Shared();
+    const int helpers = std::min(blocks - 1, shared.num_threads());
+    for (int h = 0; h < helpers; ++h) shared.Submit([fan] { fan->Drain(); });
   }
-  (void)pool->Wait();  // per-block capture above supersedes loop-level errors
-  for (const std::exception_ptr& e : errors) {
+  fan->Drain();
+  {
+    std::unique_lock<std::mutex> lock(fan->mu);
+    fan->all_done.wait(lock, [&] { return fan->done == blocks; });
+  }
+  for (const std::exception_ptr& e : fan->errors) {
     if (e) return StatusFromException(e);
   }
   return Status::OK();

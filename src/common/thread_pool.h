@@ -1,25 +1,32 @@
-// Reusable parallel-execution layer: a fixed-size ThreadPool plus
-// ParallelFor / ParallelMapReduce helpers with deterministic semantics.
+// Reusable parallel-execution layer: a fixed-size ThreadPool, the one
+// process-wide fan-out pool, and the ParallelFor helper over it.
 //
-// Determinism contract. ParallelFor partitions the index range into one
-// contiguous block per worker; ParallelMapReduce partitions it into
-// fixed-size chunks whose boundaries depend only on (total, chunk_size) —
-// never on the worker count — and reduces the per-chunk partials strictly
-// in chunk order after every chunk has completed. A caller whose per-index
-// work is independent of the partitioning therefore gets bit-identical
-// results at any thread count, including floating-point accumulations
-// (the association order is fixed by the chunk grid, not the schedule).
+// Fan-out model. Every fan-out in the process runs on ThreadPool::Shared(),
+// DefaultThreads() workers started on first use and never stopped, so no
+// fan-out creates OS threads. ParallelFor takes a cap on its blocks, not a
+// pool. The calling thread runs blocks itself beside the helper tasks it
+// queues on the shared pool, and it waits only for its own blocks that a
+// helper has already started. ParallelFor is therefore reentrant: a block
+// may itself call ParallelFor, and concurrent fan-outs from any number of
+// threads neither deadlock nor wait on each other's work. A helper that
+// dequeues after every block was taken returns at once.
 //
-// Fault-injection contract. ParallelFor and ParallelMapReduce run every
-// block under the calling thread's fault injector (armed or not; see
-// common/fault.h) and restore the worker's own afterwards, so a fan-out
-// draws faults exactly as its caller would. They wait for their blocks, so
-// the caller's injector outlives every use. Submit() does not propagate:
-// a raw task runs under its worker's own (normally disarmed) state.
+// Determinism contract. ParallelFor's block boundaries depend only on
+// (cap, total), never on which thread runs a block, and `worker` is the
+// block index. A caller whose per-index work is independent of the
+// partitioning therefore gets bit-identical results at any cap; a caller
+// that keeps per-block scratch gets the same blocks on every run.
 //
-// Failure contract. Exceptions thrown inside a block/chunk are captured
-// and converted to a non-OK Status returned to the caller once all work
-// has drained; when several blocks throw, the one with the lowest index
+// Fault-injection contract. ParallelFor runs every block under the calling
+// thread's fault injector (armed or not; see common/fault.h) and restores
+// the worker's own afterwards, so a fan-out draws faults exactly as its
+// caller would. It returns only after its blocks finish, so the caller's
+// injector outlives every use. Submit() does not propagate: a raw task
+// runs under its worker's own (normally disarmed) state.
+//
+// Failure contract. Exceptions thrown inside a block are captured and
+// converted to a non-OK Status returned to the caller once all its blocks
+// have finished; when several blocks throw, the one with the lowest index
 // wins, again independent of the schedule. An exception escaping a raw
 // Submit() task is caught by the worker loop (instead of terminating the
 // process) and surfaced by the next Wait().
@@ -36,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/fault.h"
 #include "common/status.h"
 
 namespace robustqp {
@@ -46,8 +52,7 @@ Status StatusFromException(const std::exception_ptr& e);
 
 /// A fixed-size pool of worker threads consuming a FIFO task queue.
 /// Tasks may be submitted from any thread; Wait() blocks until the queue
-/// drains. Not reentrant: tasks must not themselves call Submit/Wait on
-/// the same pool.
+/// drains. Wait() is not reentrant: a task must not Wait on its own pool.
 class ThreadPool {
  public:
   /// `num_threads` <= 0 picks DefaultThreads().
@@ -68,9 +73,13 @@ class ThreadPool {
   /// loop since the previous Wait (OK otherwise), clearing it.
   Status Wait();
 
-  /// Hardware concurrency clamped to [1, 16] — the same policy the ESS
-  /// builder has always used for its optimizer sweep.
+  /// Hardware concurrency clamped to [1, 16].
   static int DefaultThreads();
+
+  /// The process-wide fan-out pool of DefaultThreads() workers that
+  /// ParallelFor borrows. Started by the first call and never destroyed,
+  /// so a fan-out during static destruction at exit still finds it.
+  static ThreadPool& Shared();
 
  private:
   void WorkerLoop();
@@ -86,57 +95,26 @@ class ThreadPool {
   std::exception_ptr first_error_;
 };
 
-/// Splits [0, total) into one contiguous block per pool worker and runs
-/// `body(worker, begin, end)` for each non-empty block. `worker` is the
-/// block index in [0, pool->num_threads()) — stable across runs, so
+/// The number of non-empty blocks ParallelFor(max_blocks, total, ...)
+/// runs: the cap (`max_blocks` <= 0 means DefaultThreads()), fewer when
+/// `total` is too small to fill it, and 0 when `total` <= 0. Callers size
+/// per-block scratch with it.
+int ParallelBlocks(int max_blocks, int64_t total);
+
+/// Splits [0, total) into at most `max_blocks` contiguous blocks
+/// (`max_blocks` <= 0 means DefaultThreads(); 1 runs the whole range on
+/// the calling thread) and runs `body(worker, begin, end)` for each
+/// non-empty block, on the calling thread and on up to
+/// Shared().num_threads() borrowed workers. `worker` is the block index
+/// in [0, ParallelBlocks(max_blocks, total)) — stable across runs, so
 /// callers can give each block its own scratch state (algorithm clone,
 /// RNG, oracle). Blocks are disjoint, so `body` may write to shared
 /// per-index storage without synchronization. Each block runs under the
 /// caller's fault injector. Returns the lowest-index block's exception as
 /// a Status after all blocks finish (OK when none threw).
-Status ParallelFor(ThreadPool* pool, int64_t total,
+Status ParallelFor(int max_blocks, int64_t total,
                    const std::function<void(int worker, int64_t begin,
                                             int64_t end)>& body);
-
-/// Maps fixed-size chunks of [0, total) on the pool and reduces the
-/// partials in chunk order: acc = reduce(acc, map(chunk_i)) for i = 0, 1,
-/// ... — the deterministic reduction described in the header comment.
-/// Each chunk runs under the caller's fault injector.
-/// Returns `init` unchanged when `total` <= 0, and the lowest-index
-/// chunk's exception as a non-OK Result when any chunk threw.
-template <typename T>
-Result<T> ParallelMapReduce(
-    ThreadPool* pool, int64_t total, int64_t chunk_size, T init,
-    const std::function<T(int64_t begin, int64_t end)>& map,
-    const std::function<T(T acc, T partial)>& reduce) {
-  if (total <= 0) return init;
-  if (chunk_size <= 0) chunk_size = 1;
-  const int64_t num_chunks = (total + chunk_size - 1) / chunk_size;
-  std::vector<T> partials(static_cast<size_t>(num_chunks));
-  std::vector<std::exception_ptr> errors(static_cast<size_t>(num_chunks));
-  FaultInjector* const faults = FaultArmingScope::Captured();
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    const int64_t begin = c * chunk_size;
-    const int64_t end = std::min<int64_t>(total, begin + chunk_size);
-    pool->Submit([&, c, begin, end] {
-      FaultArmingScope arming(faults);
-      try {
-        partials[static_cast<size_t>(c)] = map(begin, end);
-      } catch (...) {
-        errors[static_cast<size_t>(c)] = std::current_exception();
-      }
-    });
-  }
-  (void)pool->Wait();  // per-chunk capture above supersedes loop-level errors
-  for (const std::exception_ptr& e : errors) {
-    if (e) return StatusFromException(e);
-  }
-  T acc = std::move(init);
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    acc = reduce(std::move(acc), std::move(partials[static_cast<size_t>(c)]));
-  }
-  return acc;
-}
 
 }  // namespace robustqp
 

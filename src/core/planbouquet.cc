@@ -31,8 +31,6 @@ PlanBouquet::PlanBouquet(const Ess* ess, Options options)
     : ess_(ess), options_(options) {
   const double lambda = effective_lambda();
   contour_sets_.resize(static_cast<size_t>(ess->num_contours()));
-  ThreadPool pool;  // shared by the per-contour coverage fills
-
   for (int i = 0; i < ess->num_contours(); ++i) {
     const std::vector<int64_t>& frontier = ess->FrontierLocations(i);
     std::vector<const Plan*> posp = ess->ContourPlans(i);
@@ -46,31 +44,31 @@ PlanBouquet::PlanBouquet(const Ess* ess, Options options)
       // there stays within (1 + lambda) of the contour budget.
       const double budget = ess->ContourCost(i) * (1.0 + lambda);
       // coverage[p][l] = plan p covers frontier location l. Pure costing
-      // work, parallelized over plans.
+      // work, fanned out over plans on the ESS build's thread cap.
       std::vector<EssPoint> points(frontier.size());
       for (size_t l = 0; l < frontier.size(); ++l) {
         points[l] = ess->SelAt(ess->FromLinear(frontier[l]));
       }
       std::vector<std::vector<char>> coverage(posp.size());
-      const auto fill = [&](size_t begin, size_t end) {
-        for (size_t p = begin; p < end; ++p) {
-          coverage[p].resize(frontier.size());
-          for (size_t l = 0; l < frontier.size(); ++l) {
-            coverage[p][l] = ess->optimizer().PlanCost(*posp[p], points[l]) <=
-                                     budget * (1.0 + 1e-12)
+      const int max_blocks = posp.size() * frontier.size() < 4096
                                  ? 1
-                                 : 0;
-          }
-        }
-      };
-      if (pool.num_threads() <= 1 || posp.size() * frontier.size() < 4096) {
-        fill(0, posp.size());
-      } else {
-        ParallelFor(&pool, static_cast<int64_t>(posp.size()),
-                    [&](int /*worker*/, int64_t begin, int64_t end) {
-                      fill(static_cast<size_t>(begin), static_cast<size_t>(end));
-                    });
-      }
+                                 : ess->config().num_threads;
+      const Status filled = ParallelFor(
+          max_blocks, static_cast<int64_t>(posp.size()),
+          [&](int /*worker*/, int64_t begin, int64_t end) {
+            for (size_t p = static_cast<size_t>(begin);
+                 p < static_cast<size_t>(end); ++p) {
+              coverage[p].resize(frontier.size());
+              for (size_t l = 0; l < frontier.size(); ++l) {
+                coverage[p][l] =
+                    ess->optimizer().PlanCost(*posp[p], points[l]) <=
+                            budget * (1.0 + 1e-12)
+                        ? 1
+                        : 0;
+              }
+            }
+          });
+      RQP_CHECK(filled.ok());
       // Sparse cover lists + lazy greedy (gains only shrink as locations
       // get covered, so a stale priority-queue entry is an upper bound).
       std::vector<std::vector<int>> covers(posp.size());

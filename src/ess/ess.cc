@@ -29,15 +29,15 @@ struct PlanKeyHash {
 
 /// The sweep of Section 2.2: one optimizer call per grid location. The
 /// calls are pure and, on grids of kSweepFanOutLocations or more, fan out
-/// on a pool. A worker identifies each location's winner by its PlanKey
-/// and builds one Plan per distinct key it meets; each location is costed
-/// on that plan and keeps a pointer to it. The plans are interned
-/// afterwards in ascending linear order, so the pool and both surfaces are
-/// identical at any thread count. Odometer order makes the calls cheap,
-/// not correct: consecutive locations differ mostly in the last dimension,
-/// so each OptimizeKey recomputes only the DP cells that dimension reaches
-/// (a worker's first location runs a full DP), and any order would yield
-/// the same surfaces. With an armed FaultInjector each location draws from
+/// as up to `num_threads` blocks on the shared pool. A block identifies
+/// each location's winner by its PlanKey and builds one Plan per distinct
+/// key it meets; each location is costed on that plan and keeps a pointer
+/// to it. The plans are interned afterwards in ascending linear order, so
+/// the pool and both surfaces are identical at any thread count. Odometer
+/// order makes the calls cheap, not correct: consecutive locations differ
+/// mostly in the last dimension, so each OptimizeKey recomputes only the
+/// DP cells that dimension reaches (a block's first location runs a full
+/// DP), and any order would yield the same surfaces. With an armed FaultInjector each location draws from
 /// its own stream, keyed to the location rather than the thread, and
 /// retries transient optimizer faults up to kMaxFaultAttempts times.
 Status Sweep(const Ess& ess, int num_threads, PlanPool* pool,
@@ -47,12 +47,9 @@ Status Sweep(const Ess& ess, int num_threads, PlanPool* pool,
   const Optimizer& optimizer = ess.optimizer();
   const LogAxis& axis = ess.axis();
   const bool armed = FaultInjector::Armed();
-  const int threads = num_threads > 0 ? std::min(num_threads, 16)
-                                      : ThreadPool::DefaultThreads();
-  const int workers =
-      threads > 1 && total >= kSweepFanOutLocations ? threads : 1;
+  const int max_blocks = total >= kSweepFanOutLocations ? num_threads : 1;
 
-  // A distinct winner of one worker; `interned` is its pool instance.
+  // A distinct winner of one block; `interned` is its pool instance.
   struct Winner {
     std::unique_ptr<Plan> plan;
     const Plan* interned = nullptr;
@@ -61,7 +58,8 @@ Status Sweep(const Ess& ess, int num_threads, PlanPool* pool,
     std::unordered_map<PlanKey, size_t, PlanKeyHash> index;
     std::deque<Winner> winners;  // stable addresses for `winner_of`
   };
-  std::vector<WorkerWinners> per_worker(static_cast<size_t>(workers));
+  std::vector<WorkerWinners> per_worker(
+      static_cast<size_t>(ParallelBlocks(max_blocks, total)));
   std::vector<Winner*> winner_of(static_cast<size_t>(total));
 
   auto work = [&](int worker, int64_t begin, int64_t end) {
@@ -100,16 +98,7 @@ Status Sweep(const Ess& ess, int num_threads, PlanPool* pool,
       }
     }
   };
-  if (workers > 1) {
-    ThreadPool pool_threads(workers);
-    RQP_RETURN_NOT_OK(ParallelFor(&pool_threads, total, work));
-  } else {
-    try {
-      work(0, 0, total);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("task failed: ") + e.what());
-    }
-  }
+  RQP_RETURN_NOT_OK(ParallelFor(max_blocks, total, work));
   for (size_t i = 0; i < winner_of.size(); ++i) {
     Winner& winner = *winner_of[i];
     if (winner.interned == nullptr) {

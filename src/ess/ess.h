@@ -33,13 +33,13 @@ using GridLoc = std::vector<int>;
 /// suite's largest grid (32,768 locations).
 constexpr int64_t kMaxEssLocations = int64_t{1} << 20;
 
-/// Smallest grid whose sweep fans out on a thread pool (when the build has
+/// Smallest grid whose sweep fans out on the shared pool (when the build has
 /// more than one thread). A location costs 0.25-1.6 us at 1 thread with the
-/// incremental DP, and starting and joining a pool of 4 about 35-50 us
-/// (Release, 4 vCPUs), so pool start-up is not what sets the cutoff: it
-/// keeps the pool off the request-sized grids a serving process builds
-/// (every context_churn and engine_mix grid is smaller), whose requests
-/// already run side by side on the cores.
+/// incremental DP, and a fan-out starts no threads, so fan-out overhead is
+/// not what sets the cutoff: it keeps the sweep's fan-out off the
+/// request-sized grids a serving process builds (every context_churn and
+/// engine_mix grid is smaller), whose requests already run side by side on
+/// the cores.
 constexpr int64_t kSweepFanOutLocations = int64_t{1} << 15;
 
 /// The built ESS for one query: optimal-plan / optimal-cost surfaces over
@@ -57,8 +57,10 @@ class Ess {
     double contour_cost_ratio = 2.0;
     /// Cost model flavour for the underlying optimizer.
     CostModel cost_model = CostModel::PostgresFlavour();
-    /// Worker threads for the build's optimizer sweep; 0 = hardware
-    /// concurrency. Surfaces are identical at any value.
+    /// Cap on the blocks of the build's optimizer sweep and of
+    /// PlanBouquet's coverage fill on the shared pool (common/thread_pool.h);
+    /// 0 = ThreadPool::DefaultThreads(), 1 = serial. Surfaces are identical
+    /// at any value.
     int num_threads = 0;
   };
 

@@ -1683,10 +1683,11 @@ Status RunPipelineSequential(const Pipeline& p, const CostModel& cm,
 //     0..j reached, 0..j-1 passed, nothing downstream), so pruning stays
 //     cost-invisible while skipping the rows and the batch machinery.
 //  2. Run. Every other chunk counts into a private partial (ledger,
-//     NodeStats). With a pool the chunk is the unit of parallelism and
-//     its sink rows are buffered in the partial; without one a plain loop
-//     runs the chunks and applies sink rows as they arrive, so a serial
-//     run's memory does not grow with the table.
+//     NodeStats). With num_threads > 1 the chunk is the unit of
+//     parallelism (a ParallelFor on the shared pool) and its sink rows are
+//     buffered in the partial; at 1 a plain loop runs the chunks and
+//     applies sink rows as they arrive, so a serial run's memory does not
+//     grow with the table.
 //  3. Gather. Partials merge in ascending chunk order (== row order), so
 //     the global row order, every integer count, and therefore cost_used
 //     are bit-identical at any (thread count x shard count), and to the
@@ -1711,7 +1712,7 @@ struct ChunkOut {
   CostLedger ledger;
   std::vector<NodeStats> stats;
   int64_t output_rows = 0;
-  Batch sink;               // buffered sink rows (pool mode only)
+  Batch sink;               // buffered sink rows (parallel runs only)
   double fault_cost = 0.0;  // charged for lost / spiked work
   bool lost = false;
   bool spiked = false;
@@ -1753,7 +1754,7 @@ void RunChunk(const Pipeline& p, const WorkCtx& parent, int num_nodes,
 }
 
 Status RunPipelineChunked(const Pipeline& p, const CostModel& cm, WorkCtx* ctx,
-                          Scratch* sc, ThreadPool* pool, int num_shards,
+                          Scratch* sc, int num_threads, int num_shards,
                           int num_nodes, shard::ShardReport* srep,
                           RobustnessReport* rob) {
   RunPreOps(p, ctx);
@@ -1874,12 +1875,12 @@ Status RunPipelineChunked(const Pipeline& p, const CostModel& cm, WorkCtx* ctx,
   for (int64_t c = 0; c < chunks; ++c) {
     if (prune_j[static_cast<size_t>(c)] < 0) live.push_back(c);
   }
-  if (pool != nullptr && pool->num_threads() > 1 && live.size() > 1) {
+  if (num_threads > 1 && live.size() > 1) {
     // Partials are private to their chunk, so the ParallelFor barrier is
     // the only synchronization.
     std::vector<ChunkOut> outs(static_cast<size_t>(chunks));
     const Status st = ParallelFor(
-        pool, static_cast<int64_t>(live.size()),
+        num_threads, static_cast<int64_t>(live.size()),
         [&](int /*worker*/, int64_t begin, int64_t end) {
           Scratch wsc;
           for (int64_t i = begin; i < end; ++i) {
@@ -1933,7 +1934,7 @@ Status RunPipelineChunked(const Pipeline& p, const CostModel& cm, WorkCtx* ctx,
 Result<ExecutionResult> RunBatchEngine(const Catalog& catalog,
                                        const Plan& plan, const PlanNode& root,
                                        const CostModel& cost_model,
-                                       double budget, ThreadPool* pool,
+                                       double budget, int num_threads,
                                        bool use_zone_maps,
                                        bool use_compression, int num_shards) {
   ExecutionResult result;
@@ -1990,8 +1991,8 @@ Result<ExecutionResult> RunBatchEngine(const Catalog& catalog,
     // Unbudgeted scan pipelines run through the chunk driver; budgeted
     // ones and merge pipelines run on the coordinator.
     st = !ctx.budgeted && p.is_scan
-             ? RunPipelineChunked(p, cost_model, &ctx, &sc, pool, num_shards,
-                                  plan.num_nodes(), &result.shard,
+             ? RunPipelineChunked(p, cost_model, &ctx, &sc, num_threads,
+                                  num_shards, plan.num_nodes(), &result.shard,
                                   &result.robustness)
              : RunPipelineSequential(p, cost_model, &ctx, &sc);
     if (!st.ok()) break;

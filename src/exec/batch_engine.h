@@ -12,12 +12,11 @@
 
 namespace robustqp {
 
-class ThreadPool;
-
 /// Executes the subtree rooted at `root` with the batch engine.
 /// Unbudgeted scan pipelines run through the chunk driver (see
-/// batch_engine.cc); `pool` (may be null) runs their chunks in parallel,
-/// and the caller only passes it for full runs (budget < 0, not spill).
+/// batch_engine.cc); `num_threads` > 1 fans their chunks out on the shared
+/// pool (common/thread_pool.h) as at most that many blocks, and the caller
+/// passes more than 1 only for full runs (budget < 0, not spill).
 /// `use_zone_maps` enables physical-only block and chunk pruning —
 /// including block-exact pruned replay of budgeted aborts — and
 /// `use_compression` enables the fused filter-on-compressed kernels on
@@ -25,12 +24,12 @@ class ThreadPool;
 /// the flags exist for differential testing). `num_shards` > 1 labels
 /// chunks round-robin with simulated workers for shard fault draws and
 /// the per-shard cost split (the caller only passes it for full runs,
-/// same contract as `pool`); ExecutionResult::shard carries the
+/// same contract as `num_threads`); ExecutionResult::shard carries the
 /// accounting.
 Result<ExecutionResult> RunBatchEngine(const Catalog& catalog,
                                        const Plan& plan, const PlanNode& root,
                                        const CostModel& cost_model,
-                                       double budget, ThreadPool* pool,
+                                       double budget, int num_threads,
                                        bool use_zone_maps = true,
                                        bool use_compression = true,
                                        int num_shards = 1);

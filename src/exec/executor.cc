@@ -776,12 +776,7 @@ Executor::Executor(const Catalog* catalog, CostModel cost_model,
   if (options_.num_threads == 0) {
     options_.num_threads = ThreadPool::DefaultThreads();
   }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
 }
-
-Executor::~Executor() = default;
 
 bool Executor::ParseEngine(const std::string& name, Engine* out) {
   if (name == "tuple") {
@@ -811,11 +806,11 @@ Result<ExecutionResult> Executor::RunOnce(const Plan& plan,
     // one well-defined tuple, and a spill's whole point is to time-limit
     // learning, so both stay single-threaded.
     const bool full = budget < 0.0 && !spill && allow_parallel;
-    ThreadPool* pool = full ? pool_.get() : nullptr;
+    const int threads = full ? options_.num_threads : 1;
     // Sharding obeys the same full-run-only rule, and the serial
     // degradation rung (allow_parallel=false) collapses it too.
     const int shards = full ? options_.num_shards : 1;
-    return RunBatchEngine(*catalog_, plan, root, cost_model_, budget, pool,
+    return RunBatchEngine(*catalog_, plan, root, cost_model_, budget, threads,
                           options_.use_zone_maps, options_.use_compression,
                           shards);
   }
@@ -863,7 +858,7 @@ Result<ExecutionResult> Executor::RunFaulted(const Plan& plan,
   const bool batch = options_.engine == Engine::kBatch;
   if (batch) {
     sites.push_back(fault_site::kExecBatchPipeline);
-    if (pool_ != nullptr && budget < 0.0 && !spill) {
+    if (options_.num_threads > 1 && budget < 0.0 && !spill) {
       sites.push_back(fault_site::kExecMorselScan);
     }
   }
@@ -921,57 +916,6 @@ Result<ExecutionResult> Executor::ExecuteSpill(const Plan& plan,
                                                double budget) const {
   RQP_CHECK(spill_node_id >= 0 && spill_node_id < plan.num_nodes());
   return Run(plan, plan.node(spill_node_id), budget, /*spill=*/true);
-}
-
-Result<Executor::MinMaxResult> Executor::ExecuteMinMax(
-    const std::string& table, const std::string& column, double budget) const {
-  const CatalogEntry* entry = catalog_->FindTable(table);
-  if (entry == nullptr) {
-    return Status::NotFound("min/max: unknown table '" + table + "'");
-  }
-  const Table* t = entry->table.get();
-  const int c = t->schema().FindColumn(column);
-  if (c < 0) {
-    return Status::NotFound("min/max: table '" + table + "' has no column '" +
-                            column + "'");
-  }
-  const int64_t n = t->num_rows();
-  const CostParams& params = cost_model_.params();
-  // What a tuple-at-a-time scan charges after m rows.
-  auto total_at = [&params](int64_t m) {
-    CostLedger probe;
-    probe.scan_tuple += m;
-    return probe.Total(params);
-  };
-
-  MinMaxResult out;
-  if (budget >= 0.0 && n > 0 && total_at(n) > budget) {
-    // The naive loop charges row r's scan event and then aborts when the
-    // running total first exceeds the budget; find that row exactly.
-    // Total is non-decreasing in the event count, so binary search.
-    int64_t lo = 1, hi = n;
-    while (lo < hi) {
-      const int64_t mid = lo + (hi - lo) / 2;
-      if (total_at(mid) > budget) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    out.rows = lo;
-    out.cost_used = budget;  // min(total, budget), as in Execute
-    out.completed = false;
-    return out;
-  }
-
-  out.rows = n;
-  out.cost_used = total_at(n);
-  out.completed = true;
-  const kernels::MinMaxStats s = kernels::ColumnMinMax(t->column(c));
-  out.min = s.min;
-  out.max = s.max;
-  out.has_nan = s.has_nan;
-  return out;
 }
 
 }  // namespace robustqp

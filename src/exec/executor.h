@@ -22,7 +22,7 @@
 //  * the batch engine (default) — push-based pipelines over batches of
 //    up to 1024 row ids, with filters as tight column loops, hash-join
 //    probe split from output emission, and unbudgeted table scans driven
-//    one zone-pruned chunk at a time (chunk-parallel on a thread pool for
+//    one zone-pruned chunk at a time (chunk-parallel on the shared pool for
 //    full runs). A budgeted run counts whole morsels in bulk, sizing
 //    them from the remaining budget slack (16 rows doubling to 1024,
 //    capped at half the rows the slack pays for), and replays only the
@@ -42,7 +42,6 @@
 #define ROBUSTQP_EXEC_EXECUTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -53,8 +52,6 @@
 #include "shard/chunking.h"
 
 namespace robustqp {
-
-class ThreadPool;
 
 /// Per-plan-node execution counters (indexed by PlanNode::id).
 struct NodeStats {
@@ -122,8 +119,10 @@ class Executor {
     /// compare the batch engine against it, and the exec.batch.pipeline
     /// fault degrades to it.
     Engine engine = Engine::kBatch;
-    /// Worker threads for the batch engine's chunk-parallel scans. Only
-    /// full executions (budget < 0, not spilled) use them; budgeted and
+    /// Cap on the blocks of the batch engine's chunk-parallel scans, run
+    /// by the calling thread and workers borrowed from the process-wide
+    /// pool (common/thread_pool.h); an Executor starts no threads. Only
+    /// full executions (budget < 0, not spilled) fan out; budgeted and
     /// spill executions run single-threaded so the learning primitive's
     /// abort semantics are untouched. 0 means
     /// ThreadPool::DefaultThreads(); 1 disables parallelism.
@@ -150,7 +149,6 @@ class Executor {
 
   Executor(const Catalog* catalog, CostModel cost_model);
   Executor(const Catalog* catalog, CostModel cost_model, Options options);
-  ~Executor();
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -162,33 +160,6 @@ class Executor {
   /// Runs only the subtree rooted at `spill_node_id`, discarding output.
   Result<ExecutionResult> ExecuteSpill(const Plan& plan, int spill_node_id,
                                        double budget) const;
-
-  /// Outcome of a min/max aggregate execution (see ExecuteMinMax).
-  struct MinMaxResult {
-    bool completed = false;
-    double cost_used = 0.0;
-    /// Rows whose scan event was charged (== table rows when completed).
-    int64_t rows = 0;
-    /// Extremes in GetNumeric double semantics; only valid once
-    /// completed. NaNs are excluded (reported via has_nan); an empty or
-    /// all-NaN column keeps min > max (+inf / -inf).
-    double min = 0.0;
-    double max = 0.0;
-    bool has_nan = false;
-  };
-
-  /// MIN/MAX aggregate over one column. The *answer* comes from the
-  /// cheapest sound physical source — dictionary extremes for
-  /// dictionary-coded columns, zone-map block folds for finalized tables,
-  /// a full scan otherwise — but the *cost* is always what a naive
-  /// tuple-at-a-time scan would charge: one scan_tuple event per row,
-  /// aborting at exactly the row whose charge first exceeds `budget`
-  /// (< 0 means unlimited). cost_used is therefore bit-identical to
-  /// running the scan for real, keeping the aggregate fast path invisible
-  /// to the paper's cost-budgeted learning primitive.
-  Result<MinMaxResult> ExecuteMinMax(const std::string& table,
-                                     const std::string& column,
-                                     double budget = -1.0) const;
 
   const CostModel& cost_model() const { return cost_model_; }
   const Options& options() const { return options_; }
@@ -212,8 +183,6 @@ class Executor {
   const Catalog* catalog_;
   CostModel cost_model_;
   Options options_;
-  /// Owned pool for chunk-parallel scans (null when num_threads <= 1).
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace robustqp

@@ -555,44 +555,6 @@ bool MapPredicateToCodes(CompareOp op, double value, int64_t ref,
   }
 }
 
-MinMaxStats ColumnMinMax(const ColumnData& col) {
-  MinMaxStats s;
-  s.rows = col.size();
-  s.min = std::numeric_limits<double>::infinity();
-  s.max = -std::numeric_limits<double>::infinity();
-  if (s.rows == 0) return s;
-  if (col.enc().mode() == Encoding::kDict) {
-    // Dictionary extremes: first-appearance interning guarantees every
-    // entry occurs in the column, so the dictionary *is* the value set.
-    const EncodedColumn& enc = col.enc();
-    const int64_t card = enc.dict_size();
-    for (int64_t c = 0; c < card; ++c) {
-      const double x = enc.DictNumeric(c);
-      s.has_nan |= std::isnan(x);
-      s.min = x < s.min ? x : s.min;
-      s.max = x > s.max ? x : s.max;
-    }
-    return s;
-  }
-  const ZoneMap& z = col.zones();
-  if (z.num_blocks() * kZoneBlockRows >= s.rows && z.num_blocks() > 0) {
-    for (int64_t b = 0; b < z.num_blocks(); ++b) {
-      const size_t i = static_cast<size_t>(b);
-      s.min = z.min[i] < s.min ? z.min[i] : s.min;
-      s.max = z.max[i] > s.max ? z.max[i] : s.max;
-      s.has_nan |= !z.has_nan.empty() && z.has_nan[i] != 0;
-    }
-    return s;
-  }
-  for (int64_t r = 0; r < s.rows; ++r) {
-    const double x = col.GetNumeric(r);
-    s.has_nan |= std::isnan(x);
-    s.min = x < s.min ? x : s.min;
-    s.max = x > s.max ? x : s.max;
-  }
-  return s;
-}
-
 void Gather(const ColumnData& col, const int64_t* sel, int64_t n,
             std::vector<double>* out) {
   out->resize(static_cast<size_t>(n > 0 ? n : 0));

@@ -176,27 +176,6 @@ int64_t FilterPackedInt64(const EncodedColumn::PackedView& view,
                           int64_t* out, FilterScratch* scratch);
 
 // ---------------------------------------------------------------------------
-// Min/max from block metadata
-// ---------------------------------------------------------------------------
-
-/// Column extremes in GetNumeric double semantics (NaN excluded from
-/// min/max, reported via has_nan; an all-NaN or empty column keeps
-/// min > max).
-struct MinMaxStats {
-  double min = 0.0;
-  double max = 0.0;
-  bool has_nan = false;
-  int64_t rows = 0;
-};
-
-/// Computes column extremes from the cheapest sound source: dictionary
-/// extremes for dictionary-coded columns (every entry occurs at least
-/// once), zone-map folds otherwise, full scan when the table was never
-/// finalized. Purely physical — callers charge full scan events
-/// regardless (see Executor::ExecuteMinMax).
-MinMaxStats ColumnMinMax(const ColumnData& col);
-
-// ---------------------------------------------------------------------------
 // Gather kernels
 // ---------------------------------------------------------------------------
 

@@ -11,10 +11,6 @@ namespace robustqp {
 
 namespace {
 
-int ResolveThreads(const EvalOptions& opts) {
-  return opts.num_threads > 0 ? opts.num_threads : ThreadPool::DefaultThreads();
-}
-
 /// Fills stats.mso / worst_location / aso from the completed subopt
 /// vector. Serial left-to-right scan: the same association order
 /// regardless of how the vector was filled, so the aggregate is
@@ -79,18 +75,18 @@ SuboptimalityStats Evaluate(const DiscoveryAlgorithm& algo, const Ess& ess,
   }
   const bool armed = FaultInjector::Armed();
 
-  const int threads = ResolveThreads(opts);
-  ThreadPool pool(threads);
-  std::vector<double> worker_penalty(static_cast<size_t>(threads), 1.0);
-  std::vector<RobustnessReport> worker_report(static_cast<size_t>(threads));
-  std::vector<double> worker_clean(static_cast<size_t>(threads), 1.0);
-  // One contiguous block of locations per worker; the workers share the
-  // algorithm (its memos are synchronized) and build their own oracle per
-  // q_a. Per-location results are independent of the partitioning — fault
-  // draws included, being keyed to the location — so any thread count
-  // produces the same subopt vector.
-  const Status run_status =
-      ParallelFor(&pool, total, [&](int worker, int64_t begin, int64_t end) {
+  const size_t blocks =
+      static_cast<size_t>(ParallelBlocks(opts.num_threads, total));
+  std::vector<double> worker_penalty(blocks, 1.0);
+  std::vector<RobustnessReport> worker_report(blocks);
+  std::vector<double> worker_clean(blocks, 1.0);
+  // Contiguous blocks of locations share the algorithm (its memos are
+  // synchronized) and build their own oracle per q_a. Per-location results
+  // are independent of the partitioning — fault draws included, being
+  // keyed to the location — so any thread count produces the same subopt
+  // vector.
+  const Status run_status = ParallelFor(
+      opts.num_threads, total, [&](int worker, int64_t begin, int64_t end) {
         double max_penalty = 1.0;
         RobustnessReport report;
         double max_clean = 1.0;
@@ -150,24 +146,20 @@ SuboptimalityStats Evaluate(const DiscoveryAlgorithm& algo, const Ess& ess,
 namespace {
 
 /// Shared shape of the two native baselines: fill subopt[lin] via
-/// `subopt_at`, fanned out in fixed-size chunks, then reduce serially.
+/// `subopt_at`, fanned out in blocks, then reduce serially.
 SuboptimalityStats EvaluateNative(
     const Ess& ess, const EvalOptions& opts,
     const std::function<double(int64_t)>& subopt_at) {
   SuboptimalityStats stats;
   const int64_t total = ess.num_locations();
   stats.subopt.resize(static_cast<size_t>(total));
-  ThreadPool pool(ResolveThreads(opts));
-  constexpr int64_t kChunk = 256;
-  ParallelMapReduce<int>(
-      &pool, total, kChunk, 0,
-      [&](int64_t begin, int64_t end) {
+  const Status st = ParallelFor(
+      opts.num_threads, total, [&](int, int64_t begin, int64_t end) {
         for (int64_t lin = begin; lin < end; ++lin) {
           stats.subopt[static_cast<size_t>(lin)] = subopt_at(lin);
         }
-        return 0;
-      },
-      [](int acc, int) { return acc; });
+      });
+  RQP_CHECK(st.ok());
   ReduceStats(&stats);
   return stats;
 }

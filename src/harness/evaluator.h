@@ -5,11 +5,11 @@
 // (Eq. (8)); the per-location vector feeds the Fig. 12 histograms. Also
 // provides the traditional-optimizer baselines of Eq. (1).
 //
-// The per-q_a runs are independent, so the sweep fans out across a
-// ThreadPool: the workers share the (thread-safe) algorithm, each builds
-// its own SimulatedOracle per location, and the reduction to
-// SuboptimalityStats is deterministic — results are bit-identical at any
-// thread count.
+// The per-q_a runs are independent, so the sweep fans out as a
+// ParallelFor on the shared pool: the blocks share the (thread-safe)
+// algorithm, each builds its own SimulatedOracle per location, and the
+// reduction to SuboptimalityStats is deterministic — results are
+// bit-identical at any thread count.
 
 #ifndef ROBUSTQP_HARNESS_EVALUATOR_H_
 #define ROBUSTQP_HARNESS_EVALUATOR_H_
@@ -28,8 +28,9 @@ namespace robustqp {
 
 /// Knobs for the exhaustive sweep.
 struct EvalOptions {
-  /// Worker threads for the per-q_a fan-out; 0 = hardware concurrency,
-  /// 1 = serial. Any value yields bit-identical SuboptimalityStats.
+  /// Cap on the blocks of the per-q_a fan-out on the shared pool
+  /// (common/thread_pool.h); 0 = ThreadPool::DefaultThreads(), 1 = serial.
+  /// Any value yields bit-identical SuboptimalityStats.
   int num_threads = 0;
   /// Chaos-sweep mode: when non-empty, the calling thread's FaultInjector
   /// is configured with this spec (see FaultInjector::Configure for the

@@ -485,75 +485,46 @@ std::unique_ptr<Plan> Optimizer::OptimizeConstrainedSpill(
   return PlanFromKey(arena.key);
 }
 
-// Computes per-node rows and cumulative costs. Cardinalities are kept as
+// Computes a subtree's rows and cumulative cost. Cardinalities are kept as
 // unclamped expectations (see RunDp), so this is exactly consistent with
 // the DP's per-mask cardinalities and the DP winner really is the
 // CostPlan minimum.
 double Optimizer::CostNode(const PlanNode& node, const EssPoint& q,
-                           PlanCosting* out) const {
-  const size_t id = static_cast<size_t>(node.id);
+                           double* cost, PlanCosting* out) const {
+  double rows;
   if (node.op == PlanOp::kSeqScan) {
-    const double rows =
-        estimator_.FilteredRows(node.table_idx, node.filter_indices, q);
-    out->rows[id] = rows;
-    out->cost[id] = cost_model_.ScanCost(estimator_.RawRows(node.table_idx));
-    return rows;
-  }
-  const double lr = CostNode(*node.left, q, out);
-  const double rr = CostNode(*node.right, q, out);
-  double sel = 1.0;
-  for (int j : node.join_indices) sel *= estimator_.JoinSelectivity(j, q);
-  const double out_rows = lr * rr * sel;
-  out->rows[id] = out_rows;
-  double local;
-  if (node.op == PlanOp::kHashJoin) {
-    local = cost_model_.HashJoinCost(lr, rr, out_rows);
-  } else if (node.op == PlanOp::kNLJoin) {
-    local = cost_model_.NLJoinCost(lr, rr, out_rows);
-  } else if (node.op == PlanOp::kSortMergeJoin) {
-    local = cost_model_.SortMergeJoinCost(lr, rr, out_rows);
-  } else {
-    const double fetched =
-        lr * estimator_.RawRows(node.right->table_idx) * sel;
-    local = cost_model_.IndexNLJoinCost(lr, fetched, out_rows);
-    // The probed table is never scanned under this plan: its subtree
-    // keeps its standalone cost (what a spill execution of that scan
-    // would pay) but contributes nothing to this node's cumulative cost.
-    out->cost[id] = out->cost[static_cast<size_t>(node.left->id)] + local;
-    return out_rows;
-  }
-  out->cost[id] = out->cost[static_cast<size_t>(node.left->id)] +
-                  out->cost[static_cast<size_t>(node.right->id)] + local;
-  return out_rows;
-}
-
-void Optimizer::CostNodeFast(const PlanNode& node, const EssPoint& q,
-                             double* rows, double* cost) const {
-  if (node.op == PlanOp::kSeqScan) {
-    *rows = estimator_.FilteredRows(node.table_idx, node.filter_indices, q);
+    rows = estimator_.FilteredRows(node.table_idx, node.filter_indices, q);
     *cost = cost_model_.ScanCost(estimator_.RawRows(node.table_idx));
-    return;
-  }
-  double lr, lc, rr, rc;
-  CostNodeFast(*node.left, q, &lr, &lc);
-  CostNodeFast(*node.right, q, &rr, &rc);
-  double sel = 1.0;
-  for (int j : node.join_indices) sel *= estimator_.JoinSelectivity(j, q);
-  const double out_rows = lr * rr * sel;
-  double local;
-  if (node.op == PlanOp::kHashJoin) {
-    local = cost_model_.HashJoinCost(lr, rr, out_rows);
-  } else if (node.op == PlanOp::kNLJoin) {
-    local = cost_model_.NLJoinCost(lr, rr, out_rows);
-  } else if (node.op == PlanOp::kSortMergeJoin) {
-    local = cost_model_.SortMergeJoinCost(lr, rr, out_rows);
   } else {
-    const double fetched = lr * estimator_.RawRows(node.right->table_idx) * sel;
-    local = cost_model_.IndexNLJoinCost(lr, fetched, out_rows);
-    rc = 0.0;  // the probed table is never scanned
+    double lc, rc;
+    const double lr = CostNode(*node.left, q, &lc, out);
+    const double rr = CostNode(*node.right, q, &rc, out);
+    double sel = 1.0;
+    for (int j : node.join_indices) sel *= estimator_.JoinSelectivity(j, q);
+    rows = lr * rr * sel;
+    double local;
+    if (node.op == PlanOp::kHashJoin) {
+      local = cost_model_.HashJoinCost(lr, rr, rows);
+    } else if (node.op == PlanOp::kNLJoin) {
+      local = cost_model_.NLJoinCost(lr, rr, rows);
+    } else if (node.op == PlanOp::kSortMergeJoin) {
+      local = cost_model_.SortMergeJoinCost(lr, rr, rows);
+    } else {
+      const double fetched =
+          lr * estimator_.RawRows(node.right->table_idx) * sel;
+      local = cost_model_.IndexNLJoinCost(lr, fetched, rows);
+      // The probed table is never scanned under this plan: its subtree
+      // keeps its standalone cost (what a spill execution of that scan
+      // would pay) but contributes nothing to this node's cumulative cost.
+      rc = 0.0;
+    }
+    *cost = lc + rc + local;
   }
-  *rows = out_rows;
-  *cost = lc + rc + local;
+  if (out != nullptr) {
+    out->rows[static_cast<size_t>(node.id)] = rows;
+    out->cost[static_cast<size_t>(node.id)] = *cost;
+  }
+  return rows;
 }
 
 PlanCosting Optimizer::CostPlan(const Plan& plan, const EssPoint& q) const {
@@ -561,7 +532,8 @@ PlanCosting Optimizer::CostPlan(const Plan& plan, const EssPoint& q) const {
   PlanCosting out;
   out.rows.assign(static_cast<size_t>(plan.num_nodes()), 0.0);
   out.cost.assign(static_cast<size_t>(plan.num_nodes()), 0.0);
-  CostNode(plan.root(), q, &out);
+  double cost = 0.0;
+  CostNode(plan.root(), q, &cost, &out);
   return out;
 }
 

@@ -107,9 +107,8 @@ class Optimizer {
   /// Total cost only — allocation-free fast path (hot in contour
   /// coverage computation and exhaustive MSO sweeps).
   double PlanCost(const Plan& plan, const EssPoint& q) const {
-    double rows = 0.0;
     double cost = 0.0;
-    CostNodeFast(plan.root(), q, &rows, &cost);
+    CostNode(plan.root(), q, &cost, nullptr);
     return cost;
   }
 
@@ -184,10 +183,10 @@ class Optimizer {
   std::unique_ptr<PlanNode> NodeFromKey(const PlanKey& key, uint64_t mask,
                                         size_t* pos) const;
 
-  double CostNode(const PlanNode& node, const EssPoint& q,
+  /// Returns the subtree's output rows and sets `*cost` to its cumulative
+  /// cost; records both per node in `out` unless it is null.
+  double CostNode(const PlanNode& node, const EssPoint& q, double* cost,
                   PlanCosting* out) const;
-  void CostNodeFast(const PlanNode& node, const EssPoint& q, double* rows,
-                    double* cost) const;
 
   const Catalog* catalog_;
   const Query* query_;

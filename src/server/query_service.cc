@@ -209,8 +209,7 @@ ServiceResponse QueryService::RunOneShot(const ServiceRequest& request,
                                          feedback::FeedbackStore* store) {
   ServiceResponse resp;
   resp.query_id = request.query_id;
-  Execute(request, cache != nullptr ? cache : &ContextCache::Default(), store,
-          &resp);
+  Execute(request, cache, store, &resp);
   return resp;
 }
 

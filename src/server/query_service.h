@@ -15,7 +15,12 @@
 //   ServiceResponse resp = service.Wait(session, id).value();
 //   service.CloseSession(session);
 //
-// Execution model. Submitted requests run on a shared ThreadPool.
+// Execution model. Submitted requests run on the service's own request
+// pool of Options::num_threads workers, a deployment setting with the
+// admission semantics below. The fan-outs inside a request (engine chunk
+// scans, ESS sweeps, bouquet fills) borrow the process-wide pool
+// (common/thread_pool.h), so the process's thread count is fixed once both
+// pools have started.
 // Admission control is a bounded queue: at most Options::queue_limit
 // requests may be admitted (queued + running) at once; Submit rejects
 // beyond that with kResourceExhausted, immediately and without side
@@ -152,7 +157,7 @@ struct ServiceResponse {
 class QueryService {
  public:
   struct Options {
-    /// Width of the shared worker pool; 0 = ThreadPool::DefaultThreads().
+    /// Width of the request pool; 0 = ThreadPool::DefaultThreads().
     int num_threads = 0;
     /// Admission bound: maximum requests admitted (queued + running) at
     /// once. Submit beyond this returns kResourceExhausted.
@@ -235,7 +240,7 @@ class QueryService {
   ServiceStats stats() const;
 
   /// The serial one-shot reference: runs `request` to completion on the
-  /// calling thread against `cache` (Default() when null) with exactly the
+  /// calling thread against `cache` with exactly the
   /// semantics of the concurrent path — the payload a Submit/Wait of the
   /// same request must match bit-for-bit. Admission, deadline, and timing
   /// fields do not apply. `store` is the feedback store consulted when the
@@ -246,7 +251,7 @@ class QueryService {
   /// holds per store state, i.e. for the same sequence of prior
   /// feedback-enabled completions on the key.
   static ServiceResponse RunOneShot(const ServiceRequest& request,
-                                    ContextCache* cache = nullptr,
+                                    ContextCache* cache,
                                     feedback::FeedbackStore* store = nullptr);
 
  private:

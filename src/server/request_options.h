@@ -41,8 +41,9 @@ struct RequestOptions {
   // --- execution engine (Executor::Options; requests always run the
   // batch engine with zone maps on — the tuple engine and the zone-maps-off
   // arm are differential references, not serving choices) ---
-  /// Worker threads for chunk-parallel scans inside one request's
-  /// executions (not the service pool's width); 1 disables, 0 = all cores.
+  /// Cap on the blocks of chunk-parallel scans inside one request's
+  /// executions, run on the shared fan-out pool (not the service pool's
+  /// width); 1 disables, 0 = all cores.
   int num_threads = 1;
   /// Fused filter-on-compressed execution over encoded columns (the
   /// Executor::Options::use_compression toggle). Physical only: results
@@ -70,7 +71,8 @@ struct RequestOptions {
   // --- ESS construction (the Ess::Config fields front-ends expose) ---
   int points_per_dim = 0;  // 0 = DefaultPointsPerDim(D)
   double contour_cost_ratio = 2.0;
-  /// Threads for the ESS build / evaluation sweeps; 0 = all cores.
+  /// Cap on the blocks of the ESS build / evaluation sweeps and the
+  /// bouquet fill; 0 = all cores.
   int ess_threads = 0;
   CostModel cost_model = CostModel::PostgresFlavour();
 

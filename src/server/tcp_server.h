@@ -65,9 +65,10 @@
 
 namespace robustqp {
 
-/// Upper bounds of the SUBMIT `threads` and `shards` keys: each request
-/// builds its own Executor, so an unbounded value would let one line
-/// spawn that many pool threads or size per-shard vectors by it.
+/// Upper bounds of the SUBMIT `threads` and `shards` keys: `threads` caps
+/// the fan-out blocks of a request's full executions (each with its own
+/// scratch) and `shards` sizes per-shard vectors, so neither may take an
+/// unbounded value from one line.
 constexpr int kMaxSubmitThreads = 64;
 constexpr int kMaxSubmitShards = 1024;
 

@@ -1,11 +1,18 @@
-// Unit tests for src/common: Status/Result, Rng/Zipf, LogAxis, TablePrinter.
+// Unit tests for src/common: Status/Result, Rng/Zipf, LogAxis, TablePrinter,
+// and the shared fan-out pool (ParallelFor), whose thread-count test drives
+// the executor, PlanBouquet and the evaluator over it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/log_grid.h"
@@ -13,6 +20,11 @@
 #include "common/status.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
+#include "core/planbouquet.h"
+#include "core/spillbound.h"
+#include "exec/executor.h"
+#include "harness/evaluator.h"
+#include "server/context_cache.h"
 
 namespace robustqp {
 namespace {
@@ -199,9 +211,8 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(3);
   std::vector<int> hits(1000, 0);
-  ParallelFor(&pool, 1000, [&](int worker, int64_t begin, int64_t end) {
+  ParallelFor(3, 1000, [&](int worker, int64_t begin, int64_t end) {
     EXPECT_GE(worker, 0);
     EXPECT_LT(worker, 3);
     for (int64_t i = begin; i < end; ++i) ++hits[static_cast<size_t>(i)];
@@ -210,13 +221,12 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyRangeIsANoop) {
-  ThreadPool pool(4);
   int calls = 0;
-  ParallelFor(&pool, 0, [&](int, int64_t, int64_t) { ++calls; });
+  ParallelFor(4, 0, [&](int, int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  // Fewer indices than workers: blocks are skipped, never empty.
+  // Fewer indices than the cap: blocks are skipped, never empty.
   std::atomic<int> covered{0};
-  ParallelFor(&pool, 2, [&](int, int64_t begin, int64_t end) {
+  ParallelFor(4, 2, [&](int, int64_t begin, int64_t end) {
     EXPECT_LT(begin, end);
     covered += static_cast<int>(end - begin);
   });
@@ -224,16 +234,15 @@ TEST(ThreadPoolTest, ParallelForEmptyRangeIsANoop) {
 }
 
 TEST(ThreadPoolTest, ParallelForConvertsExceptionToStatus) {
-  ThreadPool pool(4);
-  const Status st = ParallelFor(&pool, 100, [&](int, int64_t begin, int64_t) {
+  const Status st = ParallelFor(4, 100, [&](int, int64_t begin, int64_t) {
     if (begin == 0) throw std::runtime_error("boom");
   });
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
   EXPECT_NE(st.message().find("boom"), std::string::npos);
-  // The pool survives a throwing batch.
+  // The shared pool survives a throwing batch.
   std::atomic<int> count{0};
-  const Status ok = ParallelFor(&pool, 8, [&](int, int64_t begin, int64_t end) {
+  const Status ok = ParallelFor(4, 8, [&](int, int64_t begin, int64_t end) {
     count += static_cast<int>(end - begin);
   });
   EXPECT_TRUE(ok.ok());
@@ -256,62 +265,184 @@ TEST(ThreadPoolTest, WaitSurfacesExceptionEscapingARawTask) {
   EXPECT_EQ(count.load(), 1);
 }
 
-TEST(ThreadPoolTest, MapReduceHandlesMoreChunksThanThreads) {
-  ThreadPool pool(2);
-  // 1000 indices in chunks of 7 -> 143 chunks over 2 workers.
-  const int64_t sum = ParallelMapReduce<int64_t>(
-                          &pool, 1000, 7, 0,
-                          [](int64_t begin, int64_t end) {
-                            int64_t s = 0;
-                            for (int64_t i = begin; i < end; ++i) s += i;
-                            return s;
-                          },
-                          [](int64_t acc, int64_t part) { return acc + part; })
-                          .value();
-  EXPECT_EQ(sum, 999 * 1000 / 2);
+TEST(ThreadPoolTest, ParallelForRunsMoreBlocksThanSharedWorkers) {
+  // More blocks than the shared pool has workers: the caller and the
+  // borrowed workers take blocks until none is left, each exactly once.
+  const int cap = 4 * ThreadPool::Shared().num_threads() + 3;
+  const int blocks = ParallelBlocks(cap, 1000);
+  EXPECT_EQ(blocks, cap);
+  std::vector<std::atomic<int>> runs(static_cast<size_t>(blocks));
+  std::atomic<int64_t> sum{0};
+  const Status st =
+      ParallelFor(cap, 1000, [&](int worker, int64_t begin, int64_t end) {
+        ++runs[static_cast<size_t>(worker)];
+        for (int64_t i = begin; i < end; ++i) sum += i;
+      });
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(sum.load(), 999 * 1000 / 2);
+  for (const std::atomic<int>& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
-TEST(ThreadPoolTest, MapReduceReducesInChunkOrder) {
-  // The reduction must follow chunk order regardless of completion order:
-  // concatenating chunk-begin indices yields the sorted sequence.
-  ThreadPool pool(4);
-  const std::vector<int64_t> order =
-      ParallelMapReduce<std::vector<int64_t>>(
-          &pool, 64, 4, {},
-          [](int64_t begin, int64_t) { return std::vector<int64_t>{begin}; },
-          [](std::vector<int64_t> acc, std::vector<int64_t> part) {
-            acc.insert(acc.end(), part.begin(), part.end());
-            return acc;
-          })
-          .value();
-  ASSERT_EQ(order.size(), 16u);
-  for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], static_cast<int64_t>(i) * 4);
+TEST(ThreadPoolTest, ParallelForBlocksDependOnlyOnTheCap) {
+  // Block `worker` is always [worker * size, ...), size = ceil(total / cap),
+  // whichever thread runs it.
+  for (const int cap : {1, 3, 4, 7}) {
+    const int64_t total = 50;
+    const int64_t size = (total + cap - 1) / cap;
+    std::vector<std::pair<int64_t, int64_t>> got(
+        static_cast<size_t>(ParallelBlocks(cap, total)));
+    ASSERT_TRUE(ParallelFor(cap, total, [&](int worker, int64_t begin,
+                                            int64_t end) {
+                  got[static_cast<size_t>(worker)] = {begin, end};
+                }).ok());
+    for (size_t b = 0; b < got.size(); ++b) {
+      const int64_t begin = static_cast<int64_t>(b) * size;
+      EXPECT_EQ(got[b].first, begin) << "cap " << cap;
+      EXPECT_EQ(got[b].second, std::min(total, begin + size)) << "cap " << cap;
+    }
   }
 }
 
-TEST(ThreadPoolTest, MapReduceEmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const int v = ParallelMapReduce<int>(
-                    &pool, 0, 16, 42, [](int64_t, int64_t) { return 7; },
-                    [](int acc, int part) { return acc + part; })
-                    .value();
-  EXPECT_EQ(v, 42);
+TEST(ThreadPoolTest, ParallelBlocksCountsNonEmptyBlocks) {
+  EXPECT_EQ(ParallelBlocks(4, 0), 0);
+  EXPECT_EQ(ParallelBlocks(4, -3), 0);
+  EXPECT_EQ(ParallelBlocks(4, 2), 2);
+  EXPECT_EQ(ParallelBlocks(3, 1000), 3);
+  EXPECT_EQ(ParallelBlocks(4, 5), 3);  // blocks of 2: {0,1} {2,3} {4}
+  EXPECT_EQ(ParallelBlocks(1, 1000), 1);
+  EXPECT_EQ(ParallelBlocks(0, 1000), ThreadPool::DefaultThreads());
 }
 
-TEST(ThreadPoolTest, MapReducePropagatesFirstChunkException) {
-  ThreadPool pool(4);
-  const Result<int> r = ParallelMapReduce<int>(
-      &pool, 100, 10, 0,
-      [](int64_t begin, int64_t) -> int {
-        if (begin == 30) throw std::runtime_error("chunk-3");
-        if (begin == 70) throw std::runtime_error("chunk-7");
-        return 0;
-      },
-      [](int acc, int) { return acc; });
-  ASSERT_FALSE(r.ok());
-  // Lowest chunk index wins, independent of completion order.
-  EXPECT_NE(r.status().message().find("chunk-3"), std::string::npos);
+TEST(ThreadPoolTest, ParallelForLowestBlockExceptionWins) {
+  const Status st = ParallelFor(10, 100, [](int, int64_t begin, int64_t) {
+    if (begin == 30) throw std::runtime_error("block-3");
+    if (begin == 70) throw std::runtime_error("block-7");
+  });
+  ASSERT_FALSE(st.ok());
+  // Lowest block index wins, independent of completion order.
+  EXPECT_NE(st.message().find("block-3"), std::string::npos);
+}
+
+/// ParallelFor at a cap of 1 (every block on the caller) and of 4 (blocks
+/// on the caller and borrowed shared-pool workers).
+class SharedPoolTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SharedPoolTest, NestedParallelForCompletes) {
+  // Every outer block fans out again. With per-pool waiting this
+  // deadlocks once every worker blocks in a nested Wait; here each caller
+  // runs its own blocks and waits only for blocks already running.
+  const int cap = GetParam();
+  constexpr int64_t kOuter = 16;
+  constexpr int64_t kInner = 64;
+  std::vector<int> hits(static_cast<size_t>(kOuter * kInner), 0);
+  const Status st = ParallelFor(cap, kOuter, [&](int, int64_t ob, int64_t oe) {
+    for (int64_t o = ob; o < oe; ++o) {
+      const Status inner =
+          ParallelFor(cap, kInner, [&](int, int64_t ib, int64_t ie) {
+            for (int64_t i = ib; i < ie; ++i) {
+              ++hits[static_cast<size_t>(o * kInner + i)];
+            }
+          });
+      if (!inner.ok()) throw std::runtime_error(inner.ToString());
+    }
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST_P(SharedPoolTest, ConcurrentCallersEachCoverTheirRangeOnce) {
+  const int cap = GetParam();
+  constexpr int kCallers = 8;
+  constexpr int64_t kTotal = 5000;
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(kTotal, 0));
+  std::vector<Status> status(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<int>& mine = hits[static_cast<size_t>(c)];
+      status[static_cast<size_t>(c)] =
+          ParallelFor(cap, kTotal, [&](int, int64_t begin, int64_t end) {
+            for (int64_t i = begin; i < end; ++i) {
+              ++mine[static_cast<size_t>(i)];
+            }
+          });
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_TRUE(status[static_cast<size_t>(c)].ok()) << "caller " << c;
+    for (int h : hits[static_cast<size_t>(c)]) {
+      ASSERT_EQ(h, 1) << "caller " << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Caps, SharedPoolTest, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "cap" + std::to_string(info.param);
+                         });
+
+/// The calling process's thread count from /proc/self/status; -1 where
+/// the file is unavailable.
+int ProcessThreads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(SharedPoolThreadsTest, FanOutsStartNoThreads) {
+  if (ProcessThreads() < 0) GTEST_SKIP() << "no /proc/self/status";
+  ContextCache cache(ContextCache::Options{4});
+  Ess::Config config;
+  config.points_per_dim = 12;
+  config.num_threads = 4;
+  const std::shared_ptr<const ContextCache::Entry> ctx =
+      *cache.Get("2D_Q91", config);
+  const Ess& ess = *ctx->ess;
+  // A 4D bouquet's coverage fills are large enough to fan out.
+  config.points_per_dim = 8;
+  const std::shared_ptr<const ContextCache::Entry> ctx4d =
+      *cache.Get("4D_Q91", config);
+
+  // The first fan-out starts the shared pool; nothing after it may add a
+  // thread. A pool that lives for one call only is gone again when the
+  // call returns, so a sampler watches the count while the work runs.
+  ASSERT_TRUE(ParallelFor(4, 8, [](int, int64_t, int64_t) {}).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> peak{0};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      peak = std::max(peak.load(), ProcessThreads());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  const int threads = ProcessThreads();
+
+  Executor::Options options;
+  options.num_threads = 8;
+  const Plan& plan = *ess.pool().plans().front();
+  for (int run = 0; run < 20; ++run) {
+    const Executor executor(ctx->catalog.get(), ess.config().cost_model,
+                            options);
+    const Result<ExecutionResult> r = executor.Execute(plan, -1.0);
+    EXPECT_TRUE(r.ok() && r->completed);
+  }
+  for (int build = 0; build < 3; ++build) {
+    const PlanBouquet bouquet(ctx4d->ess.get());
+    EXPECT_GT(bouquet.BouquetSize(), 0);
+  }
+  EvalOptions eval;
+  eval.num_threads = 4;
+  const SpillBound sb(&ess);
+  EXPECT_GE(Evaluate(sb, ess, eval).mso, 1.0);
+  const int after = ProcessThreads();
+  done = true;
+  sampler.join();
+  EXPECT_EQ(peak.load(), threads);
+  EXPECT_EQ(after, threads);
 }
 
 }  // namespace

@@ -1715,85 +1715,6 @@ TEST(TupleBlockReadTest, TupleMatchesBatchAcrossBlockEdgesUnderEveryEncoding) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// ExecuteMinMax: the metadata fast path must answer like a naive scan and
-// charge like one, identically on raw and encoded storage.
-// ---------------------------------------------------------------------------
-
-TEST(ExecuteMinMaxTest, MatchesNaiveScanAndIsStorageInvariant) {
-  const uint64_t seed = 5;
-  EncodingPolicy dict;
-  dict.kind = Encoding::kDict;
-  ExecInstance raw = MakeZoneInstance(seed);
-  ExecInstance enc = MakeZoneInstance(seed, dict);
-  Executor eraw = MakeEngine(raw.catalog.get(), Executor::Engine::kBatch);
-  Executor eenc = MakeEngine(enc.catalog.get(), Executor::Engine::kBatch);
-
-  for (const std::string& tname : raw.catalog->TableNames()) {
-    const Table& table = *raw.catalog->FindTable(tname)->table;
-    for (int c = 0; c < table.schema().num_columns(); ++c) {
-      const std::string cname = table.schema().column(c).name;
-      const std::string tag = tname + "." + cname;
-      const Result<Executor::MinMaxResult> a = eraw.ExecuteMinMax(tname, cname);
-      const Result<Executor::MinMaxResult> b = eenc.ExecuteMinMax(tname, cname);
-      ASSERT_TRUE(a.ok() && b.ok()) << tag;
-      EXPECT_TRUE(a->completed) << tag;
-      EXPECT_EQ(a->rows, table.num_rows()) << tag;
-      // Storage-invariant: answer and cost bitwise equal across layouts.
-      EXPECT_EQ(a->completed, b->completed) << tag;
-      EXPECT_EQ(a->cost_used, b->cost_used) << tag;
-      EXPECT_EQ(a->rows, b->rows) << tag;
-      EXPECT_EQ(a->min, b->min) << tag;
-      EXPECT_EQ(a->max, b->max) << tag;
-      EXPECT_EQ(a->has_nan, b->has_nan) << tag;
-      EXPECT_GT(a->cost_used, 0.0) << tag;
-      // Naive reference over the raw column.
-      double mn = std::numeric_limits<double>::infinity();
-      double mx = -std::numeric_limits<double>::infinity();
-      bool has_nan = false;
-      for (int64_t r = 0; r < table.num_rows(); ++r) {
-        const double v = table.column(c).GetNumeric(r);
-        if (std::isnan(v)) {
-          has_nan = true;
-          continue;
-        }
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
-      EXPECT_EQ(a->has_nan, has_nan) << tag;
-      if (mn <= mx) {
-        EXPECT_EQ(a->min, mn) << tag;
-        EXPECT_EQ(a->max, mx) << tag;
-      } else {
-        EXPECT_GT(a->min, a->max) << tag;
-      }
-
-      // Budget abort: same row and bitwise-equal cost on both layouts.
-      const double budget = a->cost_used * 0.4;
-      const Result<Executor::MinMaxResult> ba =
-          eraw.ExecuteMinMax(tname, cname, budget);
-      const Result<Executor::MinMaxResult> bb =
-          eenc.ExecuteMinMax(tname, cname, budget);
-      ASSERT_TRUE(ba.ok() && bb.ok()) << tag;
-      EXPECT_FALSE(ba->completed) << tag;
-      EXPECT_EQ(ba->completed, bb->completed) << tag;
-      EXPECT_EQ(ba->cost_used, bb->cost_used) << tag;
-      EXPECT_EQ(ba->rows, bb->rows) << tag;
-      EXPECT_EQ(ba->cost_used, budget) << tag;
-      EXPECT_LT(ba->rows, table.num_rows()) << tag;
-      // A budget covering the whole scan completes with the same answer.
-      const Result<Executor::MinMaxResult> fa =
-          eraw.ExecuteMinMax(tname, cname, a->cost_used);
-      ASSERT_TRUE(fa.ok()) << tag;
-      EXPECT_TRUE(fa->completed) << tag;
-      EXPECT_EQ(fa->cost_used, a->cost_used) << tag;
-    }
-  }
-
-  EXPECT_FALSE(eraw.ExecuteMinMax("nope", "k0").ok());
-  EXPECT_FALSE(eraw.ExecuteMinMax("t0", "nope").ok());
-}
-
 TEST(ExecBatchGoldenTest, ParseEngine) {
   Executor::Engine e;
   EXPECT_TRUE(Executor::ParseEngine("tuple", &e));

@@ -103,10 +103,9 @@ TEST(FaultDeterminismTest, StreamsAreSelfContainedAndThreadIndependent) {
   // are zeroed per scope), and drawing from pool workers — any partition
   // of streams onto threads — reproduces it too.
   for (const int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
     std::vector<std::vector<FaultKind>> got(kStreams);
     const Status st = ParallelFor(
-        &pool, kStreams, [&](int /*worker*/, int64_t begin, int64_t end) {
+        threads, kStreams, [&](int /*worker*/, int64_t begin, int64_t end) {
           for (int64_t s = begin; s < end; ++s) {
             got[static_cast<size_t>(s)] =
                 DrawSequence(static_cast<uint64_t>(s),
@@ -234,14 +233,14 @@ TEST(FaultArmingTest, ConcurrentThreadsDrawTheirOwnSequences) {
 }
 
 TEST(FaultArmingTest, FanOutsInheritTheCallersInjectorSubmitDoesNot) {
-  ThreadPool pool(4);
+  ThreadPool& pool = ThreadPool::Shared();
   constexpr int64_t kUnits = 64;
   // Per unit: whether the worker saw itself armed, and its first draw.
-  const auto fan_out = [&pool] {
+  const auto fan_out = [] {
     std::vector<int> armed(kUnits, -1);
     std::vector<FaultKind> draws(kUnits, FaultKind::kNone);
     const Status st =
-        ParallelFor(&pool, kUnits, [&](int, int64_t begin, int64_t end) {
+        ParallelFor(4, kUnits, [&](int, int64_t begin, int64_t end) {
           for (int64_t u = begin; u < end; ++u) {
             armed[static_cast<size_t>(u)] = FaultInjector::Armed() ? 1 : 0;
             if (!FaultInjector::Armed()) continue;
@@ -280,19 +279,11 @@ TEST(FaultArmingTest, FanOutsInheritTheCallersInjectorSubmitDoesNot) {
                 .Snapshot()[fault_site::kExecScanRead]
                 .evaluations,
             kUnits);
-  // ParallelMapReduce inherits as well.
-  const Result<int> mapped = ParallelMapReduce<int>(
-      &pool, kUnits, 4, 0,
-      [](int64_t begin, int64_t end) {
-        return FaultInjector::Armed() ? static_cast<int>(end - begin) : 0;
-      },
-      [](int acc, int partial) { return acc + partial; });
-  ASSERT_TRUE(mapped.ok());
-  EXPECT_EQ(*mapped, kUnits);
-  // A raw task does not, and the fan-outs left no worker armed.
+  // A raw task does not inherit, and the fan-outs left no shared-pool
+  // worker armed.
   EXPECT_EQ(submitted_task_armed(), 0);
 
-  // The same pool, fanned out from a thread that never armed.
+  // The same shared pool, fanned out from a thread that never armed.
   std::thread disarmed_caller([&] {
     const auto [armed_units2, draws2] = fan_out();
     EXPECT_EQ(armed_units2, std::vector<int>(kUnits, 0));

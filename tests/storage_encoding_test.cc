@@ -4,7 +4,7 @@
 // (INT64_MIN/MAX, NaN payloads, ±inf, -0.0), dictionary abandonment,
 // policy parsing and cache keys, the fused predicate mapping
 // (MapPredicateToCodes) against a naive reference, fused-vs-decoded
-// FilterRange equivalence, metadata-driven ColumnMinMax, and the
+// FilterRange equivalence, and the
 // batched row-id gather (EncodedColumn::GatherNumeric, kernels::Gather)
 // against per-row GetNumeric on resident and mapped columns.
 
@@ -671,75 +671,6 @@ TEST(FusedFilterTest, DoubleDictWithNaNMatchesRaw) {
 }
 
 // ---------------------------------------------------------------------------
-// ColumnMinMax vs naive
-// ---------------------------------------------------------------------------
-
-kernels::MinMaxStats NaiveMinMax(const ColumnData& col, int64_t n) {
-  kernels::MinMaxStats s;
-  s.rows = n;
-  s.min = kInf;
-  s.max = -kInf;
-  for (int64_t i = 0; i < n; ++i) {
-    const double v = col.GetNumeric(i);
-    if (std::isnan(v)) {
-      s.has_nan = true;
-      continue;
-    }
-    if (v < s.min) s.min = v;
-    if (v > s.max) s.max = v;
-  }
-  // Empty / all-NaN keeps min (+inf) > max (-inf), matching the kernels.
-  return s;
-}
-
-TEST(ColumnMinMaxTest, AgreesWithNaiveAcrossEncodings) {
-  Rng rng(37);
-  const int64_t n = 2 * kZoneBlockRows + 55;
-  TableSchema schema("t", {{"a", DataType::kInt64}, {"d", DataType::kDouble}});
-  for (Encoding enc : {Encoding::kRaw, Encoding::kAuto, Encoding::kPacked,
-                       Encoding::kDict}) {
-    EncodingPolicy policy;
-    policy.kind = enc;
-    Table table(schema, policy);
-    for (int64_t i = 0; i < n; ++i) {
-      table.column(0).AppendInt(rng.UniformInt(-30, 30));
-      table.column(1).AppendDouble(rng.Bernoulli(0.02)
-                                       ? kNaN
-                                       : rng.UniformDouble(-100, 100));
-    }
-    ASSERT_TRUE(table.Finalize().ok());
-    for (int c = 0; c < 2; ++c) {
-      const kernels::MinMaxStats got = kernels::ColumnMinMax(table.column(c));
-      const kernels::MinMaxStats want = NaiveMinMax(table.column(c), n);
-      EXPECT_EQ(got.rows, n) << EncodingName(enc) << " col " << c;
-      EXPECT_EQ(got.has_nan, want.has_nan);
-      if (want.min <= want.max) {
-        EXPECT_EQ(got.min, want.min) << EncodingName(enc) << " col " << c;
-        EXPECT_EQ(got.max, want.max) << EncodingName(enc) << " col " << c;
-      } else {
-        EXPECT_GT(got.min, got.max);
-      }
-    }
-  }
-}
-
-TEST(ColumnMinMaxTest, EmptyAndAllNaN) {
-  ColumnData empty(DataType::kInt64);
-  kernels::MinMaxStats s = kernels::ColumnMinMax(empty);
-  EXPECT_EQ(s.rows, 0);
-  EXPECT_GT(s.min, s.max);
-
-  TableSchema schema("t", {{"d", DataType::kDouble}});
-  Table table(schema);
-  for (int i = 0; i < 10; ++i) table.column(0).AppendDouble(kNaN);
-  ASSERT_TRUE(table.Finalize().ok());
-  s = kernels::ColumnMinMax(table.column(0));
-  EXPECT_EQ(s.rows, 10);
-  EXPECT_TRUE(s.has_nan);
-  EXPECT_GT(s.min, s.max);
-}
-
-// ---------------------------------------------------------------------------
 // Batched row-id gather vs per-row GetNumeric
 // ---------------------------------------------------------------------------
 
@@ -1077,7 +1008,7 @@ TEST(RawBlockTest, KernelsMatchScalarLoopResidentAndMapped) {
         }
       }
 
-      // ColumnMinMax vs a fold over the appended values.
+      // The zone maps' extremes vs a fold over the appended values.
       double lo = kInf, hi = -kInf;
       bool nan = false;
       for (int64_t r = 0; r < n; ++r) {
@@ -1089,11 +1020,19 @@ TEST(RawBlockTest, KernelsMatchScalarLoopResidentAndMapped) {
         lo = std::min(lo, x);
         hi = std::max(hi, x);
       }
-      const kernels::MinMaxStats mm = kernels::ColumnMinMax(col);
-      EXPECT_EQ(mm.rows, n) << what;
-      EXPECT_EQ(mm.has_nan, nan) << what;
-      EXPECT_EQ(mm.min, lo) << what;
-      EXPECT_EQ(mm.max, hi) << what;
+      const ZoneMap& z = col.zones();
+      ASSERT_GE(z.num_blocks() * kZoneBlockRows, n) << what;
+      double zlo = kInf, zhi = -kInf;
+      bool znan = false;
+      for (int64_t b = 0; b < z.num_blocks(); ++b) {
+        const size_t i = static_cast<size_t>(b);
+        zlo = std::min(zlo, z.min[i]);
+        zhi = std::max(zhi, z.max[i]);
+        znan |= !z.has_nan.empty() && z.has_nan[i] != 0;
+      }
+      EXPECT_EQ(znan, nan) << what;
+      EXPECT_EQ(zlo, lo) << what;
+      EXPECT_EQ(zhi, hi) << what;
     }
   }
 }

@@ -9,11 +9,16 @@
 // Prints "listening on port <n>" once ready (drivers parse this line),
 // serves until a client sends SHUTDOWN, and exits 0 on a clean stop. Start
 // failures exit with the stable ExitCodeFor() number of their status.
+// Apart from one thread per open connection, every thread the server runs
+// on exists by the time it prints the banner: the request pool, the TCP
+// front's accept thread and the process-wide fan-out pool, which it starts
+// first.
 
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/thread_pool.h"
 #include "server/context_cache.h"
 #include "server/query_service.h"
 #include "server/tcp_server.h"
@@ -85,6 +90,7 @@ int RunServer(int argc, char** argv) {
               << " mapped tables from " << scale_dir << std::endl;
   }
 
+  ThreadPool::Shared();
   QueryService service(options);
   TcpServer server(&service, port);
   const Status st = server.Start();

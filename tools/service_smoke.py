@@ -3,7 +3,14 @@
 requests at it over the TCP line protocol (clean, parameterized, erroneous,
 and chaos-spec'd), assert every one reaches the documented terminal shape,
 then shut the server down cleanly. Each chaos line is answered once alone
-first; under concurrent load it must get the same payload again.
+first; under concurrent load it must get the same payload again. The mix
+includes fan-out requests (engine runs at threads=8, PlanBouquet on
+contexts not yet built). The server's thread count, sampled from
+/proc/<pid>/status while the requests run, must never exceed its count
+after the banner plus one thread per client connection (the TCP front
+serves each connection on its own thread), and once every client has
+closed it must be back at the banner's: every fan-out borrows the
+process-wide pool.
 
 Usage:
     python3 tools/service_smoke.py [--binary build/tools/robustqp_server]
@@ -18,6 +25,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 
 # Chaos lines with distinct specs and seeds, simulated and engine-backed.
@@ -59,6 +67,8 @@ def build_requests(n):
         ("SUBMIT query=2D_Q91 mode=native points=8 threads=1", "OK"),
         ("SUBMIT query=3D_Q15 mode=sb points=6 threads=1", "OK"),
         ("SUBMIT query=2D_Q91 mode=sb points=8 threads=1 use_engine=1", "OK"),
+        ("SUBMIT query=2D_Q91 mode=sb points=8 threads=8 use_engine=1", "OK"),
+        ("SUBMIT query=3D_Q15 mode=ab points=6 threads=8 use_engine=1", "OK"),
     ]
     errors = [
         ("SUBMIT query=9D_NOPE mode=sb", "ERR:3"),           # NotFound
@@ -79,6 +89,64 @@ def build_requests(n):
         else:
             out.append(clean[(i // 2) % len(clean)])
     return out
+
+
+def cold_bouquets(n):
+    """PlanBouquet requests each on its own not-yet-built context (a
+    distinct grid), so every one builds an ESS and a bouquet."""
+    return [(f"SUBMIT query=4D_Q91 mode=pb points={6 + i} threads=1", "OK")
+            for i in range(n)]
+
+
+def server_threads(pid):
+    """The server's OS thread count, or None where /proc is unavailable."""
+    try:
+        with open(f"/proc/{pid}/status") as status:
+            for line in status:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def settled_threads(pid, target, timeout=5.0):
+    """The server's thread count once it is at most `target`, or the last
+    count read when `timeout` seconds pass first (None where /proc is
+    unavailable)."""
+    deadline = time.monotonic() + timeout
+    count = server_threads(pid)
+    while count is not None and target is not None and count > target \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+        count = server_threads(pid)
+    return count
+
+
+class ThreadSampler(threading.Thread):
+    """Polls the server's thread count until stopped; `peak` is the
+    largest count seen (None where /proc is unavailable)."""
+
+    def __init__(self, pid):
+        super().__init__(daemon=True)
+        self.pid = pid
+        self.peak = None
+        self.done = threading.Event()
+
+    def run(self):
+        while not self.done.is_set():
+            self.sample()
+            self.done.wait(0.005)
+
+    def sample(self):
+        count = server_threads(self.pid)
+        if count is not None:
+            self.peak = count if self.peak is None else max(self.peak, count)
+
+    def stop(self):
+        self.done.set()
+        self.join()
+        self.sample()
 
 
 def payload(reply):
@@ -226,11 +294,16 @@ def main():
             server.kill()
             return 1
         port = int(match.group(1))
+        threads_at_start = server_threads(server.pid)
+        sampler = ThreadSampler(server.pid)
+        sampler.start()
 
         failures = []
         serial = serial_chaos_answers(port, failures)
         requests = build_requests(args.requests)
         per_client = [requests[i::args.clients] for i in range(args.clients)]
+        for chunk, cold in zip(per_client, cold_bouquets(args.clients)):
+            chunk.insert(0, cold)
         threads = [
             threading.Thread(target=drive_client,
                              args=(port, chunk, serial, failures))
@@ -245,6 +318,21 @@ def main():
         # connection: seed -> warm-start -> drift) after the mixed storm,
         # so its counter assertions see exactly its own requests.
         drive_feedback(port, failures)
+
+        sampler.stop()
+        if threads_at_start is not None and sampler.peak is not None \
+                and sampler.peak > threads_at_start + args.clients:
+            failures.append(f"server threads grew from {threads_at_start} "
+                            f"after the banner to {sampler.peak} with "
+                            f"{args.clients} connections open")
+        # Every client has closed, so once their connection threads exit
+        # the count is back at the banner's.
+        threads_after = settled_threads(server.pid, threads_at_start)
+        if threads_at_start is not None and threads_after is not None \
+                and threads_after > threads_at_start:
+            failures.append(f"server threads grew from {threads_at_start} "
+                            f"after the banner to {threads_after} after "
+                            "every request")
 
         # Clean shutdown via the protocol; the server must exit 0.
         shutdown = LineClient(port)
@@ -261,8 +349,10 @@ def main():
                 print(f"  {f}")
             return 1
         print(
-            f"PASS: {len(requests)} requests over {args.clients} clients, "
-            "all terminal statuses as expected, clean shutdown"
+            f"PASS: {len(requests) + args.clients} requests over "
+            f"{args.clients} clients, all terminal statuses as expected, "
+            f"server threads {threads_at_start} (peak {sampler.peak}), "
+            "clean shutdown"
         )
         return 0
     finally:
