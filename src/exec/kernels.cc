@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 namespace robustqp {
 namespace kernels {
@@ -588,6 +589,28 @@ int64_t CompactWhere(const double* vals, CompareOp op, double value,
   return w;
 }
 
+namespace {
+
+/// FlatJoinTable's hash of a `kw`-value key (-0.0 hashes as 0.0). `kw` is
+/// an int, or a std::integral_constant where the width is fixed at
+/// compile time.
+template <typename W>
+uint64_t HashKey(const double* key, W kw) {
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < kw; ++i) {
+    const double v = key[i] == 0.0 ? 0.0 : key[i];  // normalize -0.0
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    b *= 0xbf58476d1ce4e5b9ull;
+    b ^= b >> 31;
+    h = (h ^ b) * 0x94d049bb133111ebull;
+  }
+  h ^= h >> 29;
+  return h;
+}
+
+}  // namespace
+
 void FlatJoinTable::Init(int key_width, int payload_width) {
   kw_ = key_width;
   pay_.assign(static_cast<size_t>(payload_width), {});
@@ -611,10 +634,10 @@ void FlatJoinTable::Insert(const double* key, const double* payload) {
 int64_t FlatJoinTable::Find(const double* key) const {
   if (num_keys_ == 0) return -1;
   const uint64_t mask = slots_.size() - 1;
-  for (uint64_t s = Hash(key) & mask;; s = (s + 1) & mask) {
+  for (uint64_t s = HashKey(key, kw_) & mask;; s = (s + 1) & mask) {
     const int64_t u = slots_[s];
     if (u < 0) return -1;
-    if (KeyEquals(u, key)) return u;
+    if (std::equal(key, key + kw_, ukeys_.data() + u * kw_)) return u;
   }
 }
 
@@ -625,48 +648,35 @@ void FlatJoinTable::FindBatch(const double* keys, int64_t n, int64_t* out,
     return;
   }
   // Pass 1: hash every key (straight-line, no probe-walk branches).
-  hash_scratch->resize(static_cast<size_t>(n));
-  uint64_t* h = hash_scratch->data();
-  for (int64_t i = 0; i < n; ++i) h[i] = Hash(keys + i * kw_);
   // Pass 2: resolve slots. Linear probing with the precomputed hashes;
   // NaN keys miss naturally (stored != key for every comparison).
+  // Single-key tables run the same body at a compile-time width of 1: the
+  // same hashes and probe walk, so the same ordinals, with no width loop.
+  hash_scratch->resize(static_cast<size_t>(n));
+  uint64_t* h = hash_scratch->data();
   const uint64_t mask = slots_.size() - 1;
   const int64_t* slots = slots_.data();
-  for (int64_t i = 0; i < n; ++i) {
-    const double* key = keys + i * kw_;
-    int64_t found = -1;
-    for (uint64_t s = h[i] & mask;; s = (s + 1) & mask) {
-      const int64_t u = slots[s];
-      if (u < 0) break;
-      if (KeyEquals(u, key)) {
-        found = u;
-        break;
+  const auto probe = [&](auto kw) {
+    for (int64_t i = 0; i < n; ++i) h[i] = HashKey(keys + i * kw, kw);
+    for (int64_t i = 0; i < n; ++i) {
+      const double* key = keys + i * kw;
+      int64_t found = -1;
+      for (uint64_t s = h[i] & mask;; s = (s + 1) & mask) {
+        const int64_t u = slots[s];
+        if (u < 0) break;
+        if (std::equal(key, key + kw, ukeys_.data() + u * kw)) {
+          found = u;
+          break;
+        }
       }
+      out[i] = found;
     }
-    out[i] = found;
+  };
+  if (kw_ == 1) {
+    probe(std::integral_constant<int, 1>());
+  } else {
+    probe(kw_);
   }
-}
-
-uint64_t FlatJoinTable::Hash(const double* key) const {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (int i = 0; i < kw_; ++i) {
-    const double v = key[i] == 0.0 ? 0.0 : key[i];  // normalize -0.0
-    uint64_t b;
-    std::memcpy(&b, &v, sizeof(b));
-    b *= 0xbf58476d1ce4e5b9ull;
-    b ^= b >> 31;
-    h = (h ^ b) * 0x94d049bb133111ebull;
-  }
-  h ^= h >> 29;
-  return h;
-}
-
-bool FlatJoinTable::KeyEquals(int64_t u, const double* key) const {
-  const double* stored = &ukeys_[static_cast<size_t>(u) * kw_];
-  for (int i = 0; i < kw_; ++i) {
-    if (stored[i] != key[i]) return false;
-  }
-  return true;
 }
 
 int64_t FlatJoinTable::FindOrAddKey(const double* key) {
@@ -677,7 +687,7 @@ int64_t FlatJoinTable::FindOrAddKey(const double* key) {
   // build sides that are dimension-sized by plan construction.
   if ((num_keys_ + 1) * 8 > static_cast<int64_t>(slots_.size())) Grow();
   const uint64_t mask = slots_.size() - 1;
-  for (uint64_t s = Hash(key) & mask;; s = (s + 1) & mask) {
+  for (uint64_t s = HashKey(key, kw_) & mask;; s = (s + 1) & mask) {
     const int64_t u = slots_[s];
     if (u < 0) {
       const int64_t nu = num_keys_++;
@@ -688,7 +698,7 @@ int64_t FlatJoinTable::FindOrAddKey(const double* key) {
       chain_len_.push_back(0);
       return nu;
     }
-    if (KeyEquals(u, key)) return u;
+    if (std::equal(key, key + kw_, ukeys_.data() + u * kw_)) return u;
   }
 }
 
@@ -697,7 +707,7 @@ void FlatJoinTable::Grow() {
   slots_.assign(old.size() * 2, -1);
   const uint64_t mask = slots_.size() - 1;
   for (int64_t u = 0; u < num_keys_; ++u) {
-    uint64_t s = Hash(&ukeys_[static_cast<size_t>(u) * kw_]) & mask;
+    uint64_t s = HashKey(&ukeys_[static_cast<size_t>(u) * kw_], kw_) & mask;
     while (slots_[s] >= 0) s = (s + 1) & mask;
     slots_[s] = u;
   }

@@ -236,8 +236,6 @@ class FlatJoinTable {
   }
 
  private:
-  uint64_t Hash(const double* key) const;
-  bool KeyEquals(int64_t u, const double* key) const;
   int64_t FindOrAddKey(const double* key);
   void Grow();
 

@@ -58,8 +58,8 @@ struct RequestOptions {
   // --- storage (which catalog layout the request's context uses) ---
   /// Column storage encoding for the request's catalog: kAuto is the
   /// per-column auto policy (dictionary for low-cardinality columns,
-  /// packed/vbyte for the rest), kRaw is the uncompressed layout, and a
-  /// specific encoding forces it on every column. Part of the
+  /// lane-width packed for the rest), kRaw is the uncompressed layout,
+  /// and a specific encoding forces it on every column. Part of the
   /// ContextCache key; the data itself is identical for every choice.
   Encoding encoding = Encoding::kAuto;
   /// Where the catalog's payloads live: resident memory, or demand-paged

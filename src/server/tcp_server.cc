@@ -278,17 +278,24 @@ void TcpServer::AcceptLoop() {
       if (stopping_.load()) break;
       continue;
     }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> reap;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stopping_.load()) {
+        ::close(fd);
+        break;
+      }
+      reap.swap(finished_);
+      // Registered under the lock: the thread's exit path needs its entry.
+      const size_t id = next_conn_id_++;
+      std::thread t([this, id, fd] { ServeConnection(id, fd); });
+      conns_.emplace(id, Connection{fd, std::move(t)});
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    for (std::thread& t : reap) t.join();
   }
 }
 
-void TcpServer::ServeConnection(int fd) {
+void TcpServer::ServeConnection(size_t id, int fd) {
   Result<int64_t> session = service_->OpenSession();
   std::string buffer;
   char chunk[4096];
@@ -390,7 +397,14 @@ void TcpServer::ServeConnection(int fd) {
     }
   }
   if (session.ok()) (void)service_->CloseSession(*session);
-  ::close(fd);
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    auto it = conns_.find(id);
+    finished_.push_back(std::move(it->second.thread));
+    conns_.erase(it);
+    ::close(fd);
+  }
+  conn_cv_.notify_all();
 }
 
 void TcpServer::Stop() {
@@ -406,13 +420,14 @@ void TcpServer::Stop() {
     ::close(listen_fd_);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  std::vector<std::thread> reap;
   {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    std::unique_lock<std::mutex> lock(conn_mu_);
+    for (auto& [id, conn] : conns_) ::shutdown(conn.fd, SHUT_RDWR);
+    conn_cv_.wait(lock, [&] { return conns_.empty(); });
+    reap.swap(finished_);
   }
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
+  for (std::thread& t : reap) t.join();
   {
     std::lock_guard<std::mutex> lock(shutdown_mu_);
     shut_down_ = true;

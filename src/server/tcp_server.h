@@ -55,6 +55,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -116,16 +117,27 @@ class TcpServer {
 
  private:
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(size_t id, int fd);
+
+  /// A connection being served (its fd is open while the entry exists).
+  struct Connection {
+    int fd;
+    std::thread thread;
+  };
 
   QueryService* const service_;
   int port_;
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
+  /// Live connections by id. On exit ServeConnection closes its fd and
+  /// moves its thread from conns_ to finished_ under conn_mu_; the next
+  /// accept joins finished threads, and Stop shuts down only live fds.
   std::mutex conn_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::condition_variable conn_cv_;  // signalled when conns_ shrinks
+  std::map<size_t, Connection> conns_;
+  std::vector<std::thread> finished_;
+  size_t next_conn_id_ = 0;
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;
   bool shut_down_ = false;

@@ -473,7 +473,7 @@ Status TableFileStreamWriter::Open(const std::string& path) {
     cs->type = def.type;
     cs->stats = StreamingColumnStats(def.type);
     // Sink mode forbids numeric kDict (overflow would re-encode spilled
-    // blocks); map any such request to the adaptive layout.
+    // blocks); map any such request to the kAuto layout.
     Encoding enc = policy_.For(def.name);
     if (def.type != DataType::kString && enc == Encoding::kDict) {
       enc = Encoding::kAuto;

@@ -132,15 +132,6 @@ void Unpack(const uint64_t* words, int64_t start, int64_t n, int width,
 
 namespace vbyte {
 
-int EncodedSize(uint64_t v) {
-  int n = 1;
-  while (v >= 0x80u) {
-    ++n;
-    v >>= 7;
-  }
-  return n;
-}
-
 void Encode(uint64_t v, std::vector<uint8_t>* out) {
   while (v >= 0x80u) {
     out->push_back(static_cast<uint8_t>(v) | 0x80u);
@@ -190,7 +181,6 @@ void EncodedColumn::set_sink(BlockSink* sink) {
   // Sink-safe layouts only: nothing that could re-encode spilled blocks.
   if (type_ == DataType::kInt64) {
     RQP_CHECK(requested_ != Encoding::kDict);
-    if (requested_ == Encoding::kDict) mode_ = Encoding::kAuto;
     if (mode_ == Encoding::kDict) mode_ = Encoding::kAuto;
   } else if (type_ == DataType::kDouble) {
     RQP_CHECK(requested_ != Encoding::kDict);
@@ -330,7 +320,7 @@ void EncodedColumn::FlushStage() {
       stage_d_.clear();
     }
   } else if (!stage_i_.empty()) {
-    EncodeAdaptiveBlock(stage_i_.data(), static_cast<int64_t>(stage_i_.size()));
+    EncodeFrameBlock(stage_i_.data(), static_cast<int64_t>(stage_i_.size()));
     stage_i_.clear();
   }
   SpillToSink();
@@ -362,79 +352,41 @@ void EncodedColumn::EncodeRawBlock(const void* v, int64_t n) {
   blocks_.push_back(blk);
 }
 
-void EncodedColumn::EncodePackedBlock(const int64_t* v, int64_t n, int64_t ref,
-                                      uint64_t range) {
-  Block blk;
-  blk.kind = Encoding::kPacked;
-  blk.rows = static_cast<int32_t>(n);
-  blk.ref = ref;
-  blk.range = range;
-  blk.width = static_cast<uint8_t>(bitpack::LaneWidthFor(range));
-  blk.word_off = flushed_words_ + words_.size();
-  if (blk.width > 0) {
-    std::vector<uint64_t> codes(static_cast<size_t>(n));
-    const uint64_t uref = static_cast<uint64_t>(ref);
-    for (int64_t i = 0; i < n; ++i) {
-      codes[static_cast<size_t>(i)] = static_cast<uint64_t>(v[i]) - uref;
-    }
-    bitpack::Pack(codes.data(), n, blk.width, &words_);
-  }
-  blocks_.push_back(blk);
-}
-
-void EncodedColumn::EncodeVbyteBlock(const int64_t* v, int64_t n, int64_t ref) {
-  Block blk;
-  blk.kind = Encoding::kVbyte;
-  blk.rows = static_cast<int32_t>(n);
-  blk.ref = ref;
-  blk.byte_off = flushed_bytes_ + bytes_.size();
-  blk.skip_off = skips_.size();
-  const uint64_t uref = static_cast<uint64_t>(ref);
-  uint64_t range = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (i % vbyte::kVbyteGroup == 0) {
-      skips_.push_back(flushed_bytes_ + bytes_.size());
-    }
-    const uint64_t delta = static_cast<uint64_t>(v[i]) - uref;
-    range = std::max(range, delta);
-    vbyte::Encode(delta, &bytes_);
-  }
-  blk.range = range;
-  blocks_.push_back(blk);
-}
-
-void EncodedColumn::EncodeAdaptiveBlock(const int64_t* v, int64_t n) {
+void EncodedColumn::EncodeFrameBlock(const int64_t* v, int64_t n) {
   int64_t lo = v[0], hi = v[0];
   for (int64_t i = 1; i < n; ++i) {
     lo = std::min(lo, v[i]);
     hi = std::max(hi, v[i]);
   }
-  const uint64_t range =
-      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  if (mode_ == Encoding::kPacked) {
-    EncodePackedBlock(v, n, lo, range);
-    return;
+  const uint64_t uref = static_cast<uint64_t>(lo);
+  std::vector<uint64_t> deltas(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    deltas[static_cast<size_t>(i)] = static_cast<uint64_t>(v[i]) - uref;
   }
+  Block blk;
+  blk.rows = static_cast<int32_t>(n);
+  blk.ref = lo;
+  blk.range = static_cast<uint64_t>(hi) - uref;
+  // Only a forced kVbyte column writes varints. kAuto packs at lane width
+  // even where varints would be a few percent smaller: packed codes are
+  // O(1) point reads and feed the fused filter kernels, varints neither.
   if (mode_ == Encoding::kVbyte) {
-    EncodeVbyteBlock(v, n, lo);
-    return;
-  }
-  // Adaptive: packed vs vbyte by encoded size, ties to packed (O(1)
-  // access and fused filtering beat O(group) when bytes are equal).
-  const int width = bitpack::LaneWidthFor(range);
-  const uint64_t packed_bytes =
-      ((static_cast<uint64_t>(n) * width + 63) / 64) * 8;
-  uint64_t vb_bytes =
-      ((n + vbyte::kVbyteGroup - 1) / vbyte::kVbyteGroup) * sizeof(uint64_t);
-  const uint64_t ulo = static_cast<uint64_t>(lo);
-  for (int64_t i = 0; i < n && vb_bytes <= packed_bytes; ++i) {
-    vb_bytes += vbyte::EncodedSize(static_cast<uint64_t>(v[i]) - ulo);
-  }
-  if (vb_bytes < packed_bytes) {
-    EncodeVbyteBlock(v, n, lo);
+    blk.kind = Encoding::kVbyte;
+    blk.byte_off = flushed_bytes_ + bytes_.size();
+    blk.skip_off = skips_.size();
+    for (int64_t i = 0; i < n; ++i) {
+      if (i % vbyte::kVbyteGroup == 0) {
+        skips_.push_back(flushed_bytes_ + bytes_.size());
+      }
+      vbyte::Encode(deltas[static_cast<size_t>(i)], &bytes_);
+    }
   } else {
-    EncodePackedBlock(v, n, lo, range);
+    blk.kind = Encoding::kPacked;
+    blk.width = static_cast<uint8_t>(bitpack::LaneWidthFor(blk.range));
+    blk.word_off = flushed_words_ + words_.size();
+    bitpack::Pack(deltas.data(), n, blk.width, &words_);
   }
+  blocks_.push_back(blk);
 }
 
 void EncodedColumn::EncodeDictCodeBlock(const uint32_t* codes, int64_t n) {
@@ -466,13 +418,8 @@ void EncodedColumn::AbandonDict() {
   old_blocks.swap(blocks_);
   old_words.swap(words_);
   const bool ints = type_ == DataType::kInt64;
-  if (ints) {
-    mode_ = (requested_ == Encoding::kPacked || requested_ == Encoding::kVbyte)
-                ? requested_
-                : Encoding::kAuto;
-  } else {
-    mode_ = Encoding::kRaw;
-  }
+  // Only kAuto and kDict columns start dictionary-coded.
+  mode_ = ints ? Encoding::kAuto : Encoding::kRaw;
   std::vector<int64_t> tmp_i(ints ? static_cast<size_t>(kBlockRows) : 0);
   std::vector<double> tmp_d(ints ? 0 : static_cast<size_t>(kBlockRows));
   for (const Block& blk : old_blocks) {
@@ -482,7 +429,7 @@ void EncodedColumn::AbandonDict() {
         tmp_i[static_cast<size_t>(i)] =
             dict_i_[bitpack::Extract(w, i, blk.width)];
       }
-      EncodeAdaptiveBlock(tmp_i.data(), blk.rows);
+      EncodeFrameBlock(tmp_i.data(), blk.rows);
     } else {
       for (int64_t i = 0; i < blk.rows; ++i) {
         tmp_d[static_cast<size_t>(i)] =
@@ -522,16 +469,22 @@ int64_t EncodedColumn::GetInt(int64_t row) const {
     case Encoding::kRaw:
       return static_cast<int64_t>(wp_[blk.word_off + static_cast<uint64_t>(i)]);
     default: {  // kVbyte
-      const int64_t group = i / vbyte::kVbyteGroup;
-      const uint8_t* p =
-          bp_ + sp_[blk.skip_off + static_cast<uint64_t>(group)];
       uint64_t delta = 0;
-      for (int64_t k = group * vbyte::kVbyteGroup; k <= i; ++k) {
-        p = vbyte::Decode(p, &delta);
-      }
+      VbyteSeek(blk, i, &delta);
       return static_cast<int64_t>(static_cast<uint64_t>(blk.ref) + delta);
     }
   }
+}
+
+const uint8_t* EncodedColumn::VbyteSeek(const Block& blk, int64_t i,
+                                        uint64_t* delta) const {
+  const int64_t g = i / vbyte::kVbyteGroup;
+  const uint8_t* p = bp_ + sp_[blk.skip_off + static_cast<uint64_t>(g)];
+  const uint8_t* end = byte_end();
+  for (int64_t k = g * vbyte::kVbyteGroup; k <= i; ++k) {
+    p = vbyte::Decode(p, end, delta);
+  }
+  return p;
 }
 
 double EncodedColumn::GetDouble(int64_t row) const {
@@ -626,39 +579,6 @@ void ForGatheredCodes(const uint64_t* words, int width, const int64_t* rows,
   }
 }
 
-/// Shared partial-block decode skeleton: calls sink(i, value) for each
-/// in-block index i in [i0, i1) with the decoded int64 value.
-template <typename Sink>
-void DecodeIntPart(const uint64_t* words, const uint8_t* bytes,
-                   const uint64_t* skips, const int64_t* dict, Encoding kind,
-                   int64_t ref, int width, int64_t i0, int64_t i1,
-                   Sink&& sink) {
-  const uint64_t uref = static_cast<uint64_t>(ref);
-  if (kind == Encoding::kRaw) {
-    for (int64_t i = i0; i < i1; ++i) {
-      sink(i, static_cast<int64_t>(words[i]));
-    }
-  } else if (kind == Encoding::kDict) {
-    ForEachCode(words, width, i0, i1,
-                [&](int64_t i, uint64_t c) { sink(i, dict[c]); });
-  } else if (kind == Encoding::kPacked) {
-    ForEachCode(words, width, i0, i1, [&](int64_t i, uint64_t c) {
-      sink(i, static_cast<int64_t>(uref + c));
-    });
-  } else {  // kVbyte: start at the preceding skip point, discard the run-in
-    const int64_t group = i0 / vbyte::kVbyteGroup;
-    const uint8_t* p = bytes + skips[group];
-    uint64_t delta = 0;
-    for (int64_t k = group * vbyte::kVbyteGroup; k < i0; ++k) {
-      p = vbyte::Decode(p, &delta);
-    }
-    for (int64_t i = i0; i < i1; ++i) {
-      p = vbyte::Decode(p, &delta);
-      sink(i, static_cast<int64_t>(uref + delta));
-    }
-  }
-}
-
 }  // namespace
 
 void EncodedColumn::DecodeInto(int64_t b, int64_t* out) const {
@@ -706,9 +626,28 @@ void EncodedColumn::DecodeRangeAs(int64_t r0, int64_t r1, T* out) const {
         RQP_CHECK(false);
       }
     } else {
-      DecodeIntPart(w, bp_, sp_ + blk.skip_off, dict_i_.data(), blk.kind,
-                    blk.ref, blk.width, i0, i1,
-                    [o](int64_t i, int64_t v) { o[i] = static_cast<T>(v); });
+      const uint64_t uref = static_cast<uint64_t>(blk.ref);
+      const auto put = [o](int64_t i, uint64_t v) {
+        o[i] = static_cast<T>(static_cast<int64_t>(v));
+      };
+      if (blk.kind == Encoding::kRaw) {
+        for (int64_t i = i0; i < i1; ++i) put(i, w[i]);
+      } else if (blk.kind == Encoding::kDict) {
+        ForEachCode(w, blk.width, i0, i1,
+                    [&](int64_t i, uint64_t c) { put(i, dict_i_[c]); });
+      } else if (blk.kind == Encoding::kPacked) {
+        ForEachCode(w, blk.width, i0, i1,
+                    [&](int64_t i, uint64_t c) { put(i, uref + c); });
+      } else {  // kVbyte: seek to row i0, then one varint per row
+        uint64_t delta = 0;
+        const uint8_t* p = VbyteSeek(blk, i0, &delta);
+        const uint8_t* end = byte_end();
+        put(i0, uref + delta);
+        for (int64_t i = i0 + 1; i < i1; ++i) {
+          p = vbyte::Decode(p, end, &delta);
+          put(i, uref + delta);
+        }
+      }
     }
     out += i1 - i0;
     r0 = base + i1;
@@ -782,7 +721,7 @@ void EncodedColumn::GatherBlock(const Block& blk, int64_t base,
     }
     default: {  // kVbyte
       const uint64_t uref = static_cast<uint64_t>(blk.ref);
-      const uint64_t* skips = sp_ + blk.skip_off;
+      const uint8_t* end = byte_end();
       const uint8_t* p = nullptr;
       int64_t at = -1;  // in-block index of the value in `delta`
       uint64_t delta = 0;
@@ -790,12 +729,11 @@ void EncodedColumn::GatherBlock(const Block& blk, int64_t base,
         const int64_t i = rows[j] - base;
         if (at < 0 || i < at ||
             i / vbyte::kVbyteGroup != at / vbyte::kVbyteGroup) {
-          const int64_t g = i / vbyte::kVbyteGroup;
-          p = bp_ + skips[g];
-          at = g * vbyte::kVbyteGroup - 1;
+          p = VbyteSeek(blk, i, &delta);
+          at = i;
         }
         while (at < i) {
-          p = vbyte::Decode(p, &delta);
+          p = vbyte::Decode(p, end, &delta);
           ++at;
         }
         out[j] = static_cast<double>(static_cast<int64_t>(uref + delta));

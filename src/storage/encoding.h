@@ -3,22 +3,24 @@
 // as the zone maps, so a pruned block is also a skipped decode and an
 // aligned batch-engine morsel never straddles more than two blocks.
 //
-// Three compressed encodings, chosen per column (and, for the two
-// integer layouts, per block), plus the uncompressed kRaw value block:
+// Three compressed encodings, chosen per column, plus the uncompressed
+// kRaw value block:
 //
 //  * *packed* — frame-of-reference bit-packing: each block stores its
 //    minimum as the reference and every value as an unsigned delta in
-//    ceil(log2(range+1)) bits, little-endian within 64-bit words that
+//    the lane width of the block's range (bitpack::LaneWidthFor),
+//    little-endian within 64-bit words that
 //    start at a word boundary per block (O(1) point access by shift and
 //    mask). Wraparound-safe over the full int64 domain: deltas are
 //    computed in uint64 arithmetic, so INT64_MIN..INT64_MAX blocks simply
 //    pack at width 64.
-//  * *vbyte* — LEB128 varints of the same frame-of-reference deltas, for
-//    blocks whose range needs many bits but whose typical delta is small
-//    (RDF-TDAA's adjacency-array trick). A skip table every 64 values
-//    bounds point access to at most 64 sequential varint decodes, so
-//    GetInt on a vbyte block costs 1..64 decodes; GatherNumeric decodes a
-//    skip group once for all the ascending rows it is asked for.
+//  * *vbyte* — LEB128 varints of the same frame-of-reference deltas
+//    (RDF-TDAA's adjacency-array trick), written only when a column forces
+//    Encoding::kVbyte. A skip table every 64 values bounds point access to
+//    at most 64 sequential varint decodes, so GetInt on a vbyte block
+//    costs 1..64 decodes; GatherNumeric decodes a skip group once for all
+//    the ascending rows it is asked for. No decode reads past the end of
+//    the column's byte run, however corrupt a mapped payload is.
 //  * *dictionary* — a column-level first-appearance-order dictionary with
 //    bit-packed per-row codes (block width grows with the dictionary, so
 //    early blocks stay narrow). Doubles are interned by *bit pattern*,
@@ -40,7 +42,7 @@
 // without ever materializing the raw vector. `Encoding::kAuto` adapts as
 // data arrives — start dictionary-coded, fall back (re-encoding the
 // already-flushed blocks block-by-block) when the cardinality cap is
-// exceeded, and pick packed vs vbyte greedily per block by encoded size.
+// exceeded, and then pack every block at the lane width of its own range.
 // Double columns that are not dictionary-friendly fall back to kRaw
 // value blocks the same way.
 //
@@ -50,7 +52,7 @@
 //    as each block seals, keeping peak memory O(block + dictionary)
 //    instead of O(column). Sink mode restricts the layouts to the ones
 //    that never re-encode flushed blocks: strings keep the (unbounded)
-//    dictionary, kAuto integers go adaptive packed/vbyte directly, and
+//    dictionary, kAuto integers go lane-width packed directly, and
 //    doubles use kRaw value blocks.
 //  * a *mapped* read path — FromMapped() rebuilds a column whose payload
 //    pointers alias an mmap'd column file: the block directory, skip
@@ -109,8 +111,8 @@ bool ParseEncoding(const std::string& token, Encoding* out);
 /// overrides by column name. Auto consults the
 /// same cardinality/range signals stats_builder reports: a column stays
 /// dictionary-coded while its running distinct count is within
-/// `dict_max_card`, otherwise integers pick packed/vbyte per block by
-/// encoded size and doubles fall back to kRaw value blocks.
+/// `dict_max_card`, otherwise integers pack every block at the lane width
+/// of its range and doubles fall back to kRaw value blocks.
 struct EncodingPolicy {
   Encoding kind = Encoding::kAuto;
   int64_t dict_max_card = 4096;
@@ -172,23 +174,34 @@ void Unpack(const uint64_t* words, int64_t start, int64_t n, int width,
 
 namespace vbyte {
 
-/// Bytes Encode() will append for `v` (1..10).
-int EncodedSize(uint64_t v);
-
-/// Appends the LEB128 encoding of `v` to `*out`.
+/// Appends the LEB128 encoding of `v` to `*out` (1 to kMaxBytes bytes).
 void Encode(uint64_t v, std::vector<uint8_t>* out);
 
+/// Longest encoding of a uint64_t, in bytes.
+inline constexpr int kMaxBytes = 10;
+
 /// Decodes one varint at `p`, stores it in `*v`, returns the byte after.
-inline const uint8_t* Decode(const uint8_t* p, uint64_t* v) {
+/// Reads no byte at or past `end` and at most kMaxBytes bytes: a corrupt
+/// varint yields the bits read so far, and `p == end` yields 0.
+inline const uint8_t* Decode(const uint8_t* p, const uint8_t* end,
+                             uint64_t* v) {
   uint64_t x = 0;
   int shift = 0;
-  while (*p & 0x80u) {
-    x |= static_cast<uint64_t>(*p & 0x7fu) << shift;
-    shift += 7;
-    ++p;
+  if (end - p >= kMaxBytes) {  // a whole varint fits: cap its length only
+    while ((*p & 0x80u) && shift < 63) {
+      x |= static_cast<uint64_t>(*p++ & 0x7fu) << shift;
+      shift += 7;
+    }
+    *v = x | (static_cast<uint64_t>(*p) << shift);
+    return p + 1;
   }
-  *v = x | (static_cast<uint64_t>(*p) << shift);
-  return p + 1;
+  for (; p < end && shift < 64; shift += 7) {  // the run's last bytes
+    const uint8_t b = *p++;
+    x |= static_cast<uint64_t>(b & 0x7fu) << shift;
+    if ((b & 0x80u) == 0) break;
+  }
+  *v = x;
+  return p;
 }
 
 /// Values per skip-table entry in vbyte blocks: point access decodes at
@@ -241,7 +254,7 @@ class EncodedColumn {
   bool finished() const { return finished_; }
 
   /// Current column-level layout: kDict while dictionary-coded, kAuto for
-  /// adaptive per-block packed/vbyte, kPacked / kVbyte when forced, kRaw
+  /// lane-width packed blocks, kPacked / kVbyte when forced, kRaw
   /// for kRaw value blocks (forced, sink-mode doubles, or a double column
   /// whose dictionary overflowed).
   Encoding mode() const { return mode_; }
@@ -254,8 +267,8 @@ class EncodedColumn {
 
   /// Attaches an out-of-core sink; must precede the first append. Switches
   /// the column to the sink-safe layouts documented in the header comment
-  /// (no mid-stream re-encoding): kAuto integers become adaptive
-  /// packed/vbyte, doubles become kRaw value blocks, strings keep the
+  /// (no mid-stream re-encoding): kAuto integers become lane-width
+  /// packed, doubles become kRaw value blocks, strings keep the
   /// dictionary. Requesting kDict for a numeric column with a sink is a
   /// caller error (overflow would need a re-encode of spilled blocks).
   void set_sink(BlockSink* sink);
@@ -390,10 +403,17 @@ class EncodedColumn {
 
  private:
   void FlushStage();
+  /// End of the vbyte byte run (resident or mapped); no read passes it.
+  const uint8_t* byte_end() const { return bp_ + bytes_.size() + ext_bytes_; }
   /// GatherNumeric for rows[0..n), all inside the block starting at row
   /// `base`.
   void GatherBlock(const Block& blk, int64_t base, const int64_t* rows,
                    int64_t n, double* out) const;
+  /// Decodes vbyte block `blk` from the skip point of in-block index i's
+  /// group through index i: stores value i's delta in *delta and returns
+  /// the byte after it.
+  const uint8_t* VbyteSeek(const Block& blk, int64_t i,
+                           uint64_t* delta) const;
   /// DecodeRange for both output types.
   template <typename T>
   void DecodeRangeAs(int64_t r0, int64_t r1, T* out) const;
@@ -408,14 +428,13 @@ class EncodedColumn {
   /// frame-of-reference codes would be no wider than dictionary codes
   /// (packed is then strictly smaller and fused-filters faster).
   void MaybeDemoteDictToPacked();
-  void EncodePackedBlock(const int64_t* v, int64_t n, int64_t ref,
-                         uint64_t range);
-  void EncodeVbyteBlock(const int64_t* v, int64_t n, int64_t ref);
-  void EncodeAdaptiveBlock(const int64_t* v, int64_t n);
+  /// Frame-of-reference block: varints when the column forces kVbyte,
+  /// lane-width packed codes otherwise.
+  void EncodeFrameBlock(const int64_t* v, int64_t n);
   void EncodeDictCodeBlock(const uint32_t* codes, int64_t n);
   /// Dictionary cardinality cap exceeded: re-encode flushed blocks
-  /// block-by-block (bounded extra memory), switch ints to adaptive
-  /// packed/vbyte and doubles to kRaw value blocks.
+  /// block-by-block (bounded extra memory), switch ints to lane-width
+  /// packed blocks and doubles to kRaw value blocks.
   void AbandonDict();
 
   DataType type_;

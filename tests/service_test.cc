@@ -13,10 +13,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -1168,6 +1170,44 @@ TEST(TcpServerTest, OverlongLineGetsOneErrAndTheConnectionCloses) {
   EXPECT_EQ(crlf_reply.rfind("ERR code=3 status=NotFound", 0), 0u)
       << crlf_reply;
   EXPECT_EQ(client.RoundTrip("PING\r"), "PONG");
+  server.Stop();
+}
+
+/// This process's VmSize in kB and its number of memory mappings.
+std::pair<int64_t, int64_t> VmSizeAndMaps() {
+  int64_t vm_kb = -1;
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) vm_kb = std::atoll(line.c_str() + 7);
+  }
+  std::ifstream maps("/proc/self/maps");
+  int64_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return {vm_kb, n};
+}
+
+// 1,000 sequential PING-and-close connections, never more than one open:
+// each finished connection's thread is joined by a later accept, so the
+// address space and the mapping count end near where they started. An
+// unjoined thread keeps its stack (8 MB here) mapped until Stop, 8 GB over
+// the run; the VmSize bound leaves room for a new 64 MB malloc arena.
+TEST(TcpServerTest, SequentialConnectionsAreReaped) {
+  QueryService service;
+  TcpServer server(&service, /*port=*/0);
+  ASSERT_TRUE(server.Start().ok());
+  const auto ping_and_close = [&] {
+    LineClient client(server.port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_EQ(client.RoundTrip("PING"), "PONG");
+  };
+  for (int i = 0; i < 20; ++i) ping_and_close();  // allocator warm-up
+  const auto [vm0, maps0] = VmSizeAndMaps();
+  ASSERT_GT(vm0, 0);
+  for (int i = 0; i < 1000; ++i) ping_and_close();
+  const auto [vm1, maps1] = VmSizeAndMaps();
+  EXPECT_LT(vm1 - vm0, 256 * 1024)
+      << "VmSize " << vm0 << " -> " << vm1 << " kB";
+  EXPECT_LT(maps1 - maps0, 32) << "maps " << maps0 << " -> " << maps1;
   server.Stop();
 }
 

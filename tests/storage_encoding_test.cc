@@ -6,7 +6,9 @@
 // (MapPredicateToCodes) against a naive reference, fused-vs-decoded
 // FilterRange equivalence, and the
 // batched row-id gather (EncodedColumn::GatherNumeric, kernels::Gather)
-// against per-row GetNumeric on resident and mapped columns.
+// against per-row GetNumeric on resident and mapped columns, the kAuto
+// integer layout (lane-width packed, never vbyte), and bounded vbyte reads
+// of corrupt mapped payloads.
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
@@ -28,6 +30,8 @@
 #include "storage/encoding.h"
 #include "storage/stats_builder.h"
 #include "storage/table.h"
+#include "workloads/job.h"
+#include "workloads/tpcds.h"
 
 namespace robustqp {
 namespace {
@@ -97,23 +101,38 @@ TEST(BitpackTest, PackExtractUnpackAllWidths) {
 }
 
 TEST(VbyteTest, RoundTripBoundaries) {
-  std::vector<uint64_t> values = {0, 1, 127, 128, 16383, 16384,
-                                  ~uint64_t{0} >> 1, ~uint64_t{0}};
+  const std::vector<uint64_t> values = {0, 1, 127, 128, 16383, 16384,
+                                        ~uint64_t{0} >> 1, ~uint64_t{0}};
+  const std::vector<size_t> sizes = {1, 1, 1, 2, 2, 3, 9, 10};
   std::vector<uint8_t> bytes;
-  std::vector<size_t> offsets;
-  for (uint64_t v : values) {
-    offsets.push_back(bytes.size());
-    vbyte::Encode(v, &bytes);
-    EXPECT_EQ(bytes.size() - offsets.back(),
-              static_cast<size_t>(vbyte::EncodedSize(v)));
+  for (size_t k = 0; k < values.size(); ++k) {
+    const size_t before = bytes.size();
+    vbyte::Encode(values[k], &bytes);
+    EXPECT_EQ(bytes.size() - before, sizes[k]);
   }
   const uint8_t* p = bytes.data();
+  const uint8_t* end = bytes.data() + bytes.size();
   for (uint64_t v : values) {
     uint64_t got;
-    p = vbyte::Decode(p, &got);
+    p = vbyte::Decode(p, end, &got);
     EXPECT_EQ(got, v);
   }
-  EXPECT_EQ(p, bytes.data() + bytes.size());
+  EXPECT_EQ(p, end);
+}
+
+TEST(VbyteTest, DecodeStopsAtRunEndAndAfterTenBytes) {
+  // Continuation bits all the way: one varint takes exactly kMaxBytes.
+  const std::vector<uint8_t> ff(32, 0xFF);
+  uint64_t v = 0;
+  const uint8_t* p = vbyte::Decode(ff.data(), ff.data() + ff.size(), &v);
+  EXPECT_EQ(p, ff.data() + vbyte::kMaxBytes);
+  EXPECT_EQ(v, ~uint64_t{0});
+  // A run cut inside a varint stops at its end, and the end reads nothing.
+  p = vbyte::Decode(ff.data(), ff.data() + 3, &v);
+  EXPECT_EQ(p, ff.data() + 3);
+  EXPECT_EQ(v, (uint64_t{1} << 21) - 1);
+  EXPECT_EQ(vbyte::Decode(p, p, &v), p);
+  EXPECT_EQ(v, 0u);
 }
 
 TEST(EncodingPolicyTest, ParseAndNames) {
@@ -859,6 +878,189 @@ TEST(GatherNumericTest, ResidentAndMappedColumnsMatchPointReads) {
   }
   EXPECT_EQ(table->column(3).enc().block_kind(0), Encoding::kVbyte);
   EXPECT_EQ(mapped.table->column(0).enc().block_kind(0), Encoding::kRaw);
+}
+
+// ---------------------------------------------------------------------------
+// kAuto integer layout: lane-width packed blocks, never varints
+// ---------------------------------------------------------------------------
+
+TEST(AutoLayoutTest, GeneratorCatalogsStoreNoVbyteBlocks) {
+  for (const auto& [name, catalog] :
+       {std::pair{std::string("tpcds"), BuildTpcdsCatalog()},
+        std::pair{std::string("job"), BuildJobCatalog()}}) {
+    int64_t packed = 0;
+    for (const std::string& t : catalog->TableNames()) {
+      const Table& table = *catalog->FindTable(t)->table;
+      for (int c = 0; c < table.schema().num_columns(); ++c) {
+        const EncodedColumn& enc = table.column(c).enc();
+        for (int64_t b = 0; b < enc.num_blocks(); ++b) {
+          const Encoding kind = enc.block_kind(b);
+          ASSERT_TRUE(kind == Encoding::kPacked || kind == Encoding::kDict ||
+                      kind == Encoding::kRaw)
+              << name << " " << t << "." << table.schema().column(c).name
+              << " block " << b << " is " << EncodingName(kind);
+          packed += kind == Encoding::kPacked ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(packed, 0) << name;
+  }
+}
+
+/// Zipf-skewed join keys whose block ranges need 9 to 15 bits (block b
+/// spans [1, 2^(9+b)]) — the fact-table key shape. Small ranks dominate,
+/// so most keys would be 1- or 2-byte varints.
+std::vector<int64_t> ZipfKeys() {
+  std::vector<int64_t> keys;
+  Rng rng(501);
+  for (int bits = 9; bits <= 15; ++bits) {
+    const int64_t n = int64_t{1} << bits;
+    const ZipfSampler zipf(n, 1.0);
+    keys.push_back(n);  // pin the block range
+    for (int64_t i = 1; i < EncodedColumn::kBlockRows; ++i) {
+      keys.push_back(zipf.Sample(&rng));
+    }
+  }
+  const std::vector<int64_t> tail(keys.begin(), keys.begin() + 300);
+  keys.insert(keys.end(), tail.begin(), tail.end());  // a short last block
+  return keys;
+}
+
+TEST(AutoLayoutTest, ZipfKeyColumnPacksAtLaneWidth) {
+  const std::vector<int64_t> keys = ZipfKeys();
+  EncodedColumn col(DataType::kInt64, Encoding::kAuto, /*dict_max_card=*/256);
+  for (int64_t k : keys) col.AppendInt(k);
+  col.Finish();
+  ASSERT_EQ(col.mode(), Encoding::kAuto);  // the dictionary overflowed
+  ASSERT_EQ(col.num_blocks(), 8);
+  for (int64_t b = 0; b < col.num_blocks(); ++b) {
+    ASSERT_EQ(col.block_kind(b), Encoding::kPacked) << "block " << b;
+    const EncodedColumn::PackedView view = col.packed_view(b);
+    EXPECT_EQ(view.width, bitpack::LaneWidthFor(view.range)) << "block " << b;
+    EXPECT_EQ(view.width, 16) << "block " << b;
+  }
+  for (size_t r = 0; r < keys.size(); ++r) {
+    ASSERT_EQ(col.GetInt(static_cast<int64_t>(r)), keys[r]) << "row " << r;
+  }
+}
+
+TEST(AutoLayoutTest, ForcedVbyteTwinReadsBitIdentical) {
+  const std::vector<int64_t> keys = ZipfKeys();
+  EncodedColumn packed(DataType::kInt64, Encoding::kAuto, 256);
+  EncodedColumn vb(DataType::kInt64, Encoding::kVbyte, 256);
+  for (int64_t k : keys) {
+    packed.AppendInt(k);
+    vb.AppendInt(k);
+  }
+  packed.Finish();
+  vb.Finish();
+  const int64_t n = static_cast<int64_t>(keys.size());
+  ASSERT_EQ(vb.num_blocks(), packed.num_blocks());
+  for (int64_t b = 0; b < vb.num_blocks(); ++b) {
+    ASSERT_EQ(vb.block_kind(b), Encoding::kVbyte) << "block " << b;
+    ASSERT_EQ(packed.block_kind(b), Encoding::kPacked) << "block " << b;
+  }
+  std::vector<double> range_p(static_cast<size_t>(n));
+  std::vector<double> range_v(static_cast<size_t>(n));
+  packed.DecodeRange(0, n, range_p.data());
+  vb.DecodeRange(0, n, range_v.data());
+  for (int64_t r = 0; r < n; ++r) {
+    ASSERT_EQ(Bits(PointNumeric(vb, r)), Bits(PointNumeric(packed, r)))
+        << "row " << r;
+    ASSERT_EQ(Bits(range_v[static_cast<size_t>(r)]),
+              Bits(range_p[static_cast<size_t>(r)]))
+        << "row " << r;
+  }
+  for (const auto& [shape, rows] : GatherRowLists(n, 41)) {
+    const int64_t m = static_cast<int64_t>(rows.size());
+    std::vector<double> got_p(rows.size()), got_v(rows.size());
+    packed.GatherNumeric(rows.data(), m, got_p.data());
+    vb.GatherNumeric(rows.data(), m, got_v.data());
+    for (int64_t j = 0; j < m; ++j) {
+      ASSERT_EQ(Bits(got_v[static_cast<size_t>(j)]),
+                Bits(got_p[static_cast<size_t>(j)]))
+          << shape << " position " << j;
+    }
+  }
+}
+
+// A forced-vbyte column file whose payload is overwritten (all 0xFF: every
+// varint overlong; then seeded random bytes) must either fail to open or
+// read every row by every path without leaving its byte run. Sanitizer
+// builds report any read past the run or any shift of 64 bits or more.
+TEST(VbyteTest, CorruptMappedPayloadReadsStayInBounds) {
+  const std::vector<int64_t> keys = ZipfKeys();
+  const int64_t n = static_cast<int64_t>(keys.size());
+  TableSchema schema("v", {{"k", DataType::kInt64}});
+  EncodingPolicy policy;
+  policy.kind = Encoding::kVbyte;
+  Table table(schema, policy);
+  for (int64_t k : keys) table.column(0).AppendInt(k);
+  ASSERT_TRUE(table.Finalize().ok());
+  ASSERT_EQ(table.column(0).enc().block_kind(0), Encoding::kVbyte);
+
+  char tmpl[] = "/tmp/rqp_vbyte_fuzz_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string path = std::string(dir) + "/v.rqp";
+  ASSERT_TRUE(WriteTableFile(table, ComputeTableStats(table), path).ok());
+  std::string file;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[4096];
+    for (size_t got; (got = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+      file.append(buf, got);
+    }
+    std::fclose(f);
+  }
+  // The only column has no word run, so its byte run follows the 8-byte
+  // head magic.
+  const std::vector<uint8_t>& payload = table.column(0).enc().payload_bytes();
+  const size_t off = 8;
+  ASSERT_GE(file.size(), off + payload.size());
+  ASSERT_EQ(std::memcmp(file.data() + off, payload.data(), payload.size()), 0);
+
+  std::vector<int64_t> all(static_cast<size_t>(n));
+  for (int64_t r = 0; r < n; ++r) all[static_cast<size_t>(r)] = r;
+  Rng rng(2027);
+  for (int trial = 0; trial < 17; ++trial) {
+    std::string corrupt = file;
+    for (size_t i = 0; i < payload.size(); ++i) {
+      corrupt[off + i] = trial == 0 ? static_cast<char>(0xFF)
+                                    : static_cast<char>(rng.UniformInt(0, 255));
+    }
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(corrupt.data(), 1, corrupt.size(), f),
+                corrupt.size());
+      std::fclose(f);
+    }
+    MappedTable mapped;
+    if (!OpenMappedTable(path, &mapped).ok()) continue;
+    // Corrupt varints no longer end where the skip table says, so paths
+    // that enter a block at different skip points may disagree on values;
+    // what they must not do is read outside the run.
+    const ColumnData& col = mapped.table->column(0);
+    std::vector<double> decoded(static_cast<size_t>(n));
+    std::vector<double> gathered(static_cast<size_t>(n));
+    col.enc().DecodeRange(0, n, decoded.data());
+    col.enc().GatherNumeric(all.data(), n, gathered.data());
+    volatile int64_t point = 0;
+    for (int64_t r = 0; r < n; ++r) point = col.enc().GetInt(r);
+    (void)point;
+    kernels::FilterScratch scratch;
+    std::vector<int64_t> sel;
+    for (CompareOp op : {CompareOp::kLt, CompareOp::kGe, CompareOp::kEq}) {
+      EXPECT_LE(kernels::FilterRange(col, op, 100.0, 0, n, 0.5, &sel, &scratch),
+                n)
+          << "trial " << trial;
+      kernels::FilterRefine(col, CompareOp::kLe, 1e6, &sel, &scratch);
+    }
+  }
+  std::remove(path.c_str());
+  rmdir(dir);
 }
 
 // ---------------------------------------------------------------------------

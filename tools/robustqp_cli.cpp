@@ -86,7 +86,7 @@ void PrintUsage() {
       "  --compression <c>      auto | raw | packed | vbyte | dict | on | off\n"
       "                         catalog storage encoding (default auto:\n"
       "                         dictionary for low-cardinality columns,\n"
-      "                         bit-packed/vbyte otherwise); raw also turns\n"
+      "                         bit-packed otherwise); raw also turns\n"
       "                         fused filter-on-compressed execution off.\n"
       "                         Results are bit-identical for every choice\n"
       "  --storage <s>          resident | mmap (default resident): where the\n"
